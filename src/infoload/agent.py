@@ -110,17 +110,11 @@ def unconstrained_optimum(trader: Trader) -> UnconstrainedOptimum:
     return UnconstrainedOptimum(unbounded=False, i_value=float(root))
 
 
-def optimize_information(trader: Trader, i_max: float,
-                         precomputed: Optional[UnconstrainedOptimum] = None) -> AgentOutcome:
-    """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels.
-
-    ``precomputed`` lets sweeps reuse the i_max-independent root; results are
-    identical to solving in place.
-    """
+def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
+    """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels."""
     if not (math.isfinite(i_max) and i_max > 0):
         raise ParameterError(f"i_max must be a positive finite real, got {i_max!r}")
-    opt = precomputed if precomputed is not None else unconstrained_optimum(trader)
-    i_u = opt.as_float()
+    i_u = unconstrained_optimum(trader).as_float()
     if i_u >= i_max:
         i_star, regime = i_max, Regime.FULLY_INFORMED
     elif i_u <= 0.0:

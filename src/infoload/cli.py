@@ -80,11 +80,14 @@ DEFAULT_CONFIG = {
 # config parsing
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_interval(field: str, value) -> tuple:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return (float(value), float(value))
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return (float(value[0]), float(value[1]))
     raise ConfigError(field, f"expected a number or [lo, hi] pair, got {value!r}")
 
@@ -115,17 +118,20 @@ def _parse_curve(path: str, record: dict, allowed_families) -> tuple:
 
 
 def _parse_grid(field: str, value) -> List[float]:
-    if isinstance(value, list):
+    if isinstance(value, list) and all(map(_is_number, value)):
         grid = [float(v) for v in value]
     elif isinstance(value, dict):
         if set(value) != {"kind", "start", "stop", "num"}:
             raise ConfigError(field, "grid record requires exactly {kind, start, stop, num}")
-        if value["kind"] == "geometric":
-            grid = list(np.geomspace(value["start"], value["stop"], int(value["num"])))
-        elif value["kind"] == "linear":
-            grid = list(np.linspace(value["start"], value["stop"], int(value["num"])))
-        else:
-            raise ConfigError(f"{field}.kind", f"must be 'geometric' or 'linear', got {value['kind']!r}")
+        kind, start, stop, num = (value[k] for k in ("kind", "start", "stop", "num"))
+        if kind not in ("geometric", "linear"):
+            raise ConfigError(f"{field}.kind", f"must be 'geometric' or 'linear', got {kind!r}")
+        if not (all(map(_is_number, (start, stop, num))) and num >= 1 and float(num).is_integer()):
+            raise ConfigError(field, f"start and stop must be numbers, num a positive integer: {value!r}")
+        if kind == "geometric" and not (start > 0 and stop > 0):
+            raise ConfigError(field, "a geometric grid needs positive start and stop")
+        spacing = np.geomspace if kind == "geometric" else np.linspace
+        grid = list(spacing(start, stop, int(num)))
     else:
         raise ConfigError(field, f"expected a list of numbers or a grid record, got {value!r}")
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -380,17 +386,19 @@ def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
 
 def _cmd_sweep(settings: Settings, out_dir: Path) -> List[Path]:
     traders = sample_population(settings.population)
-    series = sweep_imax(traders, settings.i_max_grid, settings.market.theta)
+    grid, mults, theta = settings.i_max_grid, settings.cost_multiplier_grid, settings.market.theta
+    rows = []
+    if mults is not None:
+        diagram = sweep_2d(traders, grid, mults, theta)
+        rows = [(float(mult), float(i_max), float(diagram.fractions[r, c]),
+                 bool(diagram.efficient[r, c]))
+                for r, mult in enumerate(diagram.multipliers)
+                for c, i_max in enumerate(diagram.i_max_grid)]
+    # cost.scaled(1.0) is bit-identical to the cost itself: that row is the 1-D series
+    points = [row[1:] for row in rows if row[0] == 1.0] or sweep_imax(traders, grid, theta).points
     outputs = [write_csv(out_dir / "phase.csv",
-                         ["i_max", "fraction_informed", "efficient"], series.points)]
-    if settings.cost_multiplier_grid is not None:
-        diagram = sweep_2d(traders, settings.i_max_grid,
-                           settings.cost_multiplier_grid, settings.market.theta)
-        rows = []
-        for r, mult in enumerate(diagram.multipliers):
-            for c, i_max in enumerate(diagram.i_max_grid):
-                rows.append((float(mult), float(i_max),
-                             float(diagram.fractions[r, c]), bool(diagram.efficient[r, c])))
+                         ["i_max", "fraction_informed", "efficient"], points)]
+    if mults is not None:
         outputs.append(write_csv(
             out_dir / "phase2d.csv",
             ["cost_multiplier", "i_max", "fraction_informed", "efficient"], rows))

@@ -19,7 +19,6 @@ from infoload.agent import (
     AgentOutcome,
     Regime,
     Trader,
-    UnconstrainedOptimum,
     expected_utility,
     optimize_information,
     unconstrained_optimum,
@@ -33,7 +32,7 @@ from infoload.curves import (
     SuccessCurve,
     ZeroCost,
 )
-from infoload.errors import ConfigError, ParameterError, PreconditionError
+from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
 Interval = Tuple[float, float]
 
@@ -87,8 +86,12 @@ class MarketConfig:
     def __post_init__(self):
         if not (math.isfinite(self.i_max) and self.i_max > 0):
             raise ConfigError("market.i_max", f"must be a positive finite real, got {self.i_max}")
-        if not 0 < self.theta <= 1:
-            raise ConfigError("market.theta", f"must lie in (0, 1], got {self.theta}")
+        check_theta(self.theta)
+
+
+def check_theta(theta: float) -> None:
+    if not 0 < theta <= 1:
+        raise ConfigError("market.theta", f"must lie in (0, 1], got {theta}")
 
 
 @dataclass
@@ -98,8 +101,8 @@ class MarketOutcome:
     counts: dict  # Regime value -> int, over participating agents
     mean_utility: float
     n_agents: int
-    n_excluded: int = 0
-    outcomes: Optional[List[AgentOutcome]] = None
+    n_excluded: int
+    outcomes: List[AgentOutcome]
 
 
 @dataclass(frozen=True)
@@ -171,20 +174,15 @@ def sample_population(spec: PopulationSpec) -> List[Trader]:
     return traders
 
 
-def run_market(config: MarketConfig, traders: Sequence[Trader],
-               precomputed: Optional[Sequence[UnconstrainedOptimum]] = None,
-               keep_outcomes: bool = True) -> MarketOutcome:
+def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome:
     """Solve every trader at the configured ceiling and classify efficiency."""
     if len(traders) == 0:
         raise PreconditionError("trader collection must be non-empty")
-    if precomputed is not None and len(precomputed) != len(traders):
-        raise PreconditionError("precomputed optima must match the trader collection")
 
     outcomes = []
     for idx, trader in enumerate(traders):
         try:
-            pre = precomputed[idx] if precomputed is not None else None
-            outcomes.append(optimize_information(trader, config.i_max, precomputed=pre))
+            outcomes.append(optimize_information(trader, config.i_max))
         except ArithmeticError as exc:
             raise type(exc)(f"agent {idx}: {exc}") from exc
 
@@ -208,8 +206,22 @@ def run_market(config: MarketConfig, traders: Sequence[Trader],
         mean_utility=mean_u,
         n_agents=len(traders),
         n_excluded=n_excluded,
-        outcomes=outcomes if keep_outcomes else None,
+        outcomes=outcomes,
     )
+
+
+def informed_fractions(traders: Sequence[Trader], i_max_grid: Sequence[float]) -> List[float]:
+    """``run_market(...).fraction_informed`` (no participation rule) at every
+    ceiling: count(i_u >= i_max) / n over roots solved once and sorted."""
+    if len(traders) == 0:
+        raise PreconditionError("trader collection must be non-empty")
+    roots = [unconstrained_optimum(t).as_float() for t in traders]
+    for idx, i_u in enumerate(roots):
+        if math.isnan(i_u):
+            raise NumericRangeError(f"agent {idx}: unconstrained optimum is NaN")
+    n = len(roots)
+    counts = n - np.searchsorted(np.sort(roots), i_max_grid, side="left")
+    return [int(c) / n for c in counts]
 
 
 def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> ConjectureVerdict:
@@ -270,17 +282,14 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
         if isinstance(t.cost, ZeroCost):
             raise PreconditionError(f"agent {idx} has a zero cost curve")
     schedule = list(i_max_schedule)
-    if len(schedule) < 10 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise PreconditionError("schedule must be strictly increasing with length >= 10")
+    if (len(schedule) < 10 or any(b <= a for a, b in zip(schedule, schedule[1:]))
+            or not all(math.isfinite(s) and s > 0 for s in schedule)):
+        raise PreconditionError("schedule must be positive, increasing, length >= 10")
+    check_theta(theta)
 
-    pre = [unconstrained_optimum(t) for t in traders]
-    fractions, ceiling_utils, efficients = [], [], []
-    for i_max in schedule:
-        out = run_market(MarketConfig(i_max=i_max, theta=theta), traders,
-                         precomputed=pre, keep_outcomes=False)
-        fractions.append(out.fraction_informed)
-        efficients.append(out.efficient)
-        ceiling_utils.append(max(expected_utility(t, i_max) for t in traders))
+    fractions = informed_fractions(traders, schedule)
+    efficients = [f >= theta for f in fractions]
+    ceiling_utils = [max(expected_utility(t, i_max) for t in traders) for i_max in schedule]
 
     problems = []
     if any(b > a for a, b in zip(fractions, fractions[1:])):

@@ -3,7 +3,9 @@
 The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
 so the critical ceiling is an order statistic of the population's optima.  The
-grid sweep is validated against that quantile.
+sweeps solve each root once, sort the roots and count every ceiling by binary
+search; the quantile keeps its own code (a plain sort and ``ceil(theta * n)``)
+as the independent oracle the sweeps are validated against.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from infoload.agent import Trader, unconstrained_optimum, utility_on_grid
-from infoload.market import MarketConfig, MarketOutcome, run_market
-from infoload.errors import ConfigError
+from infoload.market import check_theta, informed_fractions
+from infoload.errors import ConfigError, NumericRangeError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 
@@ -64,34 +66,22 @@ def utility_curve(trader: Trader, i_max: float, n_points: int) -> UtilityCurve:
                         argmax_index=int(np.argmax(util)))
 
 
-def _scaled_traders(traders: Sequence[Trader], multiplier: float) -> List[Trader]:
-    return [replace(t, cost=t.cost.scaled(multiplier)) for t in traders]
-
-
 def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
                theta: float) -> PhaseSeries:
-    """Run the market at every ceiling and locate the efficiency boundary."""
+    """Fraction informed and efficiency verdict at every ceiling, and the boundary."""
     grid = list(i_max_grid)
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.i_max_grid", "grid must be non-empty and strictly increasing")
-    pre = [unconstrained_optimum(t) for t in traders]
-    points: List[PhasePoint] = []
-    for i_max in grid:
-        out = run_market(MarketConfig(i_max=i_max, theta=theta), traders,
-                         precomputed=pre, keep_outcomes=False)
-        points.append((i_max, out.fraction_informed, out.efficient))
-
-    fractions = [p[1] for p in points]
-    if any(b > a + 1e-15 for a, b in zip(fractions, fractions[1:])):
-        raise AssertionError("phase series violates fraction monotonicity")
-    efficients = [p[2] for p in points]
-    if any(b and not a for a, b in zip(efficients, efficients[1:])):
-        raise AssertionError("phase series violates the monotone-phase property")
-
-    critical = None
-    for i_max, _, eff in points:
-        if eff:
-            critical = i_max
+    if not all(math.isfinite(i_max) and i_max > 0 for i_max in grid):
+        raise ConfigError("sweep.i_max_grid", "ceilings must be positive finite reals")
+    check_theta(theta)
+    fractions = informed_fractions(traders, grid)
+    # non-increasing fractions make the efficient ceilings a prefix of the grid
+    if any(not b <= a for a, b in zip(fractions, fractions[1:])):
+        raise NumericRangeError("phase series violates fraction monotonicity")
+    points: List[PhasePoint] = [(i_max, frac, bool(frac >= theta))
+                                for i_max, frac in zip(grid, fractions)]
+    critical = max((i_max for i_max, _, eff in points if eff), default=None)
     return PhaseSeries(points=points, critical_i_max=critical)
 
 
@@ -113,19 +103,15 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     mults = list(multipliers)
     if len(mults) == 0 or any(b <= a for a, b in zip(mults, mults[1:])):
         raise ConfigError("sweep.cost_multiplier_grid", "must be non-empty and strictly increasing")
-    if any(m <= 0 for m in mults):
-        raise ConfigError("sweep.cost_multiplier_grid", "multipliers must be positive")
+    if not all(math.isfinite(m) and m > 0 for m in mults):
+        raise ConfigError("sweep.cost_multiplier_grid", "multipliers must be positive finite reals")
 
-    rows_frac, rows_eff, criticals = [], [], []
-    for m in mults:
-        series = sweep_imax(_scaled_traders(traders, m), i_max_grid, theta)
-        rows_frac.append([p[1] for p in series.points])
-        rows_eff.append([p[2] for p in series.points])
-        criticals.append(series.critical_i_max)
+    rows = [sweep_imax([replace(t, cost=t.cost.scaled(m)) for t in traders], i_max_grid, theta)
+            for m in mults]
     return PhaseDiagram(
         i_max_grid=np.asarray(list(i_max_grid), dtype=float),
         multipliers=np.asarray(mults, dtype=float),
-        fractions=np.asarray(rows_frac, dtype=float),
-        efficient=np.asarray(rows_eff, dtype=bool),
-        critical_per_row=criticals,
+        fractions=np.asarray([[p[1] for p in row.points] for row in rows], dtype=float),
+        efficient=np.asarray([[p[2] for p in row.points] for row in rows], dtype=bool),
+        critical_per_row=[row.critical_i_max for row in rows],
     )

@@ -1,12 +1,17 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import infoload.market
+import infoload.sweep
+from infoload.agent import UnconstrainedOptimum
 from infoload.cli import (
     EXIT_CONFIG,
     EXIT_CONJECTURE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -175,6 +180,60 @@ class TestSubcommands:
         assert len(read_csv(out / "returns.csv")) == 100
         (summary,) = read_csv(out / "returns_summary.csv")
         assert summary["n"] == "100"
+
+
+def _geometric(start=0.5, stop=4.0, num=4):
+    return {"kind": "geometric", "start": start, "stop": stop, "num": num}
+
+
+class TestSweepErrors:
+    def _run(self, tmp_path, sweep):
+        path = write_config(tmp_path, {"population": {"n_agents": 5}, "sweep": sweep})
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == code
+        return code, record["error"]
+
+    @pytest.mark.parametrize("sweep,field", [
+        ({"i_max_grid": [-1, 0.5, 1]}, "sweep.i_max_grid"),
+        ({"i_max_grid": [0.5, "1", 2]}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(start=0)}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(start=-1)}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(start="0.5")}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(stop=None)}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(num="4")}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(num=2.5)}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(num=-3)}, "sweep.i_max_grid"),
+        ({"i_max_grid": _geometric(num=1e400)}, "sweep.i_max_grid"),
+        ({"i_max_grid": {**_geometric(), "kind": ["linear"]}}, "sweep.i_max_grid.kind"),
+        ({"cost_multiplier_grid": _geometric(start=0)}, "sweep.cost_multiplier_grid"),
+        ({"cost_multiplier_grid": [0.5, "x"]}, "sweep.cost_multiplier_grid"),
+        ({"cost_multiplier_grid": [-1.0, 1.0]}, "sweep.cost_multiplier_grid"),
+    ])
+    def test_malformed_grid_is_a_config_error(self, tmp_path, sweep, field):
+        code, message = self._run(tmp_path, sweep)
+        assert code == EXIT_CONFIG
+        assert message.startswith(field + ":")
+
+    def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
+        solve, calls = infoload.market.unconstrained_optimum, []
+
+        def nan_for_agent_3(trader):
+            calls.append(trader)
+            return UnconstrainedOptimum(False, math.nan) if len(calls) == 4 else solve(trader)
+
+        monkeypatch.setattr(infoload.market, "unconstrained_optimum", nan_for_agent_3)
+        code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
+        assert code == EXIT_NUMERIC
+        assert "agent 3" in message
+
+    def test_non_monotone_series_is_a_numeric_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(infoload.sweep, "informed_fractions",
+                            lambda traders, grid: [0.2, 0.6])
+        code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
+        assert code == EXIT_NUMERIC
+        assert "monotonicity" in message
 
 
 class TestDeterminism:

@@ -192,6 +192,22 @@ class TestConjecture3:
         with pytest.raises(PreconditionError):
             check_conjecture3(traders, theta=0.5, i_max_schedule=[1.0])
 
+    @pytest.mark.parametrize("schedule", [
+        [-1.0] + [2.0**k for k in range(14)],
+        [0.0] + [2.0**k for k in range(14)],
+        [2.0**k for k in range(14)] + [math.inf],
+    ])
+    def test_non_positive_or_infinite_schedule_guard(self, schedule):
+        traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.01, 2.0))]
+        with pytest.raises(PreconditionError):
+            check_conjecture3(traders, theta=0.5, i_max_schedule=schedule)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.5])
+    def test_theta_guard(self, theta):
+        traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.01, 2.0))]
+        with pytest.raises(ConfigError, match="market.theta"):
+            check_conjecture3(traders, theta=theta, i_max_schedule=[2.0**k for k in range(15)])
+
 
 class TestMonotonePhase:
     def test_fraction_informed_non_increasing(self, rng):

@@ -1,22 +1,38 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import infoload.market
+import infoload.sweep
 from infoload import (
+    ExpGrowthCost,
     ExpSaturating,
+    Hyperbolic,
+    MarketConfig,
     PowerCost,
     Trader,
+    UnconstrainedOptimum,
     ZeroCost,
     critical_imax_quantile,
+    run_market,
     sweep_2d,
     sweep_imax,
     unconstrained_optimum,
     utility_curve,
 )
-from infoload.errors import ConfigError
+from infoload.cli import main as cli_main
+from infoload.errors import ConfigError, NumericRangeError
 
 from conftest import random_trader
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestUtilityCurve:
@@ -65,6 +81,40 @@ class TestSweepImax:
     def test_unsorted_grid_rejected(self, reference_trader):
         with pytest.raises(ConfigError):
             sweep_imax([reference_trader], [1.0, 0.5], theta=0.5)
+
+    @pytest.mark.parametrize("grid,theta,field", [
+        ([], 0.5, "sweep.i_max_grid"),
+        ([-1.0, 0.5, 1.0], 0.5, "sweep.i_max_grid"),
+        ([0.0, 1.0], 0.5, "sweep.i_max_grid"),
+        ([1.0, math.inf], 0.5, "sweep.i_max_grid"),
+        ([math.nan, 1.0], 0.5, "sweep.i_max_grid"),
+        ([1.0, 2.0], 0.0, "market.theta"),
+        ([1.0, 2.0], 1.5, "market.theta"),
+        ([1.0, 2.0], math.nan, "market.theta"),
+    ])
+    def test_bad_arguments_rejected(self, reference_trader, grid, theta, field):
+        with pytest.raises(ConfigError) as exc:
+            sweep_imax([reference_trader], grid, theta=theta)
+        assert exc.value.field == field
+        with pytest.raises(ConfigError) as exc:
+            sweep_2d([reference_trader], grid, [0.5, 1.0], theta=theta)
+        assert exc.value.field == field
+
+    def test_nan_root_names_the_agent(self, rng, monkeypatch):
+        traders = [random_trader(rng, cost_family="power") for _ in range(4)]
+        solve = infoload.market.unconstrained_optimum
+        monkeypatch.setattr(
+            infoload.market, "unconstrained_optimum",
+            lambda t: UnconstrainedOptimum(False, math.nan) if t is traders[2] else solve(t))
+        with pytest.raises(NumericRangeError, match="agent 2"):
+            sweep_imax(traders, [0.5, 1.0], theta=0.5)
+
+    @pytest.mark.parametrize("fractions", [[0.5, 0.7, 0.1], [0.5, math.nan, 0.1]])
+    def test_non_monotone_fractions_are_numeric_errors(self, reference_trader, monkeypatch,
+                                                       fractions):
+        monkeypatch.setattr(infoload.sweep, "informed_fractions", lambda traders, grid: fractions)
+        with pytest.raises(NumericRangeError, match="monotonicity"):
+            sweep_imax([reference_trader], [1.0, 2.0, 3.0], theta=0.5)
 
     def test_monotone_phase_prefix(self, rng):
         for _ in range(10):
@@ -137,3 +187,127 @@ class TestSweep2d:
             sweep_2d([reference_trader], [1.0, 2.0], [2.0, 1.0], theta=0.5)
         with pytest.raises(ConfigError):
             sweep_2d([reference_trader], [1.0, 2.0], [-1.0, 1.0], theta=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the sorted-root count against the per-ceiling market it replaces
+
+CORNER_ZERO_TRADER = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))
+
+_traders = st.one_of(
+    st.builds(
+        Trader,
+        gain=st.floats(0.5, 5.0), loss=st.floats(0.5, 5.0),
+        success=st.one_of(st.builds(ExpSaturating, st.floats(0.3, 3.0)),
+                          st.builds(Hyperbolic, st.floats(0.3, 3.0))),
+        cost=st.one_of(st.builds(PowerCost, st.floats(0.01, 5.0), st.floats(1.5, 3.0)),
+                       st.builds(ExpGrowthCost, st.floats(0.01, 2.0), st.floats(0.3, 2.0)),
+                       st.just(ZeroCost()))),
+    st.just(CORNER_ZERO_TRADER),
+)
+_thetas = st.one_of(st.just(1.0), st.just(1e-12), st.floats(0.01, 1.0))
+
+
+@st.composite
+def _populations(draw):
+    """Traders drawn with repeats from a small pool, and ceilings that hit roots."""
+    pool = draw(st.lists(_traders, min_size=1, max_size=5))
+    traders = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    roots = [unconstrained_optimum(t).as_float() for t in traders]
+    on_root = [r for r in roots if 0.0 < r < math.inf]
+    ceilings = set(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8)))
+    if on_root:
+        ceilings |= set(draw(st.lists(st.sampled_from(on_root), max_size=3)))
+    return traders, sorted(ceilings)
+
+
+def _per_ceiling(traders, grid, theta):
+    outs = [run_market(MarketConfig(i_max=i_max, theta=theta), traders) for i_max in grid]
+    return [(i_max, out.fraction_informed, out.efficient) for i_max, out in zip(grid, outs)]
+
+
+def _assert_matches_market(series, traders, grid, theta):
+    expected = _per_ceiling(traders, grid, theta)
+    assert series.points == expected
+    assert all(type(frac) is float and type(eff) is bool for _, frac, eff in series.points)
+    efficient = [i_max for i_max, _, eff in expected if eff]
+    assert series.critical_i_max == (efficient[-1] if efficient else None)
+
+
+class TestSortedRootsMatchMarket:
+    @settings(max_examples=60, deadline=None)
+    @given(population=_populations(), theta=_thetas)
+    def test_sweep_imax(self, population, theta):
+        traders, grid = population
+        _assert_matches_market(sweep_imax(traders, grid, theta), traders, grid, theta)
+
+    @settings(max_examples=30, deadline=None)
+    @given(population=_populations(), theta=_thetas,
+           mults=st.sets(st.floats(0.1, 10.0), max_size=3))
+    def test_sweep_2d(self, population, theta, mults):
+        traders, grid = population
+        mults = sorted(mults | {1.0})
+        diagram = sweep_2d(traders, grid, mults, theta)
+        for r, m in enumerate(mults):
+            scaled = [replace(t, cost=t.cost.scaled(m)) for t in traders]
+            expected = _per_ceiling(scaled, grid, theta)
+            assert diagram.fractions[r].tolist() == [frac for _, frac, _ in expected]
+            assert diagram.efficient[r].tolist() == [eff for _, _, eff in expected]
+            efficient = [i_max for i_max, _, eff in expected if eff]
+            assert diagram.critical_per_row[r] == (efficient[-1] if efficient else None)
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5, 1e-12])
+    def test_ties_infinite_and_zero_roots(self, reference_trader, theta):
+        traders = ([reference_trader] * 3 + [CORNER_ZERO_TRADER] * 2
+                   + [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())])
+        i_u = unconstrained_optimum(reference_trader).i_value
+        grid = [0.5, np.nextafter(i_u, 0.0), i_u, np.nextafter(i_u, math.inf), 4.0]
+        series = sweep_imax(traders, grid, theta)
+        _assert_matches_market(series, traders, grid, theta)
+        assert [frac for _, frac, _ in series.points] == [4 / 6, 4 / 6, 4 / 6, 1 / 6, 1 / 6]
+
+
+# ---------------------------------------------------------------------------
+# golden phase CSVs, recorded with the per-ceiling market sweep
+
+SWEEP_400 = {
+    "population": {"n_agents": 400, "gain": [0.5, 2.0], "loss": [0.5, 2.0],
+                   "success": {"family": "exp_saturating", "params": {"rate": [0.5, 2.0]}},
+                   "cost": {"family": "power",
+                            "params": {"scale": [0.01, 2.0], "exponent": 2.0}}},
+    "market": {"theta": 0.5},
+    "sweep": {"i_max_grid": {"kind": "geometric", "start": 0.0625, "stop": 16.0, "num": 33},
+              "cost_multiplier_grid": [0.25, 0.5, 1.0, 2.0, 4.0]},
+}
+
+GOLDEN_SHA256 = {
+    ("reference", 0): ("66fe5abde9704f0cbef55a01f11f32cc55ea674bb40f3d3ca45c8c7880e968ff",
+                       "070af007157c9b27c2c656d7f8d223c9894a1434caa9bfce49bb63ae79630b7a"),
+    ("reference", 7): ("31b4b2e17fe24daeedbb19a1f5076afff0ce3825c8e9542adafdbdc659c0dc09",
+                       "42f8fc9766e2ff8ee1be06d66976d70db6c98f10922b488166e7e1705e449ce2"),
+    ("reference", 2**64 - 1): (
+        "743c66b702d48e575256702b88e9d1eeadfbed9bc0dd2c6c75c3c420bcc86b06",
+        "da8b59096342e8bcc8de779ec8f9a002dfbd097c2a321367afcb0db4b2410848"),
+    ("sweep_400", 0): ("5d04c52d5920136795741e3676f0d2c4d476ea2f4645b5b2b0f5de760ee00ba3",
+                       "8c78a6c9564c0afde08b4e3ca90829d79586836d45d10509539676ddccd3a36d"),
+    ("sweep_400", 7): ("6ce095eeb590f142274cdd09efde2bf9347b86c8616cc82408236a55992beaec",
+                       "9c74cfeffb2b565cc5cfc5e8aad8edbc6ca75f85824f73bcfb47a0820bf88f00"),
+    ("sweep_400", 2**64 - 1): (
+        "e00e81c0607b956fcaa13f9c40a1781baacec7330cdb6546d2c27c73c63d555c",
+        "56edbac9d0f89941434096bf29ae056c62ecb67ac0adc6c8379580190e40756a"),
+}
+
+
+@pytest.mark.parametrize("config,seed", sorted(GOLDEN_SHA256))
+def test_golden_phase_csvs(tmp_path, config, seed):
+    if config == "reference":
+        path = REPO / "configs" / "reference.json"
+    else:
+        path = tmp_path / "sweep_400.json"
+        path.write_text(json.dumps(SWEEP_400))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(path), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("phase.csv", "phase2d.csv"))
+    assert digests == GOLDEN_SHA256[config, seed]
