@@ -80,8 +80,13 @@ DEFAULT_CONFIG = {
 # config parsing
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an int beyond the float range is not a number here: float(value) would overflow
+    return isinstance(value, float) or (_is_integer(value) and abs(value) <= sys.float_info.max)
 
 
 def _as_interval(field: str, value) -> tuple:
@@ -92,7 +97,9 @@ def _as_interval(field: str, value) -> tuple:
     raise ConfigError(field, f"expected a number or [lo, hi] pair, got {value!r}")
 
 
-def _merge_section(path: str, defaults: dict, given: dict) -> dict:
+def _merge_section(path: str, defaults: dict, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(path, f"expected an object, got {given!r}")
     merged = copy.deepcopy(defaults)
     for key, value in given.items():
         if key not in defaults:
@@ -136,6 +143,8 @@ def _parse_grid(field: str, value) -> List[float]:
         raise ConfigError(field, f"expected a list of numbers or a grid record, got {value!r}")
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(field, "grid must be non-empty and strictly increasing")
+    if not all(math.isfinite(v) and v > 0 for v in grid):
+        raise ConfigError(field, "grid values must be positive finite reals")
     return grid
 
 
@@ -176,10 +185,10 @@ def _build_settings(raw: dict, config_bytes: bytes, seed_override: Optional[int]
     if c_family == "power" and shape[0] <= 1.0:
         raise ConfigError("population.cost.params.exponent",
                           "must exceed 1 (cost must be convex)")
-    if not isinstance(pop["n_agents"], int) or isinstance(pop["n_agents"], bool):
+    if not _is_integer(pop["n_agents"]):
         raise ConfigError("population.n_agents", "must be an integer")
     seed = seed_override if seed_override is not None else pop["master_seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_integer(seed):
         raise ConfigError("population.master_seed", "must be an integer")
 
     spec = PopulationSpec(
@@ -195,24 +204,27 @@ def _build_settings(raw: dict, config_bytes: bytes, seed_override: Optional[int]
     )
 
     mkt = merged["market"]
-    for key, kind in (("i_max", (int, float)), ("theta", (int, float)),
-                      ("participation_rule", bool)):
-        if not isinstance(mkt[key], kind) or (kind != bool and isinstance(mkt[key], bool)):
+    for key, valid in (("i_max", _is_number), ("theta", _is_number),
+                       ("participation_rule", lambda v: isinstance(v, bool))):
+        if not valid(mkt[key]):
             raise ConfigError(f"market.{key}", f"bad type {type(mkt[key]).__name__}")
     market = MarketConfig(i_max=float(mkt["i_max"]), theta=float(mkt["theta"]),
                           participation_rule=mkt["participation_rule"])
 
     swp = merged["sweep"]
-    if not isinstance(swp["n_points"], int) or swp["n_points"] < 2:
+    if not _is_integer(swp["n_points"]) or swp["n_points"] < 2:
         raise ConfigError("sweep.n_points", "must be an integer >= 2")
     mult_grid = swp["cost_multiplier_grid"]
     if mult_grid is not None:
         mult_grid = _parse_grid("sweep.cost_multiplier_grid", mult_grid)
 
     ret = merged["returns"]
+    for key in ("r_of", "noise_sd"):
+        if not (_is_number(ret[key]) and math.isfinite(ret[key])):
+            raise ConfigError(f"returns.{key}", f"must be a finite number, got {ret[key]!r}")
     if ret["noise_sd"] < 0:
         raise ConfigError("returns.noise_sd", "must be non-negative")
-    if not isinstance(ret["n_draws"], int) or ret["n_draws"] < 1:
+    if not _is_integer(ret["n_draws"]) or ret["n_draws"] < 1:
         raise ConfigError("returns.n_draws", "must be a positive integer")
 
     return Settings(

@@ -5,6 +5,12 @@ Efficiency is structural: a market is efficient when the fraction of traders
 whose constrained optimum sits at the information ceiling reaches the
 threshold theta.  Heterogeneity enters through per-trader curve parameters,
 chiefly the cost scale.
+
+Agent k's parameters come from its own keyed substream,
+``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``, so agent k depends
+only on ``(master_seed, k)``.  ``sample_population`` computes every agent's
+substream at once: numpy's SeedSequence hash and PCG64 written as uint32 and
+uint64 array arithmetic over k, bit-identical to numpy's own per-agent draws.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from infoload.errors import ConfigError, NumericRangeError, ParameterError, Prec
 
 Interval = Tuple[float, float]
 
+# the spawn key k is one uint32 word of the agent's SeedSequence entropy
+MAX_AGENTS = 2**32
+
 
 def _check_interval(name: str, iv: Interval, lower_bound: float = 0.0) -> None:
     lo, hi = iv
@@ -60,8 +69,8 @@ class PopulationSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ConfigError("population.n_agents", "must be >= 1")
+        if not 1 <= self.n_agents <= MAX_AGENTS:
+            raise ConfigError("population.n_agents", f"must lie in [1, 2**32], got {self.n_agents}")
         _check_interval("population.gain", self.gain)
         _check_interval("population.loss", self.loss)
         if self.success_family not in ("exp_saturating", "hyperbolic"):
@@ -133,14 +142,80 @@ class ConjectureVerdict:
     counterexample: Optional[int] = None
 
 
-def _agent_rng(master_seed: int, k: int) -> np.random.Generator:
-    # keyed substream: identical regardless of sampling order or parallelism
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 constants
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _uniform(rng: np.random.Generator, iv: Interval) -> float:
-    lo, hi = iv
-    return float(lo) if lo == hi else float(rng.uniform(lo, hi))
+def _mul128(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi:lo) * PCG multiplier mod 2**128; the low 64x64 product in 32-bit limbs."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI, lo * _PCG_MULT_LO
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> Tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _keyed_uniforms(master_seed: int, n: int, n_draws: int) -> np.ndarray:
+    """``default_rng(SeedSequence(master_seed, spawn_key=(k,))).random(n_draws)``
+    for every k < n at once, as row ``[:, k]`` of an (n_draws, n) array.
+
+    Every step runs on uint32/uint64 arrays, which wrap without warnings.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> 16)
+
+    # entropy: the seed's little-endian words zero-padded to the pool size, then k
+    seed_words = [np.array([(master_seed >> 32 * i) & _MASK32], dtype=np.uint32)
+                  for i in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in seed_words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    spawn_word = np.arange(n, dtype=np.uint32)
+    pool = [mix(word, hashmix(spawn_word)) for word in pool]
+
+    # generate_state(4, uint64): eight words cycled from the pool, paired little-endian
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = (words[2 * j] | (words[2 * j + 1] << 32) for j in range(4))
+
+    # pcg_setseq_128_srandom_r, then XSL-RR of the state after each step
+    inc_hi, inc_lo = (i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1
+    hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s_hi, s_lo)), inc_hi, inc_lo)
+    out = np.empty((n_draws, n))
+    for d in range(n_draws):
+        hi, lo = _add128(*_mul128(hi, lo), inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[d] = (x >> 11) * 2.0**-53
+    return out
 
 
 def _make_success(family: str, param: float) -> SuccessCurve:
@@ -156,22 +231,22 @@ def _make_cost(family: str, scale: float, shape: float) -> CostCurve:
 
 
 def sample_population(spec: PopulationSpec) -> List[Trader]:
-    """Draw the population; agent k depends only on (master_seed, k)."""
-    traders = []
-    for k in range(spec.n_agents):
-        rng = _agent_rng(spec.master_seed, k)
-        gain = _uniform(rng, spec.gain)
-        loss = _uniform(rng, spec.loss)
-        s_param = _uniform(rng, spec.success_param)
-        c_scale = _uniform(rng, spec.cost_scale)
-        c_shape = _uniform(rng, spec.cost_shape)
-        traders.append(Trader(
-            gain=gain,
-            loss=loss,
-            success=_make_success(spec.success_family, s_param),
-            cost=_make_cost(spec.cost_family, c_scale, c_shape),
-        ))
-    return traders
+    """Draw the population; agent k depends only on (master_seed, k).
+
+    Each non-degenerate interval, in the order gain, loss, success param, cost
+    scale, cost shape, takes the next uniform draw of agent k's substream as
+    ``lo + (hi - lo) * u``; a degenerate interval is ``float(lo)`` and takes none.
+    """
+    n = spec.n_agents
+    intervals = (spec.gain, spec.loss, spec.success_param, spec.cost_scale, spec.cost_shape)
+    draws = iter(_keyed_uniforms(spec.master_seed, n, sum(lo != hi for lo, hi in intervals)))
+    columns = [[float(lo)] * n if lo == hi
+               else (float(lo) + (float(hi) - float(lo)) * next(draws)).tolist()
+               for lo, hi in intervals]
+    return [Trader(gain=gain, loss=loss,
+                   success=_make_success(spec.success_family, s_param),
+                   cost=_make_cost(spec.cost_family, c_scale, c_shape))
+            for gain, loss, s_param, c_scale, c_shape in zip(*columns)]
 
 
 def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome:

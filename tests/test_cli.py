@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ from infoload.cli import (
 from infoload.errors import ConfigError
 from infoload.market import ConjectureVerdict
 
+REPO = Path(__file__).resolve().parent.parent
 
 REFERENCE_CONFIG = {
     "population": {
@@ -187,10 +189,10 @@ def _geometric(start=0.5, stop=4.0, num=4):
 
 
 class TestSweepErrors:
-    def _run(self, tmp_path, sweep):
-        path = write_config(tmp_path, {"population": {"n_agents": 5}, "sweep": sweep})
+    def _run(self, tmp_path, sweep, subcommand="sweep", config=None):
+        path = write_config(tmp_path, config or {"population": {"n_agents": 5}, "sweep": sweep})
         out = tmp_path / "out"
-        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        code = main([subcommand, "--config", str(path), "--out", str(out)])
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == code
         return code, record["error"]
@@ -213,6 +215,28 @@ class TestSweepErrors:
     ])
     def test_malformed_grid_is_a_config_error(self, tmp_path, sweep, field):
         code, message = self._run(tmp_path, sweep)
+        assert code == EXIT_CONFIG
+        assert message.startswith(field + ":")
+
+    @pytest.mark.parametrize("subcommand,config,field", [
+        ("returns", {"returns": {"r_of": "x"}}, "returns.r_of"),
+        ("returns", {"returns": {"r_of": math.inf}}, "returns.r_of"),
+        ("returns", {"returns": {"noise_sd": "x"}}, "returns.noise_sd"),
+        ("returns", {"returns": {"noise_sd": math.nan}}, "returns.noise_sd"),
+        ("returns", {"returns": {"n_draws": True}}, "returns.n_draws"),
+        ("market", {"market": [1]}, "market"),
+        ("market", {"population": 5}, "population"),
+        ("returns", {"returns": "x"}, "returns"),
+        ("agent", {"sweep": [0.5]}, "sweep"),
+        ("market", {"market": {"i_max": 10**400}}, "market.i_max"),
+        ("market", {"sweep": {"i_max_grid": [-1, 0.5, 1]}}, "sweep.i_max_grid"),
+        ("returns", {"sweep": {"i_max_grid": [-1, 0.5, 1]}}, "sweep.i_max_grid"),
+        ("figure3", {"sweep": {"i_max_grid": [0.5, math.inf]}}, "sweep.i_max_grid"),
+        ("market", {"sweep": {"i_max_grid": {"kind": "linear", "start": 0, "stop": 1,
+                                             "num": 3}}}, "sweep.i_max_grid"),
+    ])
+    def test_malformed_config_is_a_config_error(self, tmp_path, subcommand, config, field):
+        code, message = self._run(tmp_path, None, subcommand, config)
         assert code == EXIT_CONFIG
         assert message.startswith(field + ":")
 
@@ -268,3 +292,64 @@ class TestDeterminism:
         assert main(["market", "--config", str(path), "--out", str(out2),
                      "--seed", "2"]) == EXIT_OK
         assert (out1 / "market.csv").read_bytes() != (out2 / "market.csv").read_bytes()
+
+
+# golden digests of market.csv, market_summary.csv and agents.csv, recorded with
+# one SeedSequence and Generator per agent
+
+MARKET_2000 = {
+    "population": {"n_agents": 2000, "gain": [0.5, 2.0], "loss": [0.5, 2.0],
+                   "success": {"family": "hyperbolic", "params": {"half_saturation": [0.2, 1.0]}},
+                   "cost": {"family": "exp_growth",
+                            "params": {"scale": [0.01, 0.5], "rate": [0.5, 2.0]}}},
+    "market": {"i_max": 2.0, "theta": 0.5, "participation_rule": True},
+}
+
+GOLDEN_SHA256 = {
+    ("reference", 0): (
+        "dc179abf5c7ac89c8413f92452aeb7b83d6f03563edbf7d378dd650991b28b47",
+        "09f3e95cf7d7ebbc2fd3ed8c8645b87261255dc8252a034bfbc60fd06131a0cf",
+        "60e1ed1d226f355864f91250cc47f2cc58cebdf608c68eb3b0cdc0fee5edc9b1",
+    ),
+    ("reference", 7): (
+        "080aab7bd1e5689d5580d9a4d8207d36e5fc41972898d506ce2b3e04166064ab",
+        "43b6ea601cae547ee4892571b56b5c89a83b6207ca1597acf56ae28db3a6aea7",
+        "90df7da54940c5c1a09fc5f3493d738bfe04d8c78ba169df612f326c3d4eecbf",
+    ),
+    ("reference", 2**64 - 1): (
+        "315d77e706608daacc7370c263fbe3eede24f7431dfb9087889175ca56ac6e43",
+        "dcc578137eb116cf350e75f703467cf1db906b4ab1e342ff2bce2f288b110c19",
+        "c352bbe4ca07b5f5c917440becc1d62c35899d1eaae2df5f8239082293254927",
+    ),
+    ("market_2000", 0): (
+        "23b90800c66b2df4f68bad115ca159174ddb4edc13fb37737cf53f62fb02f9c4",
+        "c3ffe5c558c9659dd721e0eff8d24ffd689ae6b810f778cab7d4795092aad5e2",
+        "c9eed0f690c2b0685e9bab0da5b04655cdc9bc515bdcafb9767f17f0de639fe5",
+    ),
+    ("market_2000", 7): (
+        "fcd32af6eb1f265e234736433d70669af1b4a6cf01c2b42db079bd65f62b490b",
+        "b6bf0faa572e3a7d53eb8020e2f07736548dcaf967f34b61db03ce3487c11803",
+        "771059869ddde63e1bd3b1b613c15c8d61c12fcc387fb5bc8aa839760a435526",
+    ),
+    ("market_2000", 2**64 - 1): (
+        "6cf6905b20e01feede00a7456b766cfb05c9b2c2d029e85295fcae2cab0b6dc7",
+        "5e3d9c2a0c409b9212fbb144be9944c895b4b17c08bcc9c5892784f59ea32f08",
+        "fec6207b7a5a6f7e24ea8c51f3bf11a1312f2a57eb61e64bfc7fed29560cdbfc",
+    ),
+}
+
+
+@pytest.mark.parametrize("config,seed", sorted(GOLDEN_SHA256))
+def test_golden_market_and_agent_csvs(tmp_path, config, seed):
+    if config == "reference":
+        path = REPO / "configs" / "reference.json"
+    else:
+        path = write_config(tmp_path, MARKET_2000)
+    digests = []
+    for subcommand, names in (("market", ("market.csv", "market_summary.csv")),
+                              ("agent", ("agents.csv",))):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--config", str(path), "--out", str(out),
+                     "--seed", str(seed)]) == EXIT_OK
+        digests += [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
+    assert tuple(digests) == GOLDEN_SHA256[config, seed]

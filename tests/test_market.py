@@ -20,6 +20,7 @@ from infoload import (
     simulate_muthian_returns,
 )
 from infoload.errors import ConfigError, PreconditionError
+from infoload.market import MAX_AGENTS, _keyed_uniforms, _make_cost, _make_success
 
 from conftest import random_trader
 
@@ -63,6 +64,12 @@ class TestPopulationSpec:
         with pytest.raises(ConfigError):
             make_spec(n_agents=0)
 
+    def test_n_agents_fits_one_spawn_word(self):
+        # only the spec is built: nothing is sampled or allocated
+        assert make_spec(n_agents=MAX_AGENTS).n_agents == 2**32
+        with pytest.raises(ConfigError, match="population.n_agents"):
+            make_spec(n_agents=MAX_AGENTS + 1)
+
 
 class TestSamplePopulation:
     def test_degenerate_intervals_give_fixed_trader(self):
@@ -91,6 +98,76 @@ class TestSamplePopulation:
         scales = [t.cost.scale for t in traders]
         se = (0.99 / math.sqrt(12.0)) / math.sqrt(1000.0)
         assert abs(np.mean(scales) - 0.505) <= 3.0 * se
+
+
+def substream(seed, k):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+def reference_population(spec):
+    """Per-agent reference: one SeedSequence and Generator per agent, scalar draws."""
+    traders = []
+    for k in range(spec.n_agents):
+        rng = substream(spec.master_seed, k)
+
+        def draw(interval):
+            lo, hi = interval
+            return float(lo) if lo == hi else float(rng.uniform(lo, hi))
+
+        gain, loss, s_param, c_scale, c_shape = (
+            draw(iv) for iv in (spec.gain, spec.loss, spec.success_param,
+                                spec.cost_scale, spec.cost_shape))
+        traders.append(Trader(gain, loss, _make_success(spec.success_family, s_param),
+                              _make_cost(spec.cost_family, c_scale, c_shape)))
+    return traders
+
+
+SEEDS = [0, 7, 2**32, 2**40 + 5, 2**64 - 1]
+
+
+class TestKeyedSubstreams:
+    """The vectorized draws are bit-identical to numpy's per-agent substreams."""
+
+    @pytest.mark.parametrize("n", [1, 3000])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_match_numpy(self, seed, n):
+        expected = np.array([substream(seed, k).random(5) for k in range(n)]).T
+        drawn = _keyed_uniforms(seed, n, 5)
+        assert drawn.shape == (5, n)
+        assert (drawn == expected).all()
+
+    def test_no_draws(self):
+        assert _keyed_uniforms(3, 4, 0).shape == (0, 4)
+
+    @pytest.mark.parametrize("n", [1, 3000])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_population_matches_reference(self, seed, n):
+        spec = make_spec(n_agents=n, master_seed=seed)
+        traders = sample_population(spec)
+        assert traders == reference_population(spec)
+        assert all(type(v) is float for t in traders[:3]
+                   for v in (t.gain, t.loss, t.success.rate, t.cost.scale, t.cost.exponent))
+
+    @pytest.mark.parametrize("field", ["gain", "loss", "success_param", "cost_scale",
+                                       "cost_shape"])
+    def test_degenerate_interval_takes_no_draw(self, field):
+        spec = make_spec(n_agents=300, master_seed=2**64 - 1, **{field: (1.5, 1.5)})
+        assert sample_population(spec) == reference_population(spec)
+
+    def test_all_degenerate(self):
+        spec = make_spec(n_agents=50, gain=(1.0, 1.0), loss=(2.0, 2.0),
+                         success_param=(0.7, 0.7), cost_scale=(0.1, 0.1),
+                         cost_shape=(2.5, 2.5))
+        traders = sample_population(spec)
+        assert traders == reference_population(spec)
+        assert set(traders) == {Trader(1.0, 2.0, ExpSaturating(0.7), PowerCost(0.1, 2.5))}
+
+    @pytest.mark.parametrize("family", ["zero", "exp_growth"])
+    def test_every_family_draws_scale_and_shape(self, family):
+        # a zero-cost spec built through the API still consumes the cost draws
+        spec = make_spec(n_agents=300, success_family="hyperbolic", cost_family=family,
+                         cost_scale=(0.1, 0.5), cost_shape=(0.5, 2.0), master_seed=2**32)
+        assert sample_population(spec) == reference_population(spec)
 
 
 class TestRunMarket:
