@@ -131,14 +131,11 @@ def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
 
 
 def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
-    """Vectorized expected utility via the selected kernel backend."""
+    """Expected utility at every grid point, by the numpy kernel."""
     s_code, s_param = trader.success.kernel_code()
     c_code, c_scale, c_param = trader.cost.kernel_code()
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    return np.asarray(
-        kernels.utility_grid(grid, s_code, s_param, c_code, c_scale, c_param,
-                             trader.gain, trader.loss)
-    )
+    return kernels.utility_grid(grid, s_code, s_param, c_code, c_scale, c_param,
+                                trader.gain, trader.loss)
 
 
 def information_grid(i_max: float, step: float) -> np.ndarray:

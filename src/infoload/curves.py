@@ -16,7 +16,7 @@ import numpy as np
 
 from infoload.errors import ParameterError
 
-# integer codes shared with the grid-evaluation kernels
+# integer codes of kernel_code(), read by kernels.utility_grid
 SUCCESS_EXP_SATURATING = 0
 SUCCESS_HYPERBOLIC = 1
 COST_ZERO = 0

@@ -1,26 +1,37 @@
-"""Backend selection for the grid utility kernel.
+"""Grid evaluation of expected utility, the kernel of the brute-force oracle.
 
-The compiled extension is used when available; the numpy fallback is always
-importable.  Set INFOLOAD_PURE_PYTHON=1 to force the fallback (used by the
-benchmark and the backend-parity tests).
+Curve families arrive as the integer codes of their ``kernel_code()``, so one
+vectorized expression covers every success and cost family.
 """
 
-import os
+import numpy as np
 
-from infoload import _kernels_py
+from infoload.curves import COST_POWER, COST_ZERO, SUCCESS_EXP_SATURATING
 
-if os.environ.get("INFOLOAD_PURE_PYTHON"):
-    _impl = _kernels_py
-else:
-    try:
-        from infoload import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND = _impl.BACKEND
-utility_grid = _impl.utility_grid
+# constant; perfbench/worker.py records it, perfbench/run.py and compare.py match on it
+BACKEND = "python"
 
 
-def pure_python_utility_grid(*args):
-    """Always-available fallback, regardless of the selected backend."""
-    return _kernels_py.utility_grid(*args)
+def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss):
+    """Expected utility at every grid point for one trader.
+
+    A cost beyond the float64 range is +inf, so the utility there is -inf,
+    exactly where the scalar ``expected_utility`` gives -inf.
+    """
+    i = np.asarray(grid, dtype=np.float64)
+    if s_code == SUCCESS_EXP_SATURATING:
+        lam = -np.expm1(-s_param * i)
+    else:
+        lam = i / (i + s_param)
+    with np.errstate(over="ignore"):
+        if c_code == COST_ZERO:
+            cost = 0.0
+        elif c_code == COST_POWER:
+            cost = c_scale * np.power(i, c_param)
+        else:
+            cost = c_scale * np.expm1(c_param * i)
+    return lam * gain - (1.0 - lam) * loss - cost
+
+
+# an alias, kept because perfbench/workloads.py checks utility_grid against it
+pure_python_utility_grid = utility_grid

@@ -122,8 +122,10 @@ class ReturnModel:
     noise_sd: float
 
     def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ParameterError("noise_sd must be non-negative")
+        if not math.isfinite(self.r_of):
+            raise ParameterError(f"r_of must be a finite real, got {self.r_of!r}")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ParameterError(f"noise_sd must be a non-negative finite real, got {self.noise_sd!r}")
 
 
 @dataclass

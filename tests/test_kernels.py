@@ -1,45 +1,25 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from infoload import expected_utility, kernels
+from infoload import ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader, expected_utility
 from infoload.agent import utility_on_grid
 
 from conftest import random_trader
 
-
-def test_compiled_backend_selected():
-    # the build produces the extension; fallback only applies without it
-    assert kernels.BACKEND in ("cython", "python")
-
-
-def test_backends_agree(rng):
-    for _ in range(50):
-        trader = random_trader(rng)
-        grid = np.linspace(0.0, rng.uniform(1.0, 50.0), 257)
-        s_code, s_param = trader.success.kernel_code()
-        c_code, c_scale, c_param = trader.cost.kernel_code()
-        args = (np.ascontiguousarray(grid), s_code, s_param, c_code, c_scale,
-                c_param, trader.gain, trader.loss)
-        selected = np.asarray(kernels.utility_grid(*args))
-        fallback = np.asarray(kernels.pure_python_utility_grid(*args))
-        np.testing.assert_allclose(selected, fallback, rtol=1e-12, atol=1e-12)
+# float64 expm1 overflows above about 709.78, so rate 2.0 is finite up to
+# i = 354.89 and +inf from 354.9; a cubic cost overflows from about i = 5.6e102
+EDGE_GRIDS = (
+    (ExpGrowthCost(0.01, 2.0), [0.0, 349.5, 350.0, 352.5, 354.89, 354.9, 1e6]),
+    (PowerCost(1.0, 3.0), [0.0, 1e100, 1e103, 1e300]),
+)
 
 
 def test_kernel_matches_scalar_path(rng):
-    for _ in range(50):
-        trader = random_trader(rng)
-        grid = np.linspace(0.0, rng.uniform(1.0, 30.0), 101)
+    cases = [(random_trader(rng), np.linspace(0.0, rng.uniform(1.0, 30.0), 101))
+             for _ in range(50)]
+    cases += [(Trader(1.0, 1.0, success, cost), np.array(grid))
+              for cost, grid in EDGE_GRIDS
+              for success in (ExpSaturating(1.0), Hyperbolic(1.0))]
+    for trader, grid in cases:
         vectorized = utility_on_grid(trader, grid)
         scalar = np.array([expected_utility(trader, float(i)) for i in grid])
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-10, atol=1e-10)
-
-
-def test_env_var_forces_pure_python():
-    code = ("import infoload.kernels as k; "
-            "assert k.BACKEND == 'python', k.BACKEND")
-    env = dict(os.environ, INFOLOAD_PURE_PYTHON="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -19,7 +19,7 @@ from infoload import (
     sample_population,
     simulate_muthian_returns,
 )
-from infoload.errors import ConfigError, PreconditionError
+from infoload.errors import ConfigError, ParameterError, PreconditionError
 from infoload.market import MAX_AGENTS, _keyed_uniforms, _make_cost, _make_success
 
 from conftest import random_trader
@@ -316,3 +316,11 @@ class TestReturns:
     def test_n_guard(self):
         with pytest.raises(PreconditionError):
             simulate_muthian_returns(ReturnModel(0.0, 1.0), 0, seed=1)
+
+    @pytest.mark.parametrize("r_of, noise_sd", [
+        (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),
+        (0.05, math.nan), (0.05, math.inf), (0.05, -0.1),
+    ])
+    def test_model_rejects_non_finite_or_negative(self, r_of, noise_sd):
+        with pytest.raises(ParameterError):
+            ReturnModel(r_of, noise_sd)
