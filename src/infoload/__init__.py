@@ -27,6 +27,7 @@ from infoload.agent import (
     grid_oracle,
     marginal_utility,
     optimize_information,
+    solve_roots,
     unconstrained_optimum,
 )
 from infoload.market import (

@@ -4,8 +4,10 @@ A trader picks the information level maximizing
 ``lambda(i) * W - (1 - lambda(i)) * L - xi(i)`` on [0, i_max].  The marginal
 utility ``g(i) = lambda'(i) * (W + L) - xi'(i)`` is strictly decreasing for any
 non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
-``i_u`` is the unique root of g (or 0 when g(0) <= 0).  A brute-force grid
-search over the same interval serves as an independent verifier.
+``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
+the roots of a whole population at once, by bracket doubling and bisection on
+numpy arrays down to adjacent floats.  A brute-force grid search over the same
+interval serves as an independent verifier.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from infoload import kernels
-from infoload.curves import CostCurve, SuccessCurve, ZeroCost
+from infoload.curves import COST_ZERO, CostCurve, SuccessCurve
 from infoload.errors import NumericRangeError, ParameterError
 
-ROOT_RTOL = 1e-9
 DEFAULT_ORACLE_STEP = 1e-4
 
 
@@ -86,35 +86,86 @@ def marginal_utility(trader: Trader, i: float) -> float:
     return trader.success.deriv(i) * (trader.gain + trader.loss) - trader.cost.deriv(i)
 
 
-def unconstrained_optimum(trader: Trader) -> UnconstrainedOptimum:
-    """Solve g(i) = 0 by bracket doubling plus Brent root finding.
+def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
+    """Unconstrained optimum ``i_u`` of every trader, as one float64 array.
 
-    Zero cost makes g positive everywhere (unbounded optimum); g(0) <= 0 pins
-    the optimum at the origin.
+    ``i_u`` is the largest float at which the marginal utility g (the kernel
+    ``marginal_utility_grid``) is positive; at that float g > 0 and at the next
+    float g <= 0.  Zero cost gives +inf (g never turns negative) and
+    g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
     """
-    if isinstance(trader.cost, ZeroCost):
+    return _solve_scaled(traders, (1.0,))[0]
+
+
+def _solve_scaled(traders: Sequence[Trader], multipliers) -> np.ndarray:
+    """Roots with every cost scale times each multiplier, shape (len(multipliers), n).
+
+    The traders of one curve-family pair, under every multiplier, are one set
+    of parameter columns and one ``_sign_change`` call.
+    """
+    columns = np.array([(*t.success.kernel_code(), *t.cost.kernel_code(), t.gain, t.loss)
+                        for t in traders], dtype=np.float64).reshape(len(traders), 7).T
+    s_codes, s_param, c_codes, c_scale, c_param, gain, loss = columns
+    c_scale = np.multiply.outer(np.asarray(multipliers, dtype=np.float64), c_scale)
+    roots = np.full(c_scale.shape, math.inf)  # zero cost: g > 0 everywhere
+    for s_code, c_code in sorted(set(zip(s_codes.tolist(), c_codes.tolist()))):
+        if c_code == COST_ZERO:
+            continue
+        agents = np.flatnonzero((s_codes == s_code) & (c_codes == c_code))
+        cols = [c.ravel() for c in np.broadcast_arrays(s_param[agents], c_scale[:, agents],
+                                                       c_param[agents], gain[agents], loss[agents])]
+
+        def g(i):
+            return kernels.marginal_utility_grid(i, s_code, cols[0], c_code, *cols[1:])
+
+        # g(0) <= 0: the optimum is the origin; entry p of a column is agents[p % len(agents)]
+        family = np.where(g(0.0) > 0.0, _sign_change(g, np.resize(agents, len(cols[0]))), 0.0)
+        roots[:, agents] = family.reshape(-1, len(agents))
+    return roots
+
+
+def _sign_change(g, agents: np.ndarray) -> np.ndarray:
+    """Largest float with g > 0, elementwise, for decreasing g.
+
+    The bracket [lo, hi] starts at [0, 1] and hi doubles while g(hi) > 0, so
+    g(lo) > 0 >= g(hi) wherever g(0) > 0.  Bisection then halves the distance
+    between the float64 bit patterns of lo and hi (ordered like the
+    non-negative floats they encode) until they are adjacent floats, in at
+    most 63 steps.  ``agents`` names each entry in errors.
+    """
+    hi = np.ones(len(agents))
+    while True:
+        up = g(hi) > 0.0
+        if not up.any():
+            break
+        hi[up] *= 2.0
+        if hi.max() > 1e300:
+            raise NumericRangeError(f"agent {agents[np.argmax(hi)]}: bracket expansion "
+                                    "overflowed while locating the optimum")
+    lo = np.where(hi > 1.0, hi / 2.0, 0.0).view(np.int64)
+    hi = hi.view(np.int64)
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        up = g(mid.view(np.float64)) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo.view(np.float64)
+
+
+def unconstrained_optimum(trader: Trader) -> UnconstrainedOptimum:
+    """One trader's root, by ``solve_roots``; unbounded for a zero cost curve."""
+    i_u = float(solve_roots([trader])[0])
+    if math.isinf(i_u):
         return UnconstrainedOptimum(unbounded=True)
-
-    def g(i):
-        return marginal_utility(trader, i)
-
-    if g(0.0) <= 0.0:
-        return UnconstrainedOptimum(unbounded=False, i_value=0.0)
-
-    hi = 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericRangeError("bracket expansion overflowed while locating the optimum")
-    root = brentq(g, hi / 2.0 if g(hi / 2.0) > 0 else 0.0, hi, xtol=1e-12, rtol=ROOT_RTOL)
-    return UnconstrainedOptimum(unbounded=False, i_value=float(root))
+    return UnconstrainedOptimum(unbounded=False, i_value=i_u)
 
 
-def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
-    """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels."""
+def check_i_max(i_max: float) -> None:
     if not (math.isfinite(i_max) and i_max > 0):
         raise ParameterError(f"i_max must be a positive finite real, got {i_max!r}")
-    i_u = unconstrained_optimum(trader).as_float()
+
+
+def classify(trader: Trader, i_max: float, i_u: float) -> AgentOutcome:
+    """Constrained optimum min(i_u, i_max) of a trader whose root is i_u, with its regime."""
     if i_u >= i_max:
         i_star, regime = i_max, Regime.FULLY_INFORMED
     elif i_u <= 0.0:
@@ -128,6 +179,12 @@ def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
         fully_informed=regime is Regime.FULLY_INFORMED,
         i_unconstrained=i_u,
     )
+
+
+def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
+    """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels."""
+    check_i_max(i_max)
+    return classify(trader, i_max, float(solve_roots([trader])[0]))
 
 
 def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
@@ -151,6 +208,7 @@ def information_grid(i_max: float, step: float) -> np.ndarray:
 
 def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i)."""
+    check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     grid = information_grid(i_max, step)

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from infoload import __version__
-from infoload.agent import Regime, Trader, grid_oracle, optimize_information
+from infoload.agent import Regime, Trader, grid_oracle
 from infoload.curves import ExpSaturating, PowerCost
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 from infoload.market import (
@@ -320,9 +320,9 @@ def reference_overload_population(n_agents: int = 50) -> List[Trader]:
 
 def _cmd_agent(settings: Settings, out_dir: Path) -> List[Path]:
     traders = sample_population(settings.population)
+    outcomes = run_market(settings.market, traders).outcomes
     rows = []
-    for idx, trader in enumerate(traders):
-        opt = optimize_information(trader, settings.market.i_max)
+    for idx, (trader, opt) in enumerate(zip(traders, outcomes)):
         oracle = grid_oracle(trader, settings.market.i_max, AGENT_ORACLE_STEP)
         gap = abs(opt.i_star - oracle.i_star)
         if gap > AGENT_ORACLE_STEP + 1e-6:

@@ -73,7 +73,10 @@ class Hyperbolic:
 
     def deriv(self, i: float) -> float:
         k = self.half_saturation
-        return k / (i + k) ** 2
+        try:
+            return k / (i + k) ** 2
+        except OverflowError:  # (i + k)**2 beyond the float range
+            return 0.0
 
     def kernel_code(self):
         return SUCCESS_HYPERBOLIC, self.half_saturation

@@ -21,14 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload.agent import (
-    AgentOutcome,
-    Regime,
-    Trader,
-    expected_utility,
-    optimize_information,
-    unconstrained_optimum,
-)
+from infoload.agent import AgentOutcome, Regime, Trader, classify, expected_utility, solve_roots
 from infoload.curves import (
     CostCurve,
     ExpGrowthCost,
@@ -255,13 +248,8 @@ def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome
     """Solve every trader at the configured ceiling and classify efficiency."""
     if len(traders) == 0:
         raise PreconditionError("trader collection must be non-empty")
-
-    outcomes = []
-    for idx, trader in enumerate(traders):
-        try:
-            outcomes.append(optimize_information(trader, config.i_max))
-        except ArithmeticError as exc:
-            raise type(exc)(f"agent {idx}: {exc}") from exc
+    outcomes = [classify(t, config.i_max, i_u)
+                for t, i_u in zip(traders, solve_roots(traders).tolist())]
 
     if config.participation_rule:
         participating = [o for o in outcomes if o.u_star >= 0]
@@ -290,12 +278,16 @@ def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome
 def informed_fractions(traders: Sequence[Trader], i_max_grid: Sequence[float]) -> List[float]:
     """``run_market(...).fraction_informed`` (no participation rule) at every
     ceiling: count(i_u >= i_max) / n over roots solved once and sorted."""
-    if len(traders) == 0:
+    return _fractions_at(solve_roots(traders), i_max_grid)
+
+
+def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> List[float]:
+    """count(i_u >= i_max) / n at every ceiling, for the population's roots ``i_u``."""
+    if len(roots) == 0:
         raise PreconditionError("trader collection must be non-empty")
-    roots = [unconstrained_optimum(t).as_float() for t in traders]
-    for idx, i_u in enumerate(roots):
-        if math.isnan(i_u):
-            raise NumericRangeError(f"agent {idx}: unconstrained optimum is NaN")
+    nan = np.flatnonzero(np.isnan(roots))
+    if nan.size:
+        raise NumericRangeError(f"agent {nan[0]}: unconstrained optimum is NaN")
     n = len(roots)
     counts = n - np.searchsorted(np.sort(roots), i_max_grid, side="left")
     return [int(c) / n for c in counts]

@@ -11,14 +11,14 @@ as the independent oracle the sweeps are validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload.agent import Trader, unconstrained_optimum, utility_on_grid
-from infoload.market import check_theta, informed_fractions
-from infoload.errors import ConfigError, NumericRangeError
+from infoload.agent import Trader, _solve_scaled, check_i_max, solve_roots, utility_on_grid
+from infoload.market import _fractions_at, check_theta, informed_fractions
+from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 
@@ -58,6 +58,7 @@ class PhaseDiagram:
 
 def utility_curve(trader: Trader, i_max: float, n_points: int) -> UtilityCurve:
     """Expected utility on a uniform grid over [0, i_max], argmax annotated."""
+    check_i_max(i_max)
     if n_points < 2:
         raise ConfigError("sweep.n_points", f"must be >= 2, got {n_points}")
     grid = np.linspace(0.0, i_max, n_points)
@@ -66,16 +67,15 @@ def utility_curve(trader: Trader, i_max: float, n_points: int) -> UtilityCurve:
                         argmax_index=int(np.argmax(util)))
 
 
-def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
-               theta: float) -> PhaseSeries:
-    """Fraction informed and efficiency verdict at every ceiling, and the boundary."""
-    grid = list(i_max_grid)
+def _check_sweep(grid: List[float], theta: float) -> None:
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep.i_max_grid", "grid must be non-empty and strictly increasing")
     if not all(math.isfinite(i_max) and i_max > 0 for i_max in grid):
         raise ConfigError("sweep.i_max_grid", "ceilings must be positive finite reals")
     check_theta(theta)
-    fractions = informed_fractions(traders, grid)
+
+
+def _series(grid: List[float], fractions: Sequence[float], theta: float) -> PhaseSeries:
     # non-increasing fractions make the efficient ceilings a prefix of the grid
     if any(not b <= a for a, b in zip(fractions, fractions[1:])):
         raise NumericRangeError("phase series violates fraction monotonicity")
@@ -85,13 +85,24 @@ def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
     return PhaseSeries(points=points, critical_i_max=critical)
 
 
+def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
+               theta: float) -> PhaseSeries:
+    """Fraction informed and efficiency verdict at every ceiling, and the boundary."""
+    grid = list(i_max_grid)
+    _check_sweep(grid, theta)
+    return _series(grid, informed_fractions(traders, grid), theta)
+
+
 def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[float]:
     """Exact phase boundary: the ceil(theta*n)-th largest unconstrained optimum.
 
     Returns inf for populations efficient at any finite ceiling and None when
     the boundary sits at 0 (never efficient).
     """
-    i_us = sorted((unconstrained_optimum(t).as_float() for t in traders), reverse=True)
+    check_theta(theta)
+    if len(traders) == 0:
+        raise PreconditionError("trader collection must be non-empty")
+    i_us = sorted(solve_roots(traders).tolist(), reverse=True)
     k = math.ceil(theta * len(i_us))
     value = i_us[k - 1]
     return None if value == 0.0 else value
@@ -99,17 +110,23 @@ def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[
 
 def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
              multipliers: Sequence[float], theta: float) -> PhaseDiagram:
-    """Phase diagram over (information ceiling, cost-scale multiplier)."""
+    """Phase diagram over (information ceiling, cost-scale multiplier).
+
+    Row r is ``sweep_imax`` of the traders with every cost scale times
+    ``multipliers[r]``; all rows' roots come from one solve on scaled columns.
+    """
     mults = list(multipliers)
     if len(mults) == 0 or any(b <= a for a, b in zip(mults, mults[1:])):
         raise ConfigError("sweep.cost_multiplier_grid", "must be non-empty and strictly increasing")
     if not all(math.isfinite(m) and m > 0 for m in mults):
         raise ConfigError("sweep.cost_multiplier_grid", "multipliers must be positive finite reals")
+    grid = list(i_max_grid)
+    _check_sweep(grid, theta)
 
-    rows = [sweep_imax([replace(t, cost=t.cost.scaled(m)) for t in traders], i_max_grid, theta)
-            for m in mults]
+    rows = [_series(grid, _fractions_at(roots, grid), theta)
+            for roots in _solve_scaled(traders, mults)]
     return PhaseDiagram(
-        i_max_grid=np.asarray(list(i_max_grid), dtype=float),
+        i_max_grid=np.asarray(grid, dtype=float),
         multipliers=np.asarray(mults, dtype=float),
         fractions=np.asarray([[p[1] for p in row.points] for row in rows], dtype=float),
         efficient=np.asarray([[p[2] for p in row.points] for row in rows], dtype=bool),

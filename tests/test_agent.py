@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from infoload import (
+    ExpGrowthCost,
     ExpSaturating,
+    Hyperbolic,
     PowerCost,
     Regime,
     Trader,
@@ -16,8 +18,9 @@ from infoload import (
     optimize_information,
     unconstrained_optimum,
 )
-from infoload.agent import information_grid, utility_on_grid
-from infoload.errors import ParameterError
+from infoload import kernels
+from infoload.agent import information_grid, solve_roots, utility_on_grid
+from infoload.errors import NumericRangeError, ParameterError
 
 from conftest import random_trader
 
@@ -119,6 +122,86 @@ class TestUnconstrainedOptimum:
                 trader.gain + trader.loss)
 
 
+def g(trader, i):
+    """The marginal utility the solver uses: the vectorized kernel at one point."""
+    return float(kernels.marginal_utility_grid(i, *trader.success.kernel_code(),
+                                               *trader.cost.kernel_code(),
+                                               trader.gain, trader.loss))
+
+
+def assert_sign_change(trader, root):
+    """The defining property of a root: g > 0 at it and g <= 0 one float above."""
+    assert g(trader, root) > 0.0 >= g(trader, np.nextafter(root, math.inf)), (trader, root)
+
+
+class TestSolveRoots:
+    def test_sign_change_at_every_root(self, rng):
+        traders = [random_trader(rng) for _ in range(400)]
+        roots = solve_roots(traders)
+        assert roots.shape == (400,) and roots.dtype == np.float64
+        for trader, root in zip(traders, roots):
+            if isinstance(trader.cost, ZeroCost):
+                assert root == math.inf
+            elif g(trader, 0.0) <= 0.0:
+                assert root == 0.0
+            else:
+                assert_sign_change(trader, root)
+
+    def test_origin_when_marginal_utility_starts_non_positive(self):
+        trader = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))
+        assert g(trader, 0.0) <= 0.0
+        assert solve_roots([trader])[0] == 0.0
+
+    def test_zero_cost_is_unbounded(self):
+        traders = [Trader(1.0, 1.0, success, ZeroCost())
+                   for success in (ExpSaturating(1.0), Hyperbolic(1.0))]
+        assert solve_roots(traders).tolist() == [math.inf, math.inf]
+
+    def test_exp_growth_cost_near_exp_overflow(self):
+        # root near i = 709.5, just below where float64 exp overflows (about 709.78)
+        near = Trader(1e300, 1e300, ExpSaturating(1e-3), ExpGrowthCost(7.3e-12, 1.0))
+        # g stays positive until the cost derivative overflows to +inf
+        beyond = Trader(1e300, 1e300, ExpSaturating(1e-3), ExpGrowthCost(1e-20, 1.0))
+        root_near, root_beyond = solve_roots([near, beyond])
+        assert 709.0 < root_near < 709.78
+        assert_sign_change(near, root_near)
+        assert_sign_change(beyond, root_beyond)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.exp(root_beyond))
+            assert np.isinf(np.exp(np.nextafter(root_beyond, math.inf)))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    @pytest.mark.parametrize("success", [ExpSaturating(1.0), Hyperbolic(1.0)])
+    def test_extreme_cost_scales(self, success, scale):
+        traders = [Trader(1.0, 1.0, success, PowerCost(scale, 2.0)),
+                   Trader(1.0, 1.0, success, ExpGrowthCost(scale, 1.0))]
+        for trader, root in zip(traders, solve_roots(traders)):
+            if g(trader, 0.0) <= 0.0:
+                assert root == 0.0
+            else:
+                assert 0.0 < root < math.inf
+                assert_sign_change(trader, root)
+
+    def test_bracket_overflow_names_the_agent(self, reference_trader):
+        # g is still positive at 2**996: the success slope outweighs the cost slope
+        endless = Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5))
+        assert g(endless, 2.0**996) > 0.0
+        with pytest.raises(NumericRangeError, match="agent 1: bracket expansion overflowed"):
+            solve_roots([reference_trader, endless])
+
+    def test_batching_cannot_couple_agents(self, rng):
+        traders = [random_trader(rng) for _ in range(60)]
+        traders += [Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0)),
+                    Trader(1.0, 1.0, Hyperbolic(1.0), PowerCost(1e12, 2.0))]
+        traders = [traders[k] for k in rng.permutation(len(traders))]
+        together = solve_roots(traders)
+        alone = np.array([solve_roots([t])[0] for t in traders])
+        assert together.view(np.int64).tolist() == alone.view(np.int64).tolist()
+
+    def test_empty_population(self):
+        assert solve_roots([]).shape == (0,)
+
+
 class TestOptimizeInformation:
     def test_zero_cost_corner(self, rng):
         for i_max in (1e-9, 0.5, 10.0):
@@ -172,6 +255,11 @@ class TestGridOracle:
     def test_two_point_grid(self, reference_trader):
         out = grid_oracle(reference_trader, 0.5, 0.5)
         assert out.i_star in (0.0, 0.5)
+
+    @pytest.mark.parametrize("i_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_i_max_validation(self, reference_trader, i_max):
+        with pytest.raises(ParameterError, match="i_max"):
+            grid_oracle(reference_trader, i_max, 1.0)
 
     def test_step_validation(self, reference_trader):
         with pytest.raises(ParameterError):

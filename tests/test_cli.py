@@ -2,13 +2,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infoload.market
 import infoload.sweep
-from infoload.agent import UnconstrainedOptimum
 from infoload.cli import (
     EXIT_CONFIG,
     EXIT_CONJECTURE,
@@ -241,13 +244,12 @@ class TestSweepErrors:
         assert message.startswith(field + ":")
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
-        solve, calls = infoload.market.unconstrained_optimum, []
+        solve = infoload.market.solve_roots
 
-        def nan_for_agent_3(trader):
-            calls.append(trader)
-            return UnconstrainedOptimum(False, math.nan) if len(calls) == 4 else solve(trader)
+        def nan_for_agent_3(traders):
+            return np.where(np.arange(len(traders)) == 3, math.nan, solve(traders))
 
-        monkeypatch.setattr(infoload.market, "unconstrained_optimum", nan_for_agent_3)
+        monkeypatch.setattr(infoload.market, "solve_roots", nan_for_agent_3)
         code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
         assert code == EXIT_NUMERIC
         assert "agent 3" in message
@@ -294,8 +296,9 @@ class TestDeterminism:
         assert (out1 / "market.csv").read_bytes() != (out2 / "market.csv").read_bytes()
 
 
-# golden digests of market.csv, market_summary.csv and agents.csv, recorded with
-# one SeedSequence and Generator per agent
+# golden digests of market.csv, market_summary.csv and agents.csv; the summaries
+# were recorded with one SeedSequence and Generator per agent and Brent roots,
+# the per-agent files with the bisection roots (adjacent floats at the sign change)
 
 MARKET_2000 = {
     "population": {"n_agents": 2000, "gain": [0.5, 2.0], "loss": [0.5, 2.0],
@@ -307,34 +310,34 @@ MARKET_2000 = {
 
 GOLDEN_SHA256 = {
     ("reference", 0): (
-        "dc179abf5c7ac89c8413f92452aeb7b83d6f03563edbf7d378dd650991b28b47",
+        "427e1c224f2e8178ca33368453c72bc759c5c04a5247154daf4fb78811255213",
         "09f3e95cf7d7ebbc2fd3ed8c8645b87261255dc8252a034bfbc60fd06131a0cf",
-        "60e1ed1d226f355864f91250cc47f2cc58cebdf608c68eb3b0cdc0fee5edc9b1",
+        "44e4caf1fe50de5929b436005a25fc2b561f2cc42951d3abd409b5b9768183f2",
     ),
     ("reference", 7): (
-        "080aab7bd1e5689d5580d9a4d8207d36e5fc41972898d506ce2b3e04166064ab",
+        "1cd5bc9ab523936fc4b7a4cabe7b23c752dbc09928ce2bc26d8be3cdf6654c38",
         "43b6ea601cae547ee4892571b56b5c89a83b6207ca1597acf56ae28db3a6aea7",
-        "90df7da54940c5c1a09fc5f3493d738bfe04d8c78ba169df612f326c3d4eecbf",
+        "7de45c2346c18b74359fec0acf83dc695b1b7be0f519e3205a9e8467722625db",
     ),
     ("reference", 2**64 - 1): (
-        "315d77e706608daacc7370c263fbe3eede24f7431dfb9087889175ca56ac6e43",
+        "10bb37a4f0fe814a4f26b6b8803d64407278870a843e4089801fff2be82bc5d7",
         "dcc578137eb116cf350e75f703467cf1db906b4ab1e342ff2bce2f288b110c19",
-        "c352bbe4ca07b5f5c917440becc1d62c35899d1eaae2df5f8239082293254927",
+        "74d622071b73788e7067415e948abc150ec70b474eca6e3669fd5ef595948a5e",
     ),
     ("market_2000", 0): (
-        "23b90800c66b2df4f68bad115ca159174ddb4edc13fb37737cf53f62fb02f9c4",
+        "e734cb1f27696e5bb37643eebad4de77925d0828ddded2d0567c270559870ccc",
         "c3ffe5c558c9659dd721e0eff8d24ffd689ae6b810f778cab7d4795092aad5e2",
-        "c9eed0f690c2b0685e9bab0da5b04655cdc9bc515bdcafb9767f17f0de639fe5",
+        "7494a42fce02cd6f89c3092c88ac3bb334aec8c88222b5c7cb256f335c112e75",
     ),
     ("market_2000", 7): (
-        "fcd32af6eb1f265e234736433d70669af1b4a6cf01c2b42db079bd65f62b490b",
+        "53976cf716d6f102aef977a09693ab6b4e7a3fbdcdf7c2665269cb1fbcb64ef8",
         "b6bf0faa572e3a7d53eb8020e2f07736548dcaf967f34b61db03ce3487c11803",
-        "771059869ddde63e1bd3b1b613c15c8d61c12fcc387fb5bc8aa839760a435526",
+        "d0721ab5816bf7eed73b821304903c524cfe78833e9bc38f971a64755d75642a",
     ),
     ("market_2000", 2**64 - 1): (
-        "6cf6905b20e01feede00a7456b766cfb05c9b2c2d029e85295fcae2cab0b6dc7",
+        "05a5a5c6ef3c26055e3658b231ad2353eeb0b025e5f93ab438c968da1137b6c9",
         "5e3d9c2a0c409b9212fbb144be9944c895b4b17c08bcc9c5892784f59ea32f08",
-        "fec6207b7a5a6f7e24ea8c51f3bf11a1312f2a57eb61e64bfc7fed29560cdbfc",
+        "cad036ef6aeb50a7f9f715891f68fd1b1a98d1fd466442890497dbec42bd55a1",
     ),
 }
 
@@ -353,3 +356,24 @@ def test_golden_market_and_agent_csvs(tmp_path, config, seed):
                      "--seed", str(seed)]) == EXIT_OK
         digests += [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
     assert tuple(digests) == GOLDEN_SHA256[config, seed]
+
+
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from infoload.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    path = write_config(tmp_path, {"population": {"n_agents": 20}})
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED, "market", "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert len(read_csv(tmp_path / "out" / "market.csv")) == 20

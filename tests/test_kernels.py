@@ -1,6 +1,7 @@
 import numpy as np
 
-from infoload import ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader, expected_utility
+from infoload import (ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader,
+                      expected_utility, kernels, marginal_utility)
 from infoload.agent import utility_on_grid
 
 from conftest import random_trader
@@ -20,6 +21,10 @@ def test_kernel_matches_scalar_path(rng):
               for cost, grid in EDGE_GRIDS
               for success in (ExpSaturating(1.0), Hyperbolic(1.0))]
     for trader, grid in cases:
-        vectorized = utility_on_grid(trader, grid)
-        scalar = np.array([expected_utility(trader, float(i)) for i in grid])
-        np.testing.assert_allclose(vectorized, scalar, rtol=1e-10, atol=1e-10)
+        marginal = kernels.marginal_utility_grid(grid, *trader.success.kernel_code(),
+                                                 *trader.cost.kernel_code(),
+                                                 trader.gain, trader.loss)
+        for vectorized, scalar_path in ((utility_on_grid(trader, grid), expected_utility),
+                                        (marginal, marginal_utility)):
+            scalar = np.array([scalar_path(trader, float(i)) for i in grid])
+            np.testing.assert_allclose(vectorized, scalar, rtol=1e-10, atol=1e-10)

@@ -18,7 +18,6 @@ from infoload import (
     MarketConfig,
     PowerCost,
     Trader,
-    UnconstrainedOptimum,
     ZeroCost,
     critical_imax_quantile,
     run_market,
@@ -28,7 +27,7 @@ from infoload import (
     utility_curve,
 )
 from infoload.cli import main as cli_main
-from infoload.errors import ConfigError, NumericRangeError
+from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
 from conftest import random_trader
 
@@ -55,6 +54,11 @@ class TestUtilityCurve:
     def test_n_points_validated(self, reference_trader):
         with pytest.raises(ConfigError):
             utility_curve(reference_trader, 2.0, 1)
+
+    @pytest.mark.parametrize("i_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_i_max_validated(self, reference_trader, i_max):
+        with pytest.raises(ParameterError, match="i_max"):
+            utility_curve(reference_trader, i_max, 5)
 
     def test_grid_endpoints(self, reference_trader):
         curve = utility_curve(reference_trader, 3.0, 61)
@@ -102,10 +106,10 @@ class TestSweepImax:
 
     def test_nan_root_names_the_agent(self, rng, monkeypatch):
         traders = [random_trader(rng, cost_family="power") for _ in range(4)]
-        solve = infoload.market.unconstrained_optimum
+        solve = infoload.market.solve_roots
         monkeypatch.setattr(
-            infoload.market, "unconstrained_optimum",
-            lambda t: UnconstrainedOptimum(False, math.nan) if t is traders[2] else solve(t))
+            infoload.market, "solve_roots",
+            lambda ts: np.where([t is traders[2] for t in ts], math.nan, solve(ts)))
         with pytest.raises(NumericRangeError, match="agent 2"):
             sweep_imax(traders, [0.5, 1.0], theta=0.5)
 
@@ -142,6 +146,17 @@ class TestCriticalQuantile:
     def test_muthian_is_infinite(self):
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())] * 4
         assert critical_imax_quantile(traders, 0.5) == math.inf
+
+    @pytest.mark.parametrize("theta", [-0.5, 0.0, 1.5, math.nan])
+    def test_theta_validated(self, reference_trader, theta):
+        high_cost = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))
+        with pytest.raises(ConfigError) as exc:
+            critical_imax_quantile([reference_trader, high_cost], theta)
+        assert exc.value.field == "market.theta"
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(PreconditionError):
+            critical_imax_quantile([], 0.5)
 
     def test_sweep_agrees_within_one_cell(self, rng):
         for _ in range(20):
