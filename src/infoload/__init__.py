@@ -19,6 +19,7 @@ from infoload.curves import (
 )
 from infoload.agent import (
     AgentOutcome,
+    Population,
     Regime,
     Trader,
     UnconstrainedOptimum,

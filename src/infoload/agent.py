@@ -6,21 +6,37 @@ utility ``g(i) = lambda'(i) * (W + L) - xi'(i)`` is strictly decreasing for any
 non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, by bracket doubling and bisection on
-numpy arrays down to adjacent floats.  A brute-force grid search over the same
-interval serves as an independent verifier.
+numpy arrays down to adjacent floats.  A ``Population`` holds many traders as
+float64 columns; the solver, ``constrain`` and ``Population.utility`` read the
+columns directly, and a ``Trader`` sequence is turned into columns once.  A
+brute-force grid search over the same interval serves as an independent
+verifier.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
 import numpy as np
 
 from infoload import kernels
-from infoload.curves import COST_ZERO, CostCurve, SuccessCurve
+from infoload.curves import (
+    COST_POWER,
+    COST_ZERO,
+    SUCCESS_EXP_SATURATING,
+    CostCurve,
+    ExpGrowthCost,
+    ExpSaturating,
+    Hyperbolic,
+    PowerCost,
+    SuccessCurve,
+    ZeroCost,
+)
 from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
@@ -39,12 +55,81 @@ class Trader:
         for name, v in (("gain", self.gain), ("loss", self.loss)):
             if not (math.isfinite(v) and v > 0):
                 raise ParameterError(f"{name} must be a positive finite dollar amount, got {v!r}")
+        if not math.isfinite(self.gain + self.loss):
+            raise ParameterError(f"gain + loss must be finite, got {self.gain!r} + {self.loss!r}")
 
 
 class Regime(str, enum.Enum):
     CORNER_ZERO = "corner_zero"
     INTERIOR = "interior"
     FULLY_INFORMED = "fully_informed"
+
+
+def _make_success(code: int, param: float) -> SuccessCurve:
+    return ExpSaturating(param) if code == SUCCESS_EXP_SATURATING else Hyperbolic(param)
+
+
+def _make_cost(code: int, scale: float, param: float) -> CostCurve:
+    if code == COST_ZERO:
+        return ZeroCost()
+    return (PowerCost if code == COST_POWER else ExpGrowthCost)(scale, param)
+
+
+@dataclass(frozen=True, eq=False)
+class Population(Sequence):
+    """Traders as columns: entry k of every array describes trader k.
+
+    Codes and parameters are those of ``kernel_code()``, so a zero-cost
+    trader has cost scale and cost param 0.0.  Indexing (and so iteration)
+    gives validated ``Trader``s with Python floats.  ``sample_population`` and
+    ``from_traders`` build populations from validated inputs.
+    """
+
+    gain: np.ndarray
+    loss: np.ndarray
+    success_code: np.ndarray
+    success_param: np.ndarray
+    cost_code: np.ndarray
+    cost_scale: np.ndarray
+    cost_param: np.ndarray
+
+    @classmethod
+    def from_traders(cls, traders: Sequence[Trader]) -> Population:
+        """The columns of a ``Trader`` sequence; a ``Population`` is returned as it is."""
+        if isinstance(traders, Population):
+            return traders
+        rows = np.array([(t.gain, t.loss, *t.success.kernel_code(), *t.cost.kernel_code())
+                         for t in traders], dtype=np.float64).reshape(-1, 7)
+        gain, loss, s_code, s_param, c_code, c_scale, c_param = rows.T
+        return cls(gain, loss, s_code.astype(int), s_param, c_code.astype(int), c_scale, c_param)
+
+    def __len__(self) -> int:
+        return len(self.gain)
+
+    def __getitem__(self, k) -> Trader:
+        k = range(len(self))[operator.index(k)]
+        gain, loss, s_code, s_param, c_code, c_scale, c_param = (
+            getattr(self, f.name)[k].item() for f in fields(self))
+        return Trader(gain, loss, _make_success(s_code, s_param),
+                      _make_cost(c_code, c_scale, c_param))
+
+    def families(self):
+        """(success code, cost code, agent indices) of every curve-family pair present."""
+        for s_code in np.unique(self.success_code).tolist():
+            success = self.success_code == s_code
+            for c_code in np.unique(self.cost_code[success]).tolist():
+                yield s_code, c_code, np.flatnonzero(success & (self.cost_code == c_code))
+
+    def utility(self, i) -> np.ndarray:
+        """Expected utility of trader k at level ``i[k]`` (or at ``i`` for all), by the kernel."""
+        i = np.broadcast_to(np.asarray(i, dtype=np.float64), (len(self),))
+        out = np.empty(len(self))
+        for s_code, c_code, agents in self.families():
+            out[agents] = kernels.utility_grid(
+                i[agents], s_code, self.success_param[agents], c_code,
+                self.cost_scale[agents], self.cost_param[agents],
+                self.gain[agents], self.loss[agents])
+        return out
 
 
 @dataclass(frozen=True)
@@ -94,26 +179,23 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     float g <= 0.  Zero cost gives +inf (g never turns negative) and
     g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
     """
-    return _solve_scaled(traders, (1.0,))[0]
+    return _solve_scaled(Population.from_traders(traders), (1.0,))[0]
 
 
-def _solve_scaled(traders: Sequence[Trader], multipliers) -> np.ndarray:
+def _solve_scaled(population: Population, multipliers) -> np.ndarray:
     """Roots with every cost scale times each multiplier, shape (len(multipliers), n).
 
     The traders of one curve-family pair, under every multiplier, are one set
     of parameter columns and one ``_sign_change`` call.
     """
-    columns = np.array([(*t.success.kernel_code(), *t.cost.kernel_code(), t.gain, t.loss)
-                        for t in traders], dtype=np.float64).reshape(len(traders), 7).T
-    s_codes, s_param, c_codes, c_scale, c_param, gain, loss = columns
-    c_scale = np.multiply.outer(np.asarray(multipliers, dtype=np.float64), c_scale)
+    c_scale = np.multiply.outer(np.asarray(multipliers, dtype=np.float64), population.cost_scale)
     roots = np.full(c_scale.shape, math.inf)  # zero cost: g > 0 everywhere
-    for s_code, c_code in sorted(set(zip(s_codes.tolist(), c_codes.tolist()))):
+    for s_code, c_code, agents in population.families():
         if c_code == COST_ZERO:
             continue
-        agents = np.flatnonzero((s_codes == s_code) & (c_codes == c_code))
-        cols = [c.ravel() for c in np.broadcast_arrays(s_param[agents], c_scale[:, agents],
-                                                       c_param[agents], gain[agents], loss[agents])]
+        cols = [c.ravel() for c in np.broadcast_arrays(
+            population.success_param[agents], c_scale[:, agents], population.cost_param[agents],
+            population.gain[agents], population.loss[agents])]
 
         def g(i):
             return kernels.marginal_utility_grid(i, s_code, cols[0], c_code, *cols[1:])
@@ -164,27 +246,30 @@ def check_i_max(i_max: float) -> None:
         raise ParameterError(f"i_max must be a positive finite real, got {i_max!r}")
 
 
-def classify(trader: Trader, i_max: float, i_u: float) -> AgentOutcome:
-    """Constrained optimum min(i_u, i_max) of a trader whose root is i_u, with its regime."""
-    if i_u >= i_max:
-        i_star, regime = i_max, Regime.FULLY_INFORMED
-    elif i_u <= 0.0:
-        i_star, regime = 0.0, Regime.CORNER_ZERO
-    else:
-        i_star, regime = i_u, Regime.INTERIOR
-    return AgentOutcome(
-        i_star=i_star,
-        u_star=expected_utility(trader, i_star),
-        regime=regime,
-        fully_informed=regime is Regime.FULLY_INFORMED,
-        i_unconstrained=i_u,
-    )
+def constrain(population: Population, i_max: float,
+              i_u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimum ``i_star = min(i_u, i_max)`` of every trader, its utility and regime.
+
+    ``i_u`` holds the traders' roots.  A root at or above the ceiling (+inf
+    included) is fully informed at ``i_max``, a root at or below 0 is the
+    corner 0, any other is interior.  Regimes are ``Regime`` values as str.
+    """
+    fully, corner = i_u >= i_max, i_u <= 0.0
+    i_star = np.where(fully, i_max, np.where(corner, 0.0, i_u))
+    regime = np.where(fully, Regime.FULLY_INFORMED.value,
+                      np.where(corner, Regime.CORNER_ZERO.value, Regime.INTERIOR.value))
+    return i_star, population.utility(i_star), regime
 
 
 def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
     """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels."""
     check_i_max(i_max)
-    return classify(trader, i_max, float(solve_roots([trader])[0]))
+    population = Population.from_traders([trader])
+    i_u = solve_roots(population)
+    (i_star,), (u_star,), (regime,) = (a.tolist() for a in constrain(population, i_max, i_u))
+    return AgentOutcome(i_star=i_star, u_star=u_star, regime=Regime(regime),
+                        fully_informed=regime == Regime.FULLY_INFORMED,
+                        i_unconstrained=i_u.item())
 
 
 def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from infoload import __version__
-from infoload.agent import Regime, Trader, grid_oracle
+from infoload.agent import Population, Regime, Trader, grid_oracle
 from infoload.curves import ExpSaturating, PowerCost
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 from infoload.market import (
@@ -256,19 +256,21 @@ def parse_config(path, seed_override: Optional[int] = None) -> Settings:
 # output helpers
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.12g}"
-    return str(value)
+def _column_text(column) -> List[str]:
+    """CSV cells of one column: floats as ``%.12g`` (so ``inf``, ``-inf``, ``nan``),
+    booleans as ``true``/``false``, anything else as ``str``."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return list(map("%.12g".__mod__, column.tolist()))
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    return list(map(str, column.tolist()))
 
 
-def write_csv(path: Path, header: Sequence[str], rows) -> Path:
+def write_csv(path: Path, header: Sequence[str], columns) -> Path:
+    """Write equal-length columns under ``header``, formatting column by column."""
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_column_text, columns), strict=True)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
@@ -288,14 +290,12 @@ def write_manifest(out_dir: Path, subcommand: str, settings: Settings,
     return path
 
 
-def _cost_scale_of(trader: Trader) -> float:
-    return getattr(trader.cost, "scale", 0.0)
+AGENT_HEADER = ["agent_id", "W", "L", "cost_scale", "i_u", "i_star", "regime", "u_star"]
 
 
-def _agent_rows(traders, outcomes):
-    for idx, (t, o) in enumerate(zip(traders, outcomes)):
-        yield (idx, t.gain, t.loss, _cost_scale_of(t), o.i_unconstrained,
-               o.i_star, o.regime.value, o.u_star)
+def _agent_columns(population: Population, outcome) -> list:
+    return [np.arange(len(population)), population.gain, population.loss, population.cost_scale,
+            outcome.i_u, outcome.i_star, outcome.regime, outcome.u_star]
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +319,32 @@ def reference_overload_population(n_agents: int = 50) -> List[Trader]:
 
 
 def _cmd_agent(settings: Settings, out_dir: Path) -> List[Path]:
-    traders = sample_population(settings.population)
-    outcomes = run_market(settings.market, traders).outcomes
-    rows = []
-    for idx, (trader, opt) in enumerate(zip(traders, outcomes)):
-        oracle = grid_oracle(trader, settings.market.i_max, AGENT_ORACLE_STEP)
-        gap = abs(opt.i_star - oracle.i_star)
-        if gap > AGENT_ORACLE_STEP + 1e-6:
-            raise NumericRangeError(
-                f"agent {idx}: optimizer/oracle disagree by {gap:.3g}")
-        rows.append((idx, trader.gain, trader.loss, _cost_scale_of(trader),
-                     opt.i_unconstrained, opt.i_star, opt.regime.value, opt.u_star,
-                     oracle.i_star))
-    return [write_csv(out_dir / "agents.csv",
-                      ["agent_id", "W", "L", "cost_scale", "i_u", "i_star",
-                       "regime", "u_star", "oracle_i_star"], rows)]
+    population = sample_population(settings.population)
+    outcome = run_market(settings.market, population)
+    oracle = np.array([grid_oracle(trader, settings.market.i_max, AGENT_ORACLE_STEP).i_star
+                       for trader in population])
+    gap = np.abs(outcome.i_star - oracle)
+    far = np.flatnonzero(gap > AGENT_ORACLE_STEP + 1e-6)
+    if far.size:
+        raise NumericRangeError(f"agent {far[0]}: optimizer/oracle disagree by {gap[far[0]]:.3g}")
+    return [write_csv(out_dir / "agents.csv", AGENT_HEADER + ["oracle_i_star"],
+                      _agent_columns(population, outcome) + [oracle])]
 
 
 def _cmd_market(settings: Settings, out_dir: Path) -> List[Path]:
-    traders = sample_population(settings.population)
-    outcome = run_market(settings.market, traders)
-    per_agent = write_csv(
-        out_dir / "market.csv",
-        ["agent_id", "W", "L", "cost_scale", "i_u", "i_star", "regime", "u_star"],
-        _agent_rows(traders, outcome.outcomes))
+    population = sample_population(settings.population)
+    outcome = run_market(settings.market, population)
+    per_agent = write_csv(out_dir / "market.csv", AGENT_HEADER,
+                          _agent_columns(population, outcome))
     summary = write_csv(
         out_dir / "market_summary.csv",
         ["fraction_informed", "efficient", "n_corner_zero", "n_interior",
          "n_fully_informed", "n_excluded", "mean_utility"],
-        [(outcome.fraction_informed, outcome.efficient,
-          outcome.counts[Regime.CORNER_ZERO.value],
-          outcome.counts[Regime.INTERIOR.value],
-          outcome.counts[Regime.FULLY_INFORMED.value],
-          outcome.n_excluded, outcome.mean_utility)])
+        [[outcome.fraction_informed], [outcome.efficient],
+         [outcome.counts[Regime.CORNER_ZERO.value]],
+         [outcome.counts[Regime.INTERIOR.value]],
+         [outcome.counts[Regime.FULLY_INFORMED.value]],
+         [outcome.n_excluded], [outcome.mean_utility]])
     return [per_agent, summary]
 
 
@@ -376,8 +369,9 @@ def _cmd_conjectures(settings: Settings, out_dir: Path) -> List[Path]:
     verdicts = [v1, v2, v3]
     path = write_csv(out_dir / "conjectures.csv",
                      ["conjecture", "passed", "detail"],
-                     [(v.name, "pass" if v.passed else "fail", f'"{v.detail}"')
-                      for v in verdicts])
+                     [[v.name for v in verdicts],
+                      ["pass" if v.passed else "fail" for v in verdicts],
+                      [f'"{v.detail}"' for v in verdicts]])
     if not all(v.passed for v in verdicts):
         raise _ConjectureFailure([v.name for v in verdicts if not v.passed], [path])
     return [path]
@@ -393,27 +387,28 @@ def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
     trader = sample_population(settings.population)[0]
     curve = utility_curve(trader, settings.market.i_max, settings.n_points)
     return [write_csv(out_dir / "figure3.csv", ["i", "expected_utility"],
-                      zip(curve.grid, curve.utilities))]
+                      [curve.grid, curve.utilities])]
 
 
 def _cmd_sweep(settings: Settings, out_dir: Path) -> List[Path]:
-    traders = sample_population(settings.population)
+    population = sample_population(settings.population)
     grid, mults, theta = settings.i_max_grid, settings.cost_multiplier_grid, settings.market.theta
-    rows = []
-    if mults is not None:
-        diagram = sweep_2d(traders, grid, mults, theta)
-        rows = [(float(mult), float(i_max), float(diagram.fractions[r, c]),
-                 bool(diagram.efficient[r, c]))
-                for r, mult in enumerate(diagram.multipliers)
-                for c, i_max in enumerate(diagram.i_max_grid)]
+    diagram = None if mults is None else sweep_2d(population, grid, mults, theta)
     # cost.scaled(1.0) is bit-identical to the cost itself: that row is the 1-D series
-    points = [row[1:] for row in rows if row[0] == 1.0] or sweep_imax(traders, grid, theta).points
+    unit = [] if diagram is None else np.flatnonzero(diagram.multipliers == 1.0).tolist()
+    if unit:
+        phase = [diagram.i_max_grid, diagram.fractions[unit[0]], diagram.efficient[unit[0]]]
+    else:
+        phase = list(zip(*sweep_imax(population, grid, theta).points))
     outputs = [write_csv(out_dir / "phase.csv",
-                         ["i_max", "fraction_informed", "efficient"], points)]
-    if mults is not None:
+                         ["i_max", "fraction_informed", "efficient"], phase)]
+    if diagram is not None:
+        n_mults, n_grid = diagram.fractions.shape
         outputs.append(write_csv(
             out_dir / "phase2d.csv",
-            ["cost_multiplier", "i_max", "fraction_informed", "efficient"], rows))
+            ["cost_multiplier", "i_max", "fraction_informed", "efficient"],
+            [np.repeat(diagram.multipliers, n_grid), np.tile(diagram.i_max_grid, n_mults),
+             diagram.fractions.ravel(), diagram.efficient.ravel()]))
     return outputs
 
 
@@ -421,9 +416,9 @@ def _cmd_returns(settings: Settings, out_dir: Path) -> List[Path]:
     sample = simulate_muthian_returns(settings.return_model, settings.n_draws,
                                       seed=settings.population.master_seed)
     draws = write_csv(out_dir / "returns.csv", ["draw_index", "value"],
-                      ((idx, float(v)) for idx, v in enumerate(sample.values)))
+                      [np.arange(sample.n), sample.values])
     summary = write_csv(out_dir / "returns_summary.csv", ["mean", "sd", "n"],
-                        [(sample.mean, sample.sd, sample.n)])
+                        [[sample.mean], [sample.sd], [sample.n]])
     return [draws, summary]
 
 

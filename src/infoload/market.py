@@ -11,6 +11,12 @@ Agent k's parameters come from its own keyed substream,
 only on ``(master_seed, k)``.  ``sample_population`` computes every agent's
 substream at once: numpy's SeedSequence hash and PCG64 written as uint32 and
 uint64 array arithmetic over k, bit-identical to numpy's own per-agent draws.
+
+A population stays one set of columns (``agent.Population``) from sampling to
+the verdict: ``run_market`` solves every root in one batched call, sets each
+trader's optimum and regime by array comparison (``agent.constrain``) and its
+utility by one kernel call per curve-family pair, and returns per-agent arrays.
+A ``Trader`` sequence passed to any function here is turned into columns once.
 """
 
 from __future__ import annotations
@@ -21,15 +27,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload.agent import AgentOutcome, Regime, Trader, classify, expected_utility, solve_roots
+from infoload.agent import Population, Regime, Trader, constrain, solve_roots
 from infoload.curves import (
-    CostCurve,
-    ExpGrowthCost,
-    ExpSaturating,
-    Hyperbolic,
-    PowerCost,
-    SuccessCurve,
-    ZeroCost,
+    COST_EXP_GROWTH,
+    COST_POWER,
+    COST_ZERO,
+    SUCCESS_EXP_SATURATING,
+    SUCCESS_HYPERBOLIC,
 )
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
@@ -37,6 +41,9 @@ Interval = Tuple[float, float]
 
 # the spawn key k is one uint32 word of the agent's SeedSequence entropy
 MAX_AGENTS = 2**32
+
+SUCCESS_CODES = {"exp_saturating": SUCCESS_EXP_SATURATING, "hyperbolic": SUCCESS_HYPERBOLIC}
+COST_CODES = {"power": COST_POWER, "exp_growth": COST_EXP_GROWTH, "zero": COST_ZERO}
 
 
 def _check_interval(name: str, iv: Interval, lower_bound: float = 0.0) -> None:
@@ -66,10 +73,13 @@ class PopulationSpec:
             raise ConfigError("population.n_agents", f"must lie in [1, 2**32], got {self.n_agents}")
         _check_interval("population.gain", self.gain)
         _check_interval("population.loss", self.loss)
-        if self.success_family not in ("exp_saturating", "hyperbolic"):
+        if not math.isfinite(self.gain[1] + self.loss[1]):
+            raise ConfigError("population.loss", "gain + loss must be finite for every agent, got "
+                              f"upper bounds {self.gain[1]} + {self.loss[1]}")
+        if self.success_family not in SUCCESS_CODES:
             raise ConfigError("population.success.family", f"unknown family {self.success_family!r}")
         _check_interval("population.success.param", self.success_param)
-        if self.cost_family not in ("power", "exp_growth", "zero"):
+        if self.cost_family not in COST_CODES:
             raise ConfigError("population.cost.family", f"unknown family {self.cost_family!r}")
         if self.cost_family != "zero":
             _check_interval("population.cost.scale", self.cost_scale)
@@ -96,15 +106,20 @@ def check_theta(theta: float) -> None:
         raise ConfigError("market.theta", f"must lie in (0, 1], got {theta}")
 
 
-@dataclass
+@dataclass(eq=False)
 class MarketOutcome:
+    """The verdict, and entry k of each array for agent k (participating or not)."""
+
     fraction_informed: float
     efficient: bool
     counts: dict  # Regime value -> int, over participating agents
     mean_utility: float
     n_agents: int
     n_excluded: int
-    outcomes: List[AgentOutcome]
+    i_u: np.ndarray  # unconstrained optimum, +inf for zero cost
+    i_star: np.ndarray  # min(i_u, i_max); 0 at the corner
+    u_star: np.ndarray  # expected utility at i_star
+    regime: np.ndarray  # Regime values as str
 
 
 @dataclass(frozen=True)
@@ -213,65 +228,51 @@ def _keyed_uniforms(master_seed: int, n: int, n_draws: int) -> np.ndarray:
     return out
 
 
-def _make_success(family: str, param: float) -> SuccessCurve:
-    return ExpSaturating(param) if family == "exp_saturating" else Hyperbolic(param)
-
-
-def _make_cost(family: str, scale: float, shape: float) -> CostCurve:
-    if family == "zero":
-        return ZeroCost()
-    if family == "power":
-        return PowerCost(scale, shape)
-    return ExpGrowthCost(scale, shape)
-
-
-def sample_population(spec: PopulationSpec) -> List[Trader]:
+def sample_population(spec: PopulationSpec) -> Population:
     """Draw the population; agent k depends only on (master_seed, k).
 
     Each non-degenerate interval, in the order gain, loss, success param, cost
     scale, cost shape, takes the next uniform draw of agent k's substream as
     ``lo + (hi - lo) * u``; a degenerate interval is ``float(lo)`` and takes none.
+    A zero-cost population still takes its cost draws, and its cost columns are 0.
     """
     n = spec.n_agents
     intervals = (spec.gain, spec.loss, spec.success_param, spec.cost_scale, spec.cost_shape)
     draws = iter(_keyed_uniforms(spec.master_seed, n, sum(lo != hi for lo, hi in intervals)))
-    columns = [[float(lo)] * n if lo == hi
-               else (float(lo) + (float(hi) - float(lo)) * next(draws)).tolist()
-               for lo, hi in intervals]
-    return [Trader(gain=gain, loss=loss,
-                   success=_make_success(spec.success_family, s_param),
-                   cost=_make_cost(spec.cost_family, c_scale, c_shape))
-            for gain, loss, s_param, c_scale, c_shape in zip(*columns)]
+    gain, loss, s_param, c_scale, c_param = [
+        np.full(n, float(lo)) if lo == hi else float(lo) + (float(hi) - float(lo)) * next(draws)
+        for lo, hi in intervals]
+    c_code = COST_CODES[spec.cost_family]
+    if c_code == COST_ZERO:
+        c_scale, c_param = np.zeros(n), np.zeros(n)
+    return Population(gain, loss, np.full(n, SUCCESS_CODES[spec.success_family]), s_param,
+                      np.full(n, c_code), c_scale, c_param)
 
 
 def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome:
     """Solve every trader at the configured ceiling and classify efficiency."""
-    if len(traders) == 0:
+    population = Population.from_traders(traders)
+    if len(population) == 0:
         raise PreconditionError("trader collection must be non-empty")
-    outcomes = [classify(t, config.i_max, i_u)
-                for t, i_u in zip(traders, solve_roots(traders).tolist())]
+    i_u = solve_roots(population)
+    i_star, u_star, regime = constrain(population, config.i_max, i_u)
 
-    if config.participation_rule:
-        participating = [o for o in outcomes if o.u_star >= 0]
-        n_excluded = len(outcomes) - len(participating)
-    else:
-        participating = outcomes
-        n_excluded = 0
-
-    counts = {r.value: 0 for r in Regime}
-    for o in participating:
-        counts[o.regime.value] += 1
-    n_part = len(participating)
+    participating = u_star >= 0 if config.participation_rule else np.ones(len(u_star), bool)
+    counts = {r.value: int(np.count_nonzero(regime[participating] == r.value)) for r in Regime}
+    n_part = int(np.count_nonzero(participating))
     fraction = counts[Regime.FULLY_INFORMED.value] / n_part if n_part else 0.0
-    mean_u = float(np.mean([o.u_star for o in participating])) if n_part else math.nan
+    mean_u = float(np.mean(u_star[participating])) if n_part else math.nan
     return MarketOutcome(
         fraction_informed=fraction,
         efficient=fraction >= config.theta,
         counts=counts,
         mean_utility=mean_u,
-        n_agents=len(traders),
-        n_excluded=n_excluded,
-        outcomes=outcomes,
+        n_agents=len(population),
+        n_excluded=len(population) - n_part,
+        i_u=i_u,
+        i_star=i_star,
+        u_star=u_star,
+        regime=regime,
     )
 
 
@@ -295,17 +296,19 @@ def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> List[float]
 
 def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> ConjectureVerdict:
     """Costless information: every trader corners at i_max and the market is efficient."""
-    for idx, t in enumerate(traders):
-        if not isinstance(t.cost, ZeroCost):
-            raise PreconditionError(f"agent {idx} has a non-zero cost curve")
-    outcome = run_market(MarketConfig(i_max=i_max, theta=theta), traders)
-    for idx, o in enumerate(outcome.outcomes):
-        if o.i_star != i_max or not o.fully_informed:
-            return ConjectureVerdict(
-                name="conjecture1", passed=False,
-                detail=f"agent {idx} chose i_star={o.i_star} != i_max={i_max}",
-                counterexample=idx,
-            )
+    population = Population.from_traders(traders)
+    costly = np.flatnonzero(population.cost_code != COST_ZERO)
+    if costly.size:
+        raise PreconditionError(f"agent {costly[0]} has a non-zero cost curve")
+    outcome = run_market(MarketConfig(i_max=i_max, theta=theta), population)
+    short = np.flatnonzero(outcome.i_star != i_max)
+    if short.size:
+        idx = int(short[0])
+        return ConjectureVerdict(
+            name="conjecture1", passed=False,
+            detail=f"agent {idx} chose i_star={outcome.i_star[idx].item()} != i_max={i_max}",
+            counterexample=idx,
+        )
     if not outcome.efficient or outcome.fraction_informed != 1.0:
         return ConjectureVerdict(
             name="conjecture1", passed=False,
@@ -313,7 +316,7 @@ def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> 
         )
     return ConjectureVerdict(
         name="conjecture1", passed=True,
-        detail=f"all {len(traders)} agents fully informed at i_max={i_max}",
+        detail=f"all {len(population)} agents fully informed at i_max={i_max}",
     )
 
 
@@ -347,18 +350,19 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
                       i_max_schedule: Sequence[float],
                       divergence_bound: float = -1e6) -> ConjectureVerdict:
     """Unbounded information: everyone overloads and utility diverges to -inf."""
-    for idx, t in enumerate(traders):
-        if isinstance(t.cost, ZeroCost):
-            raise PreconditionError(f"agent {idx} has a zero cost curve")
+    population = Population.from_traders(traders)
+    costless = np.flatnonzero(population.cost_code == COST_ZERO)
+    if costless.size:
+        raise PreconditionError(f"agent {costless[0]} has a zero cost curve")
     schedule = list(i_max_schedule)
     if (len(schedule) < 10 or any(b <= a for a, b in zip(schedule, schedule[1:]))
             or not all(math.isfinite(s) and s > 0 for s in schedule)):
         raise PreconditionError("schedule must be positive, increasing, length >= 10")
     check_theta(theta)
 
-    fractions = informed_fractions(traders, schedule)
+    fractions = informed_fractions(population, schedule)
     efficients = [f >= theta for f in fractions]
-    ceiling_utils = [max(expected_utility(t, i_max) for t in traders) for i_max in schedule]
+    ceiling_utils = [population.utility(i_max).max().item() for i_max in schedule]
 
     problems = []
     if any(b > a for a, b in zip(fractions, fractions[1:])):

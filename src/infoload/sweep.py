@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload.agent import Trader, _solve_scaled, check_i_max, solve_roots, utility_on_grid
+from infoload.agent import (Population, Trader, _solve_scaled, check_i_max, solve_roots,
+                            utility_on_grid)
 from infoload.market import _fractions_at, check_theta, informed_fractions
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 
@@ -124,7 +125,7 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     _check_sweep(grid, theta)
 
     rows = [_series(grid, _fractions_at(roots, grid), theta)
-            for roots in _solve_scaled(traders, mults)]
+            for roots in _solve_scaled(Population.from_traders(traders), mults)]
     return PhaseDiagram(
         i_max_grid=np.asarray(grid, dtype=float),
         multipliers=np.asarray(mults, dtype=float),

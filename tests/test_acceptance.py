@@ -52,7 +52,7 @@ def test_criterion_1_conjecture1_exact_corner():
         theta = float(rng.uniform(0.05, 1.0))
         out = run_market(MarketConfig(i_max=i_max, theta=theta),
                          sample_population(spec))
-        assert all(o.i_star == i_max for o in out.outcomes)
+        assert (out.i_star == i_max).all()
         assert out.fraction_informed == 1.0 and out.efficient
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -18,11 +18,41 @@ from infoload import (
     optimize_information,
     unconstrained_optimum,
 )
-from infoload import kernels
+from infoload import Population, kernels
 from infoload.agent import information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
 
 from conftest import random_trader
+
+
+class TestTrader:
+    def test_gain_plus_loss_must_be_finite(self):
+        # W + L = inf would make the marginal utility 0 * inf = nan past the slope's underflow
+        with pytest.raises(ParameterError, match="gain \\+ loss"):
+            Trader(1e308, 1e308, ExpSaturating(1.0), PowerCost(1.0, 2.0))
+        assert Trader(1e308, 7e307, ExpSaturating(1.0), PowerCost(1.0, 2.0)).gain == 1e308
+
+
+class TestPopulation:
+    def test_columns_round_trip_to_traders(self, rng):
+        traders = [random_trader(rng) for _ in range(50)]
+        population = Population.from_traders(traders)
+        assert len(population) == 50
+        assert list(population) == traders
+        assert population[-1] == traders[-1] and population[np.int64(3)] == traders[3]
+        assert all(type(v) is float for v in (population[0].gain, population[0].loss))
+        assert Population.from_traders(population) is population
+        with pytest.raises(IndexError):
+            population[50]
+
+    def test_zero_cost_columns_are_kernel_codes(self):
+        population = Population.from_traders([Trader(1.0, 2.0, Hyperbolic(0.5), ZeroCost())])
+        assert population.cost_scale.tolist() == [0.0] and population.cost_param.tolist() == [0.0]
+        assert population[0] == Trader(1.0, 2.0, Hyperbolic(0.5), ZeroCost())
+
+    def test_empty(self):
+        population = Population.from_traders([])
+        assert len(population) == 0 and list(population) == []
 
 
 class TestExpectedReturn:
@@ -200,6 +230,12 @@ class TestSolveRoots:
 
     def test_empty_population(self):
         assert solve_roots([]).shape == (0,)
+
+    def test_columns_equal_trader_list(self, rng):
+        traders = [random_trader(rng) for _ in range(300)]
+        population = Population.from_traders(traders)
+        assert (solve_roots(population).view(np.int64).tolist()
+                == solve_roots(list(population)).view(np.int64).tolist())
 
 
 class TestOptimizeInformation:

@@ -237,6 +237,7 @@ class TestSweepErrors:
         ("figure3", {"sweep": {"i_max_grid": [0.5, math.inf]}}, "sweep.i_max_grid"),
         ("market", {"sweep": {"i_max_grid": {"kind": "linear", "start": 0, "stop": 1,
                                              "num": 3}}}, "sweep.i_max_grid"),
+        ("market", {"population": {"gain": 1e308, "loss": 1e308}}, "population.loss"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, subcommand, config, field):
         code, message = self._run(tmp_path, None, subcommand, config)

@@ -1,11 +1,17 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import infoload.market
 from infoload import (
+    ExpGrowthCost,
     ExpSaturating,
+    Hyperbolic,
     MarketConfig,
+    MarketOutcome,
+    Population,
     PopulationSpec,
     PowerCost,
     Regime,
@@ -15,12 +21,14 @@ from infoload import (
     check_conjecture1,
     check_conjecture2,
     check_conjecture3,
+    expected_utility,
     run_market,
     sample_population,
     simulate_muthian_returns,
 )
 from infoload.errors import ConfigError, ParameterError, PreconditionError
-from infoload.market import MAX_AGENTS, _keyed_uniforms, _make_cost, _make_success
+from infoload.agent import solve_roots
+from infoload.market import MAX_AGENTS, _keyed_uniforms
 
 from conftest import random_trader
 
@@ -60,6 +68,10 @@ class TestPopulationSpec:
         with pytest.raises(ConfigError):
             make_spec(cost_shape=(1.0, 2.0))
 
+    def test_gain_plus_loss_must_be_finite(self):
+        with pytest.raises(ConfigError, match="population.loss"):
+            make_spec(gain=(0.5, 1e308), loss=(0.5, 1e308))
+
     def test_n_agents_positive(self):
         with pytest.raises(ConfigError):
             make_spec(n_agents=0)
@@ -81,17 +93,23 @@ class TestSamplePopulation:
 
     def test_determinism(self):
         spec = make_spec(n_agents=50)
-        assert sample_population(spec) == sample_population(spec)
+        assert list(sample_population(spec)) == list(sample_population(spec))
 
     def test_substreams_are_order_independent(self):
         # a shorter population is a prefix: agent k depends only on (seed, k)
         long = sample_population(make_spec(n_agents=10))
         short = sample_population(make_spec(n_agents=4))
-        assert long[:4] == short
+        assert list(long)[:4] == list(short)
 
     def test_seed_changes_population(self):
-        assert sample_population(make_spec(master_seed=1)) != \
-            sample_population(make_spec(master_seed=2))
+        assert list(sample_population(make_spec(master_seed=1))) != \
+            list(sample_population(make_spec(master_seed=2)))
+
+    def test_zero_cost_columns_are_kernel_codes(self):
+        # the market.csv cost_scale column of a zero-cost population reads 0
+        population = sample_population(make_spec(cost_family="zero"))
+        assert not population.cost_scale.any() and not population.cost_param.any()
+        assert population[0].cost == ZeroCost()
 
     def test_cost_scale_mean(self):
         traders = sample_population(make_spec(n_agents=1000, cost_scale=(0.01, 1.0)))
@@ -102,6 +120,10 @@ class TestSamplePopulation:
 
 def substream(seed, k):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+
+
+REFERENCE_SUCCESS = {"exp_saturating": ExpSaturating, "hyperbolic": Hyperbolic}
+REFERENCE_COSTS = {"power": PowerCost, "exp_growth": ExpGrowthCost}
 
 
 def reference_population(spec):
@@ -117,8 +139,9 @@ def reference_population(spec):
         gain, loss, s_param, c_scale, c_shape = (
             draw(iv) for iv in (spec.gain, spec.loss, spec.success_param,
                                 spec.cost_scale, spec.cost_shape))
-        traders.append(Trader(gain, loss, _make_success(spec.success_family, s_param),
-                              _make_cost(spec.cost_family, c_scale, c_shape)))
+        cost = (ZeroCost() if spec.cost_family == "zero"
+                else REFERENCE_COSTS[spec.cost_family](c_scale, c_shape))
+        traders.append(Trader(gain, loss, REFERENCE_SUCCESS[spec.success_family](s_param), cost))
     return traders
 
 
@@ -143,7 +166,7 @@ class TestKeyedSubstreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_population_matches_reference(self, seed, n):
         spec = make_spec(n_agents=n, master_seed=seed)
-        traders = sample_population(spec)
+        traders = list(sample_population(spec))
         assert traders == reference_population(spec)
         assert all(type(v) is float for t in traders[:3]
                    for v in (t.gain, t.loss, t.success.rate, t.cost.scale, t.cost.exponent))
@@ -152,13 +175,13 @@ class TestKeyedSubstreams:
                                        "cost_shape"])
     def test_degenerate_interval_takes_no_draw(self, field):
         spec = make_spec(n_agents=300, master_seed=2**64 - 1, **{field: (1.5, 1.5)})
-        assert sample_population(spec) == reference_population(spec)
+        assert list(sample_population(spec)) == reference_population(spec)
 
     def test_all_degenerate(self):
         spec = make_spec(n_agents=50, gain=(1.0, 1.0), loss=(2.0, 2.0),
                          success_param=(0.7, 0.7), cost_scale=(0.1, 0.1),
                          cost_shape=(2.5, 2.5))
-        traders = sample_population(spec)
+        traders = list(sample_population(spec))
         assert traders == reference_population(spec)
         assert set(traders) == {Trader(1.0, 2.0, ExpSaturating(0.7), PowerCost(0.1, 2.5))}
 
@@ -167,7 +190,7 @@ class TestKeyedSubstreams:
         # a zero-cost spec built through the API still consumes the cost draws
         spec = make_spec(n_agents=300, success_family="hyperbolic", cost_family=family,
                          cost_scale=(0.1, 0.5), cost_shape=(0.5, 2.0), master_seed=2**32)
-        assert sample_population(spec) == reference_population(spec)
+        assert list(sample_population(spec)) == reference_population(spec)
 
 
 class TestRunMarket:
@@ -176,7 +199,7 @@ class TestRunMarket:
         out = run_market(MarketConfig(i_max=3.0, theta=0.99), traders)
         assert out.fraction_informed == 1.0
         assert out.efficient
-        assert all(o.i_star == 3.0 for o in out.outcomes)
+        assert (out.i_star == 3.0).all()
 
     def test_no_corner_agents_means_inefficient(self):
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))] * 20
@@ -211,6 +234,57 @@ class TestRunMarket:
         with pytest.raises(PreconditionError):
             run_market(MarketConfig(i_max=1.0, theta=0.5), [])
 
+    @pytest.mark.parametrize("rule", [False, True])
+    def test_columns_equal_trader_list(self, rng, rule):
+        traders = [random_trader(rng) for _ in range(200)]
+        population = Population.from_traders(traders)
+        config = MarketConfig(i_max=1.5, theta=0.5, participation_rule=rule)
+        by_columns = run_market(config, population)
+        by_traders = run_market(config, list(population))
+        for field in fields(MarketOutcome):
+            a, b = getattr(by_columns, field.name), getattr(by_traders, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), field.name
+            else:
+                assert type(a) is type(b) and a == b, field.name
+
+    def test_u_star_is_the_expected_utility_at_i_star(self, rng):
+        traders = [random_trader(rng) for _ in range(200)]
+        out = run_market(MarketConfig(i_max=2.0, theta=0.5), traders)
+        for trader, i_star, u_star in zip(traders, out.i_star.tolist(), out.u_star.tolist()):
+            assert u_star == pytest.approx(expected_utility(trader, i_star), rel=1e-12, abs=1e-14)
+
+
+class TestClassification:
+    interior = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0))
+    corner = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))  # g(0) < 0
+    costless = Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())
+
+    def test_root_at_the_ceiling_is_fully_informed(self):
+        root = float(solve_roots([self.interior])[0])
+        out = run_market(MarketConfig(i_max=root, theta=0.5),
+                         [self.interior, self.corner, self.costless])
+        assert out.i_u.tolist() == [root, 0.0, math.inf]
+        assert out.i_star.tolist() == [root, 0.0, root]
+        assert out.regime.tolist() == ["fully_informed", "corner_zero", "fully_informed"]
+        assert out.counts == {"corner_zero": 1, "interior": 0, "fully_informed": 2}
+
+    def test_root_below_the_ceiling_is_interior(self):
+        root = float(solve_roots([self.interior])[0])
+        out = run_market(MarketConfig(i_max=float(np.nextafter(root, math.inf)), theta=0.5),
+                         [self.interior])
+        assert out.i_star.tolist() == [root] and out.regime.tolist() == ["interior"]
+
+    def test_zero_utility_participates(self):
+        # lambda(1) = 1 / (1 + 1) = 0.5 exactly, so u_star = 0.5 - 0.5 - 0 = 0.0
+        even = Trader(1.0, 1.0, Hyperbolic(1.0), ZeroCost())
+        out = run_market(MarketConfig(i_max=1.0, theta=0.5, participation_rule=True),
+                         [even, self.corner])
+        assert out.u_star.tolist() == [0.0, -1.0]
+        assert out.n_excluded == 1
+        assert out.counts == {"corner_zero": 0, "interior": 0, "fully_informed": 1}
+        assert out.fraction_informed == 1.0 and out.mean_utility == 0.0
+
 
 class TestConjecture1:
     def test_muthian_population_passes(self):
@@ -222,8 +296,19 @@ class TestConjecture1:
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())
         assert check_conjecture1([trader], i_max=1e-9, theta=1.0).passed
 
+    def test_counterexample_is_the_first_agent_short_of_i_max(self, monkeypatch):
+        traders = [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())] * 6
+        solve = infoload.market.solve_roots
+        short = np.isin(np.arange(6), [3, 5])
+        monkeypatch.setattr(infoload.market, "solve_roots",
+                            lambda ts: np.where(short, 0.5, solve(ts)))
+        verdict = check_conjecture1(traders, i_max=2.0, theta=0.5)
+        assert not verdict.passed
+        assert verdict.counterexample == 3
+        assert verdict.detail == "agent 3 chose i_star=0.5 != i_max=2.0"
+
     def test_non_zero_cost_guard(self):
-        traders = sample_population(make_spec(cost_family="zero"))
+        traders = list(sample_population(make_spec(cost_family="zero")))
         traders.append(Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1.0, 2.0)))
         with pytest.raises(PreconditionError):
             check_conjecture1(traders, i_max=2.0, theta=0.5)
