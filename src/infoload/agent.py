@@ -157,18 +157,22 @@ def expected_return(lambda_value: float, gain: float, loss: float) -> float:
     """Expected dollar return of the two-outcome bet at success probability lambda."""
     if not 0.0 <= lambda_value <= 1.0:
         raise ParameterError(f"success probability must lie in [0, 1], got {lambda_value!r}")
-    return lambda_value * gain - (1.0 - lambda_value) * loss
+    return kernels.expected_return(lambda_value, gain, loss)
+
+
+def _kernel_args(trader: Trader) -> tuple:
+    """The kernel arguments after the levels: codes, parameters, gain and loss."""
+    return (*trader.success.kernel_code(), *trader.cost.kernel_code(), trader.gain, trader.loss)
 
 
 def expected_utility(trader: Trader, i: float) -> float:
     """Expected utility at information level i: expected return net of elaboration cost."""
-    lam = trader.success.value(i)
-    return lam * trader.gain - (1.0 - lam) * trader.loss - trader.cost.value(i)
+    return utility_on_grid(trader, [i]).item()
 
 
 def marginal_utility(trader: Trader, i: float) -> float:
     """d/di of expected utility; strictly decreasing for non-zero cost curves."""
-    return trader.success.deriv(i) * (trader.gain + trader.loss) - trader.cost.deriv(i)
+    return kernels.marginal_utility_grid([i], *_kernel_args(trader)).item()
 
 
 def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
@@ -274,10 +278,7 @@ def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
 
 def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
     """Expected utility at every grid point, by the numpy kernel."""
-    s_code, s_param = trader.success.kernel_code()
-    c_code, c_scale, c_param = trader.cost.kernel_code()
-    return kernels.utility_grid(grid, s_code, s_param, c_code, c_scale, c_param,
-                                trader.gain, trader.loss)
+    return kernels.utility_grid(grid, *_kernel_args(trader))
 
 
 def information_grid(i_max: float, step: float) -> np.ndarray:

@@ -247,7 +247,7 @@ def parse_config(path, seed_override: Optional[int] = None) -> Settings:
     data = p.read_bytes()
     try:
         raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError("<parse>", str(exc)) from exc
     return _build_settings(raw, data, seed_override)
 
@@ -465,7 +465,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        _write_error(None, EXIT_USAGE, f"--out {args.out}: {exc.strerror or exc}")
+        return EXIT_USAGE
     try:
         settings = parse_config(args.config, seed_override=args.seed)
     except (ConfigError, FileNotFoundError) as exc:

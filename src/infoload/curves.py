@@ -4,6 +4,10 @@ Success curves are concave, strictly increasing, zero at the origin and
 saturate at 1 only in the limit.  Cost curves are convex, strictly increasing
 and zero at the origin; the degenerate zero-cost curve encodes the costless
 ("Muthian") scenario and is the only family allowed to break strict convexity.
+
+The classes hold and validate parameters; the formulas live only in
+``kernels``.  A curve's ``value``, ``complement`` and ``deriv`` evaluate the
+kernel function of that name on a one-element array.
 """
 
 from __future__ import annotations
@@ -14,14 +18,23 @@ from typing import Union
 
 import numpy as np
 
+from infoload import kernels
 from infoload.errors import ParameterError
+from infoload.kernels import (COST_EXP_GROWTH, COST_POWER, COST_ZERO,  # family codes
+                              SUCCESS_EXP_SATURATING, SUCCESS_HYPERBOLIC)
 
-# integer codes of kernel_code(), read by kernels.utility_grid
-SUCCESS_EXP_SATURATING = 0
-SUCCESS_HYPERBOLIC = 1
-COST_ZERO = 0
-COST_POWER = 1
-COST_EXP_GROWTH = 2
+
+def _at_one_level(formula):
+    """A method evaluating the kernel ``formula`` at one level i, with the curve's codes."""
+    def method(self, i: float) -> float:
+        return formula(np.array([i], dtype=np.float64), *self.kernel_code()).item()
+    return method
+
+
+# each class binds value and deriv in its own namespace (perfbench/tracer.py wraps them there)
+_SUCCESS_METHODS = tuple(map(_at_one_level, (kernels.success_value, kernels.success_complement,
+                                             kernels.success_deriv)))
+_COST_METHODS = _at_one_level(kernels.cost_value), _at_one_level(kernels.cost_deriv)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -38,15 +51,7 @@ class ExpSaturating:
     def __post_init__(self):
         _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
 
-    def value(self, i: float) -> float:
-        return -math.expm1(-self.rate * i)
-
-    def complement(self, i: float) -> float:
-        """1 - value(i), computed without cancellation; positive for finite i."""
-        return math.exp(-self.rate * i)
-
-    def deriv(self, i: float) -> float:
-        return self.rate * math.exp(-self.rate * i)
+    value, complement, deriv = _SUCCESS_METHODS
 
     def kernel_code(self):
         return SUCCESS_EXP_SATURATING, self.rate
@@ -64,19 +69,7 @@ class Hyperbolic:
             "half_saturation must be a positive finite real",
         )
 
-    def value(self, i: float) -> float:
-        return i / (i + self.half_saturation)
-
-    def complement(self, i: float) -> float:
-        """1 - value(i), computed without cancellation; positive for finite i."""
-        return self.half_saturation / (i + self.half_saturation)
-
-    def deriv(self, i: float) -> float:
-        k = self.half_saturation
-        try:
-            return k / (i + k) ** 2
-        except OverflowError:  # (i + k)**2 beyond the float range
-            return 0.0
+    value, complement, deriv = _SUCCESS_METHODS
 
     def kernel_code(self):
         return SUCCESS_HYPERBOLIC, self.half_saturation
@@ -96,17 +89,7 @@ class PowerCost:
             "exponent must exceed 1 (convexity)",
         )
 
-    def value(self, i: float) -> float:
-        try:
-            return self.scale * i**self.exponent
-        except OverflowError:
-            return math.inf
-
-    def deriv(self, i: float) -> float:
-        try:
-            return self.scale * self.exponent * i ** (self.exponent - 1.0)
-        except OverflowError:
-            return math.inf
+    value, deriv = _COST_METHODS
 
     def kernel_code(self):
         return COST_POWER, self.scale, self.exponent
@@ -126,17 +109,7 @@ class ExpGrowthCost:
         _require(math.isfinite(self.scale) and self.scale > 0, "scale must be a positive finite real")
         _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
 
-    def value(self, i: float) -> float:
-        try:
-            return self.scale * math.expm1(self.rate * i)
-        except OverflowError:
-            return math.inf
-
-    def deriv(self, i: float) -> float:
-        try:
-            return self.scale * self.rate * math.exp(self.rate * i)
-        except OverflowError:
-            return math.inf
+    value, deriv = _COST_METHODS
 
     def kernel_code(self):
         return COST_EXP_GROWTH, self.scale, self.rate
@@ -149,11 +122,7 @@ class ExpGrowthCost:
 class ZeroCost:
     """Costless elaboration; the degenerate case that makes full information optimal."""
 
-    def value(self, i: float) -> float:
-        return 0.0
-
-    def deriv(self, i: float) -> float:
-        return 0.0
+    value, deriv = _COST_METHODS
 
     def kernel_code(self):
         return COST_ZERO, 0.0, 0.0
@@ -168,31 +137,28 @@ CostCurve = Union[PowerCost, ExpGrowthCost, ZeroCost]
 
 def eval_success(curve: SuccessCurve, i: float) -> float:
     """Evaluate the success probability at information level i (in [0, 1))."""
-    _check_level(i)
-    return curve.value(i)
+    return curve.value(_level(i))
 
 
 def eval_success_deriv(curve: SuccessCurve, i: float) -> float:
     """Exact first derivative of the success probability."""
-    _check_level(i)
-    return curve.deriv(i)
+    return curve.deriv(_level(i))
 
 
 def eval_cost(curve: CostCurve, i: float) -> float:
     """Evaluate the elaboration cost at information level i."""
-    _check_level(i)
-    return curve.value(i)
+    return curve.value(_level(i))
 
 
 def eval_cost_deriv(curve: CostCurve, i: float) -> float:
     """Exact first derivative of the elaboration cost."""
-    _check_level(i)
-    return curve.deriv(i)
+    return curve.deriv(_level(i))
 
 
-def _check_level(i: float) -> None:
+def _level(i: float) -> float:
     if not (math.isfinite(i) and i >= 0):
         raise ParameterError(f"information level must be a finite non-negative real, got {i!r}")
+    return i
 
 
 @dataclass
@@ -221,9 +187,9 @@ def validate_curves(success: SuccessCurve, cost: CostCurve, i_probe_max: float,
     if not (i_probe_max > 0 and math.isfinite(i_probe_max)):
         raise ParameterError("i_probe_max must be a positive finite real")
     grid = np.geomspace(i_probe_max * 1e-6, i_probe_max, n_probe)
-    lam_c = np.array([success.complement(i) for i in grid])  # 1 - lambda, stable
-    lam_d = np.array([success.deriv(i) for i in grid])
-    xi_d = np.array([cost.deriv(i) for i in grid])
+    lam_c = kernels.success_complement(grid, *success.kernel_code())  # 1 - lambda, stable
+    lam_d = kernels.success_deriv(grid, *success.kernel_code())
+    xi_d = kernels.cost_deriv(grid, *cost.kernel_code())
 
     report = CurveValidationReport(muthian_degenerate=isinstance(cost, ZeroCost))
     report.checks["success_zero_at_origin"] = success.value(0.0) == 0.0

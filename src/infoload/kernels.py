@@ -1,60 +1,88 @@
-"""Vectorized expected utility and marginal utility.
+"""Every curve formula, written once, and the utilities built from them.
 
-``utility_grid`` is the kernel of the brute-force oracle; ``marginal_utility_grid``
-is the function whose sign change the population root solver locates.  Curve
-families arrive as the integer codes of their ``kernel_code()``, so one
-vectorized expression covers every success and cost family.
+Each formula is a numpy function of an array of levels ``i`` for the family
+coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
+against ``i``, one per trader.  The scalar curve API evaluates them on
+one-element arrays, so it agrees bit for bit with the solver's columns
+(``marginal_utility_grid``) and the oracle's grids (``utility_grid``).  A cost
+or cost slope beyond the float64 range is +inf, and overflow never warns.
 """
 
 import numpy as np
 
-from infoload.curves import COST_POWER, COST_ZERO, SUCCESS_EXP_SATURATING
+# family codes: the first entry of a curve's kernel_code()
+SUCCESS_EXP_SATURATING = 0
+SUCCESS_HYPERBOLIC = 1
+COST_ZERO = 0
+COST_POWER = 1
+COST_EXP_GROWTH = 2
 
 # constant; perfbench/worker.py records it, perfbench/run.py and compare.py match on it
 BACKEND = "python"
 
 
+def success_value(i, code, param):
+    """Success probability: 1 - exp(-rate * i) or i / (i + half_saturation)."""
+    if code == SUCCESS_EXP_SATURATING:
+        return -np.expm1(-param * i)
+    return i / (i + param)
+
+
+def success_complement(i, code, param):
+    """1 - success probability, computed without cancellation; positive for finite i."""
+    if code == SUCCESS_EXP_SATURATING:
+        return np.exp(-param * i)
+    return param / (i + param)
+
+
+@np.errstate(over="ignore")
+def success_deriv(i, code, param):
+    """First derivative of the success probability."""
+    if code == SUCCESS_EXP_SATURATING:
+        return param * np.exp(-param * i)
+    return param / (i + param) ** 2
+
+
+@np.errstate(over="ignore")
+def cost_value(i, code, scale, param):
+    """Elaboration cost: 0, scale * i**exponent or scale * (exp(rate * i) - 1)."""
+    if code == COST_ZERO:
+        return np.zeros_like(i)
+    if code == COST_POWER:
+        return scale * np.power(i, param)
+    return scale * np.expm1(param * i)
+
+
+@np.errstate(over="ignore")
+def cost_deriv(i, code, scale, param):
+    """First derivative of the elaboration cost."""
+    if code == COST_ZERO:
+        return np.zeros_like(i)
+    if code == COST_POWER:
+        return scale * param * np.power(i, param - 1.0)
+    return scale * param * np.exp(param * i)
+
+
+def expected_return(lam, gain, loss):
+    """Expected dollar return of the two-outcome bet at success probability lam."""
+    return lam * gain - (1.0 - lam) * loss
+
+
 def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """Expected utility at every grid point for one trader.
-
-    A cost beyond the float64 range is +inf, so the utility there is -inf,
-    exactly where the scalar ``expected_utility`` gives -inf.
-    """
+    """Expected utility at every grid point; -inf where the cost is +inf."""
     i = np.asarray(grid, dtype=np.float64)
-    if s_code == SUCCESS_EXP_SATURATING:
-        lam = -np.expm1(-s_param * i)
-    else:
-        lam = i / (i + s_param)
-    with np.errstate(over="ignore"):
-        if c_code == COST_ZERO:
-            cost = 0.0
-        elif c_code == COST_POWER:
-            cost = c_scale * np.power(i, c_param)
-        else:
-            cost = c_scale * np.expm1(c_param * i)
-    return lam * gain - (1.0 - lam) * loss - cost
+    lam = success_value(i, s_code, s_param)
+    cost = cost_value(i, c_code, c_scale, c_param)
+    return expected_return(lam, gain, loss) - cost
 
 
+@np.errstate(over="ignore")
 def marginal_utility_grid(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """d/di of expected utility, written as the scalar curves' ``deriv`` methods.
-
-    The parameters may be arrays that broadcast against ``i``, one entry per
-    trader.  A cost derivative beyond the float64 range is +inf, so the
-    marginal utility there is -inf, as in the scalar ``marginal_utility``.
-    """
+    """d/di of expected utility; -inf where the cost derivative is +inf."""
     i = np.asarray(i, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        if s_code == SUCCESS_EXP_SATURATING:
-            lam_d = s_param * np.exp(-s_param * i)
-        else:
-            lam_d = s_param / (i + s_param) ** 2
-        if c_code == COST_ZERO:
-            cost_d = 0.0
-        elif c_code == COST_POWER:
-            cost_d = c_scale * c_param * np.power(i, c_param - 1.0)
-        else:
-            cost_d = c_scale * c_param * np.exp(c_param * i)
-        return lam_d * (gain + loss) - cost_d
+    lam_d = success_deriv(i, s_code, s_param)
+    cost_d = cost_deriv(i, c_code, c_scale, c_param)
+    return lam_d * (gain + loss) - cost_d
 
 
 # an alias, kept because perfbench/workloads.py checks utility_grid against it

@@ -237,6 +237,22 @@ class TestSolveRoots:
         assert (solve_roots(population).view(np.int64).tolist()
                 == solve_roots(list(population)).view(np.int64).tolist())
 
+    def test_scalar_api_agrees_with_the_solver_bitwise(self, rng):
+        # the scalar marginal_utility must confirm every root the solver found,
+        # and expected_utility must be the grid kernel's value at that point
+        traders = [random_trader(rng, rng.choice(["power", "exp_growth"])) for _ in range(2000)]
+        checked = 0
+        for trader, root in zip(traders, solve_roots(traders).tolist()):
+            if not 0.0 < root < math.inf:
+                continue
+            above = math.nextafter(root, math.inf)
+            assert marginal_utility(trader, root) > 0.0 >= marginal_utility(trader, above), (
+                trader, root)
+            for i in (root, above, 2.0 * root):
+                assert expected_utility(trader, i) == utility_on_grid(trader, [i])[0], (trader, i)
+            checked += 1
+        assert checked > 1900
+
 
 class TestOptimizeInformation:
     def test_zero_cost_corner(self, rng):

@@ -123,6 +123,14 @@ class TestSubcommands:
         assert main(["market", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert (tmp_path / "o" / "error.json").is_file()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_through_a_file_is_a_usage_error(self, tmp_path, capsys, out):
+        path = write_config(tmp_path, {"population": {"n_agents": 5}})
+        (tmp_path / "afile").write_text("keep")
+        assert main(["market", "--config", str(path), "--out", str(tmp_path / out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / out}: ")
+        assert (tmp_path / "afile").read_text() == "keep"
+
     def test_figure3_reference_trader(self, tmp_path):
         path = write_config(tmp_path, REFERENCE_CONFIG)
         out = tmp_path / "out"
@@ -243,6 +251,15 @@ class TestSweepErrors:
         code, message = self._run(tmp_path, None, subcommand, config)
         assert code == EXIT_CONFIG
         assert message.startswith(field + ":")
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == EXIT_CONFIG
+        assert record["error"].startswith("<parse>:")
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
         solve = infoload.market.solve_roots

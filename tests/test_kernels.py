@@ -1,7 +1,9 @@
+import sys
+
+import mpmath
 import numpy as np
 
-from infoload import (ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader,
-                      expected_utility, kernels, marginal_utility)
+from infoload import ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader, ZeroCost, kernels
 from infoload.agent import utility_on_grid
 
 from conftest import random_trader
@@ -13,18 +15,91 @@ EDGE_GRIDS = (
     (PowerCost(1.0, 3.0), [0.0, 1e100, 1e103, 1e300]),
 )
 
+FLOAT_MAX = mpmath.mpf(sys.float_info.max)
 
-def test_kernel_matches_scalar_path(rng):
+
+def _success_terms(success, i):
+    """(lambda, lambda') at i, in mpmath."""
+    if isinstance(success, ExpSaturating):
+        r = mpmath.mpf(success.rate)
+        return -mpmath.expm1(-r * i), r * mpmath.exp(-r * i)
+    k = mpmath.mpf(success.half_saturation)
+    return i / (i + k), k / (i + k) ** 2
+
+
+def _cost_terms(cost, i):
+    """(xi, xi') at i in mpmath, each None where the float64 kernel must overflow.
+
+    The kernel overflows where expm1(rate * i), exp(rate * i) or the power of i
+    lies beyond the float64 range; the constant factors are applied after.
+    """
+    if isinstance(cost, ZeroCost):
+        return mpmath.mpf(0), mpmath.mpf(0)
+    s = mpmath.mpf(cost.scale)
+    if isinstance(cost, PowerCost):
+        e = mpmath.mpf(cost.exponent)
+        value, deriv = i**e, i ** (e - 1)
+    else:
+        e = mpmath.mpf(cost.rate)
+        value, deriv = mpmath.expm1(e * i), mpmath.exp(e * i)
+    return (None if value > FLOAT_MAX else s * value,
+            None if deriv > FLOAT_MAX else s * e * deriv)
+
+
+def _reference(trader, i):
+    """(utility, its term sum, marginal utility, its term sum) at float i, in mpmath."""
+    i = mpmath.mpf(float(i))
+    gain, loss = mpmath.mpf(trader.gain), mpmath.mpf(trader.loss)
+    lam, lam_d = _success_terms(trader.success, i)
+    cost, cost_d = _cost_terms(trader.cost, i)
+    util = terms = marginal = marginal_terms = None
+    if cost is not None:
+        util = lam * gain - (1 - lam) * loss - cost
+        terms = abs(lam * gain) + abs((1 - lam) * loss) + abs(cost)
+    if cost_d is not None:
+        marginal = lam_d * (gain + loss) - cost_d
+        marginal_terms = abs(lam_d * (gain + loss)) + abs(cost_d)
+    return util, terms, marginal, marginal_terms
+
+
+def _assert_near(value, reference, terms, where):
+    if reference is None:  # the float64 cost overflows
+        assert value == -np.inf, where
+    else:
+        assert abs(mpmath.mpf(float(value)) - reference) <= 1e-13 * terms, where
+
+
+@mpmath.workprec(200)
+def test_kernel_matches_mpmath_oracle(rng):
     cases = [(random_trader(rng), np.linspace(0.0, rng.uniform(1.0, 30.0), 101))
              for _ in range(50)]
     cases += [(Trader(1.0, 1.0, success, cost), np.array(grid))
               for cost, grid in EDGE_GRIDS
               for success in (ExpSaturating(1.0), Hyperbolic(1.0))]
+    n_overflow = 0
     for trader, grid in cases:
+        util = utility_on_grid(trader, grid)
         marginal = kernels.marginal_utility_grid(grid, *trader.success.kernel_code(),
                                                  *trader.cost.kernel_code(),
                                                  trader.gain, trader.loss)
-        for vectorized, scalar_path in ((utility_on_grid(trader, grid), expected_utility),
-                                        (marginal, marginal_utility)):
-            scalar = np.array([scalar_path(trader, float(i)) for i in grid])
-            np.testing.assert_allclose(vectorized, scalar, rtol=1e-10, atol=1e-10)
+        for i, u, m in zip(grid, util, marginal):
+            ref_u, terms_u, ref_m, terms_m = _reference(trader, i)
+            _assert_near(u, ref_u, terms_u, (trader, i, "utility"))
+            _assert_near(m, ref_m, terms_m, (trader, i, "marginal utility"))
+            n_overflow += (ref_u is None) + (ref_m is None)
+    # per success family: xi and xi' at 354.9 and 1e6, xi at 1e103 and 1e300, xi' at 1e300
+    assert n_overflow == 14
+
+
+def test_curve_methods_equal_the_kernel_on_columns(rng):
+    # a hyperbolic slope at a 0-d level differs from the column in about 1 of 1,500
+    # points, so this many points tell a one-element evaluation from a 0-d one
+    for _ in range(400):
+        trader = random_trader(rng)
+        levels = rng.uniform(0.0, 20.0, 100)
+        for family, curve, names in (("success", trader.success, ("value", "complement", "deriv")),
+                                     ("cost", trader.cost, ("value", "deriv"))):
+            for name in names:
+                column = getattr(kernels, f"{family}_{name}")(levels, *curve.kernel_code())
+                scalar = [getattr(curve, name)(i) for i in levels.tolist()]
+                assert np.array_equal(scalar, column), (curve, name)
