@@ -3,18 +3,18 @@
 Usage: infoload <subcommand> --config <path> --out <dir> [--seed <u64>]
 
 Subcommands: agent, market, conjectures, figure3, sweep, returns.
-Exit codes: 0 success, 2 config error, 3 numeric failure,
+Exit codes: 0 success, 2 config error, 3 numeric or internal failure,
 4 conjecture-check failure, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import datetime
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +27,8 @@ from infoload.agent import Population, Regime, Trader, grid_oracle
 from infoload.curves import ExpSaturating, PowerCost
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 from infoload.market import (
+    COST_PARAMS,
+    SUCCESS_PARAMS,
     MarketConfig,
     PopulationSpec,
     ReturnModel,
@@ -37,7 +39,7 @@ from infoload.market import (
     sample_population,
     simulate_muthian_returns,
 )
-from infoload.sweep import sweep_2d, sweep_imax, utility_curve
+from infoload.sweep import check_grid, sweep_2d, sweep_imax, utility_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,35 +51,9 @@ SUBCOMMANDS = ("agent", "market", "conjectures", "figure3", "sweep", "returns")
 
 AGENT_ORACLE_STEP = 1e-3
 
-_CURVE_PARAM_NAMES = {
-    "exp_saturating": ("rate",),
-    "hyperbolic": ("half_saturation",),
-    "power": ("scale", "exponent"),
-    "exp_growth": ("scale", "rate"),
-    "zero": (),
-}
-
-DEFAULT_CONFIG = {
-    "population": {
-        "n_agents": 100,
-        "gain": 1.0,
-        "loss": 1.0,
-        "success": {"family": "exp_saturating", "params": {"rate": 1.0}},
-        "cost": {"family": "power", "params": {"scale": [0.01, 1.0], "exponent": 2.0}},
-        "master_seed": 0,
-    },
-    "market": {"i_max": 2.0, "theta": 0.5, "participation_rule": False},
-    "sweep": {
-        "i_max_grid": {"kind": "geometric", "start": 0.0625, "stop": 16.0, "num": 33},
-        "cost_multiplier_grid": None,
-        "n_points": 501,
-    },
-    "returns": {"r_of": 0.05, "noise_sd": 0.2, "n_draws": 10000},
-}
-
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: one parser per dotted field path, in the FIELDS table
 
 
 def _is_integer(value) -> bool:
@@ -89,63 +65,102 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or (_is_integer(value) and abs(value) <= sys.float_info.max)
 
 
-def _as_interval(field: str, value) -> tuple:
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _number(kind: type, minimum: float = -math.inf):
+    """Parser of an ``int``, or of a finite number as a ``float``, at least ``minimum``."""
+    valid, rule = (_is_integer, "an integer") if kind is int else (_is_finite, "a finite number")
+    rule += f" >= {minimum}" if minimum > -math.inf else ""
+
+    def parse(field: str, value):
+        if not (valid(value) and value >= minimum):
+            raise ConfigError(field, f"must be {rule}, got {reprlib.repr(value)}")
+        return kind(value)
+    return parse
+
+
+def _flag(field: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(field, f"must be true or false, got {reprlib.repr(value)}")
+    return value
+
+
+def _interval(field: str, value) -> tuple:
     if _is_number(value):
         return (float(value), float(value))
     if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return (float(value[0]), float(value[1]))
-    raise ConfigError(field, f"expected a number or [lo, hi] pair, got {value!r}")
+    raise ConfigError(field, f"expected a number or [lo, hi] pair, got {reprlib.repr(value)}")
 
 
-def _merge_section(path: str, defaults: dict, given) -> dict:
-    if not isinstance(given, dict):
-        raise ConfigError(path, f"expected an object, got {given!r}")
-    merged = copy.deepcopy(defaults)
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-        if isinstance(defaults[key], dict) and isinstance(value, dict) and key != "params":
-            merged[key] = _merge_section(f"{path}.{key}", defaults[key], value)
-        else:
-            merged[key] = value
-    return merged
+def _curve(families: dict):
+    """Parser of a ``{family, params}`` record into the family name and the
+    intervals of its params, in the order ``families[family]`` names them."""
+
+    def parse(field: str, record) -> tuple:
+        if not (isinstance(record, dict) and set(record) == {"family", "params"}):
+            raise ConfigError(field, "expected a record {family, params}, got "
+                              + reprlib.repr(record))
+        family, params = record["family"], record["params"] or {}  # null or [] too: no params
+        if not (isinstance(family, str) and family in families):
+            raise ConfigError(f"{field}.family",
+                              f"must be one of {sorted(families)}, got {reprlib.repr(family)}")
+        names = families[family]
+        if not (isinstance(params, dict) and set(params) == set(names)):
+            raise ConfigError(f"{field}.params",
+                              f"family {family!r} requires exactly {list(names)}")
+        return family, tuple(_interval(f"{field}.params.{name}", params[name]) for name in names)
+    return parse
 
 
-def _parse_curve(path: str, record: dict, allowed_families) -> tuple:
-    if not isinstance(record, dict) or set(record) - {"family", "params"}:
-        raise ConfigError(path, "expected a record {family, params}")
-    family = record.get("family")
-    if family not in allowed_families:
-        raise ConfigError(f"{path}.family", f"must be one of {sorted(allowed_families)}, got {family!r}")
-    names = _CURVE_PARAM_NAMES[family]
-    params = record.get("params", {})
-    if set(params) != set(names):
-        raise ConfigError(f"{path}.params", f"family {family!r} requires exactly {list(names)}")
-    return family, {n: _as_interval(f"{path}.params.{n}", params[n]) for n in names}
-
-
-def _parse_grid(field: str, value) -> List[float]:
+def _grid(field: str, value) -> List[float]:
     if isinstance(value, list) and all(map(_is_number, value)):
-        grid = [float(v) for v in value]
-    elif isinstance(value, dict):
-        if set(value) != {"kind", "start", "stop", "num"}:
-            raise ConfigError(field, "grid record requires exactly {kind, start, stop, num}")
-        kind, start, stop, num = (value[k] for k in ("kind", "start", "stop", "num"))
-        if kind not in ("geometric", "linear"):
-            raise ConfigError(f"{field}.kind", f"must be 'geometric' or 'linear', got {kind!r}")
-        if not (all(map(_is_number, (start, stop, num))) and num >= 1 and float(num).is_integer()):
-            raise ConfigError(field, f"start and stop must be numbers, num a positive integer: {value!r}")
-        if kind == "geometric" and not (start > 0 and stop > 0):
-            raise ConfigError(field, "a geometric grid needs positive start and stop")
-        spacing = np.geomspace if kind == "geometric" else np.linspace
-        grid = list(spacing(start, stop, int(num)))
-    else:
-        raise ConfigError(field, f"expected a list of numbers or a grid record, got {value!r}")
-    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(field, "grid must be non-empty and strictly increasing")
-    if not all(math.isfinite(v) and v > 0 for v in grid):
-        raise ConfigError(field, "grid values must be positive finite reals")
-    return grid
+        return check_grid(field, [float(v) for v in value])
+    if not (isinstance(value, dict) and set(value) == {"kind", "start", "stop", "num"}):
+        raise ConfigError(field, "expected a list of numbers or a grid record "
+                          f"{{kind, start, stop, num}}, got {reprlib.repr(value)}")
+    kind, start, stop, num = (value[k] for k in ("kind", "start", "stop", "num"))
+    if kind not in ("geometric", "linear"):
+        raise ConfigError(f"{field}.kind",
+                          f"must be 'geometric' or 'linear', got {reprlib.repr(kind)}")
+    if not (_is_finite(start) and _is_finite(stop) and _is_number(num) and num >= 1
+            and float(num).is_integer()):
+        raise ConfigError(field, "start and stop must be finite numbers, num a positive "
+                          f"integer: {reprlib.repr(value)}")
+    if kind == "geometric" and not (start > 0 and stop > 0):
+        raise ConfigError(field, "a geometric grid needs positive start and stop")
+    spacing = np.geomspace if kind == "geometric" else np.linspace
+    return check_grid(field, list(spacing(float(start), float(stop), int(num))))
+
+
+def _optional(parse):
+    return lambda field, value: None if value is None else parse(field, value)
+
+
+# Every config field: its default and the parser that checks and converts it.
+# Ranges that PopulationSpec, MarketConfig or ReturnModel check under the field's
+# name are left to them.
+FIELDS = {
+    "population.n_agents": (100, _number(int)),
+    "population.gain": (1.0, _interval),
+    "population.loss": (1.0, _interval),
+    "population.success": ({"family": "exp_saturating", "params": {"rate": 1.0}},
+                           _curve(SUCCESS_PARAMS)),
+    "population.cost": ({"family": "power", "params": {"scale": [0.01, 1.0], "exponent": 2.0}},
+                        _curve(COST_PARAMS)),
+    "population.master_seed": (0, _number(int)),
+    "market.i_max": (2.0, _number(float)),
+    "market.theta": (0.5, _number(float)),
+    "market.participation_rule": (False, _flag),
+    "sweep.i_max_grid": ({"kind": "geometric", "start": 0.0625, "stop": 16.0, "num": 33}, _grid),
+    "sweep.cost_multiplier_grid": (None, _optional(_grid)),
+    "sweep.n_points": (501, _number(int, 2)),
+    "returns.r_of": (0.05, _number(float)),
+    "returns.noise_sd": (0.2, _number(float, 0)),
+    "returns.n_draws": (10000, _number(int, 1)),
+}
 
 
 @dataclass
@@ -160,81 +175,53 @@ class Settings:
     config_sha256: str
 
 
-def _build_settings(raw: dict, config_bytes: bytes, seed_override: Optional[int]) -> Settings:
+def _build_settings(raw, config_bytes: bytes, seed_override: Optional[int]) -> Settings:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
-    unknown = set(raw) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown section")
-    merged = {
-        name: _merge_section(name, DEFAULT_CONFIG[name], raw.get(name, {}))
-        for name in DEFAULT_CONFIG
-    }
+    given = {}
+    for name, section in raw.items():
+        if not any(path.startswith(f"{name}.") for path in FIELDS):
+            raise ConfigError(name, "unknown section")
+        if not isinstance(section, dict):
+            raise ConfigError(name, f"expected an object, got {reprlib.repr(section)}")
+        for key, value in section.items():
+            if f"{name}.{key}" not in FIELDS:
+                raise ConfigError(f"{name}.{key}", "unknown key")
+            given[f"{name}.{key}"] = value
+    if seed_override is not None:
+        given["population.master_seed"] = seed_override
+    v = {}
+    for path, (default, parse) in FIELDS.items():
+        value = given.get(path, default)
+        if isinstance(default, dict) and isinstance(value, dict):
+            # a partial record is merged over its default, but a curve record that
+            # names another family takes none of the default family's params
+            if value.get("family", default.get("family")) != default.get("family"):
+                default = {**default, "params": {}}
+            value = {**default, **value}
+        v[path] = parse(path, value)
 
-    pop = merged["population"]
-    s_family, s_params = _parse_curve("population.success", pop["success"],
-                                     ("exp_saturating", "hyperbolic"))
-    c_family, c_params = _parse_curve("population.cost", pop["cost"],
-                                     ("power", "exp_growth", "zero"))
-    if c_family == "power":
-        scale, shape = c_params["scale"], c_params["exponent"]
-    elif c_family == "exp_growth":
-        scale, shape = c_params["scale"], c_params["rate"]
-    else:
-        scale, shape = (1.0, 1.0), (2.0, 2.0)
-    if c_family == "power" and shape[0] <= 1.0:
-        raise ConfigError("population.cost.params.exponent",
-                          "must exceed 1 (cost must be convex)")
-    if not _is_integer(pop["n_agents"]):
-        raise ConfigError("population.n_agents", "must be an integer")
-    seed = seed_override if seed_override is not None else pop["master_seed"]
-    if not _is_integer(seed):
-        raise ConfigError("population.master_seed", "must be an integer")
-
+    s_family, (s_param,) = v["population.success"]
+    c_family, c_params = v["population.cost"]
     spec = PopulationSpec(
-        n_agents=pop["n_agents"],
-        gain=_as_interval("population.gain", pop["gain"]),
-        loss=_as_interval("population.loss", pop["loss"]),
+        n_agents=v["population.n_agents"],
+        gain=v["population.gain"],
+        loss=v["population.loss"],
         success_family=s_family,
-        success_param=next(iter(s_params.values())),
+        success_param=s_param,
         cost_family=c_family,
-        cost_scale=scale,
-        cost_shape=shape,
-        master_seed=seed,
+        **dict(zip(("cost_scale", "cost_shape"), c_params)),
+        master_seed=v["population.master_seed"],
     )
-
-    mkt = merged["market"]
-    for key, valid in (("i_max", _is_number), ("theta", _is_number),
-                       ("participation_rule", lambda v: isinstance(v, bool))):
-        if not valid(mkt[key]):
-            raise ConfigError(f"market.{key}", f"bad type {type(mkt[key]).__name__}")
-    market = MarketConfig(i_max=float(mkt["i_max"]), theta=float(mkt["theta"]),
-                          participation_rule=mkt["participation_rule"])
-
-    swp = merged["sweep"]
-    if not _is_integer(swp["n_points"]) or swp["n_points"] < 2:
-        raise ConfigError("sweep.n_points", "must be an integer >= 2")
-    mult_grid = swp["cost_multiplier_grid"]
-    if mult_grid is not None:
-        mult_grid = _parse_grid("sweep.cost_multiplier_grid", mult_grid)
-
-    ret = merged["returns"]
-    for key in ("r_of", "noise_sd"):
-        if not (_is_number(ret[key]) and math.isfinite(ret[key])):
-            raise ConfigError(f"returns.{key}", f"must be a finite number, got {ret[key]!r}")
-    if ret["noise_sd"] < 0:
-        raise ConfigError("returns.noise_sd", "must be non-negative")
-    if not _is_integer(ret["n_draws"]) or ret["n_draws"] < 1:
-        raise ConfigError("returns.n_draws", "must be a positive integer")
-
     return Settings(
         population=spec,
-        market=market,
-        i_max_grid=_parse_grid("sweep.i_max_grid", swp["i_max_grid"]),
-        cost_multiplier_grid=mult_grid,
-        n_points=swp["n_points"],
-        return_model=ReturnModel(r_of=float(ret["r_of"]), noise_sd=float(ret["noise_sd"])),
-        n_draws=ret["n_draws"],
+        market=MarketConfig(i_max=v["market.i_max"], theta=v["market.theta"],
+                            participation_rule=v["market.participation_rule"]),
+        i_max_grid=v["sweep.i_max_grid"],
+        cost_multiplier_grid=v["sweep.cost_multiplier_grid"],
+        n_points=v["sweep.n_points"],
+        return_model=ReturnModel(r_of=v["returns.r_of"], noise_sd=v["returns.noise_sd"]),
+        n_draws=v["returns.n_draws"],
         config_sha256=hashlib.sha256(config_bytes).hexdigest(),
     )
 
@@ -442,11 +429,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_error(out_dir: Optional[Path], code: int, message: str) -> None:
+def _write_error(out_dir: Optional[Path], code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     if out_dir is not None and out_dir.is_dir():
         record = {"exit_code": code, "error": message}
         (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -468,28 +456,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
-        _write_error(None, EXIT_USAGE, f"--out {args.out}: {exc.strerror or exc}")
-        return EXIT_USAGE
+        return _write_error(None, EXIT_USAGE, f"--out {args.out}: {exc.strerror or exc}")
     try:
         settings = parse_config(args.config, seed_override=args.seed)
-    except (ConfigError, FileNotFoundError) as exc:
-        _write_error(out_dir, EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-
-    try:
         outputs = _DISPATCH[args.subcommand](settings, out_dir)
+        write_manifest(out_dir, args.subcommand, settings, outputs)
     except _ConjectureFailure as exc:
         write_manifest(out_dir, args.subcommand, settings, exc.outputs)
-        _write_error(out_dir, EXIT_CONJECTURE, str(exc))
-        return EXIT_CONJECTURE
-    except (NumericRangeError, ArithmeticError) as exc:
-        _write_error(out_dir, EXIT_NUMERIC, str(exc))
-        return EXIT_NUMERIC
-    except (ConfigError, PreconditionError) as exc:
-        _write_error(out_dir, EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-
-    write_manifest(out_dir, args.subcommand, settings, outputs)
+        return _write_error(out_dir, EXIT_CONJECTURE, str(exc))
+    except (ConfigError, FileNotFoundError, PreconditionError) as exc:
+        return _write_error(out_dir, EXIT_CONFIG, str(exc))
+    except Exception as exc:  # a numeric or internal failure ends with a record, not a traceback
+        return _write_error(out_dir, EXIT_NUMERIC, f"{type(exc).__name__}: {exc}")
     return EXIT_OK
 
 

@@ -44,14 +44,17 @@ MAX_AGENTS = 2**32
 
 SUCCESS_CODES = {"exp_saturating": SUCCESS_EXP_SATURATING, "hyperbolic": SUCCESS_HYPERBOLIC}
 COST_CODES = {"power": COST_POWER, "exp_growth": COST_EXP_GROWTH, "zero": COST_ZERO}
+# each family's param names in the config, in PopulationSpec order (a cost's scale, then shape)
+SUCCESS_PARAMS = {"exp_saturating": ("rate",), "hyperbolic": ("half_saturation",)}
+COST_PARAMS = {"power": ("scale", "exponent"), "exp_growth": ("scale", "rate"), "zero": ()}
 
 
-def _check_interval(name: str, iv: Interval, lower_bound: float = 0.0) -> None:
+def _check_interval(name: str, iv: Interval) -> None:
     lo, hi = iv
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ConfigError(name, f"degenerate or non-finite interval {iv!r}")
-    if lo <= lower_bound:
-        raise ConfigError(name, f"lower bound must exceed {lower_bound}, got {lo}")
+    if lo <= 0:
+        raise ConfigError(name, f"lower bound must be positive, got {lo}")
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,15 @@ class PopulationSpec:
                               f"upper bounds {self.gain[1]} + {self.loss[1]}")
         if self.success_family not in SUCCESS_CODES:
             raise ConfigError("population.success.family", f"unknown family {self.success_family!r}")
-        _check_interval("population.success.param", self.success_param)
+        (name,) = SUCCESS_PARAMS[self.success_family]
+        _check_interval(f"population.success.params.{name}", self.success_param)
         if self.cost_family not in COST_CODES:
             raise ConfigError("population.cost.family", f"unknown family {self.cost_family!r}")
-        if self.cost_family != "zero":
-            _check_interval("population.cost.scale", self.cost_scale)
-            lower = 1.0 if self.cost_family == "power" else 0.0
-            _check_interval("population.cost.shape", self.cost_shape, lower_bound=lower)
+        for name, iv in zip(COST_PARAMS[self.cost_family], (self.cost_scale, self.cost_shape)):
+            _check_interval(f"population.cost.params.{name}", iv)
+        if self.cost_family == "power" and self.cost_shape[0] <= 1.0:
+            raise ConfigError("population.cost.params.exponent", "lower bound must exceed 1 "
+                              f"(cost must be convex), got {self.cost_shape[0]}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("population.master_seed", "must be a 64-bit unsigned integer")
 

@@ -68,12 +68,15 @@ def utility_curve(trader: Trader, i_max: float, n_points: int) -> UtilityCurve:
                         argmax_index=int(np.argmax(util)))
 
 
-def _check_sweep(grid: List[float], theta: float) -> None:
+def check_grid(field: str, values: Sequence[float]) -> List[float]:
+    """Return ``values`` as a list; raise a config error naming ``field`` unless
+    they are non-empty, strictly increasing, positive and finite."""
+    grid = list(values)
     if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("sweep.i_max_grid", "grid must be non-empty and strictly increasing")
-    if not all(math.isfinite(i_max) and i_max > 0 for i_max in grid):
-        raise ConfigError("sweep.i_max_grid", "ceilings must be positive finite reals")
-    check_theta(theta)
+        raise ConfigError(field, "grid must be non-empty and strictly increasing")
+    if not all(math.isfinite(v) and v > 0 for v in grid):
+        raise ConfigError(field, "grid values must be positive finite reals")
+    return grid
 
 
 def _series(grid: List[float], fractions: Sequence[float], theta: float) -> PhaseSeries:
@@ -89,8 +92,8 @@ def _series(grid: List[float], fractions: Sequence[float], theta: float) -> Phas
 def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
                theta: float) -> PhaseSeries:
     """Fraction informed and efficiency verdict at every ceiling, and the boundary."""
-    grid = list(i_max_grid)
-    _check_sweep(grid, theta)
+    grid = check_grid("sweep.i_max_grid", i_max_grid)
+    check_theta(theta)
     return _series(grid, informed_fractions(traders, grid), theta)
 
 
@@ -116,13 +119,9 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     Row r is ``sweep_imax`` of the traders with every cost scale times
     ``multipliers[r]``; all rows' roots come from one solve on scaled columns.
     """
-    mults = list(multipliers)
-    if len(mults) == 0 or any(b <= a for a, b in zip(mults, mults[1:])):
-        raise ConfigError("sweep.cost_multiplier_grid", "must be non-empty and strictly increasing")
-    if not all(math.isfinite(m) and m > 0 for m in mults):
-        raise ConfigError("sweep.cost_multiplier_grid", "multipliers must be positive finite reals")
-    grid = list(i_max_grid)
-    _check_sweep(grid, theta)
+    mults = check_grid("sweep.cost_multiplier_grid", multipliers)
+    grid = check_grid("sweep.i_max_grid", i_max_grid)
+    check_theta(theta)
 
     rows = [_series(grid, _fractions_at(roots, grid), theta)
             for roots in _solve_scaled(Population.from_traders(traders), mults)]

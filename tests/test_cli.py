@@ -1,14 +1,19 @@
+import copy
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoload.market
 import infoload.sweep
@@ -18,6 +23,7 @@ from infoload.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    FIELDS,
     main,
     parse_config,
 )
@@ -95,6 +101,17 @@ class TestParseConfig:
                                           "params": {"rate": 1.0}}}}
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, cfg))
+
+    def test_other_cost_family_takes_no_default_params(self, tmp_path):
+        def cost(record):
+            return parse_config(write_config(tmp_path, {"population": {"cost": record}}))
+
+        assert cost({"family": "zero"}).population.cost_family == "zero"
+        assert cost({"family": "zero", "params": []}).population.cost_family == "zero"
+        assert cost({"family": "power"}).population.cost_scale == (0.01, 1.0)
+        with pytest.raises(ConfigError) as exc:
+            cost({"family": "exp_growth"})
+        assert exc.value.field == "population.cost.params"
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, REFERENCE_CONFIG)
@@ -246,6 +263,19 @@ class TestSweepErrors:
         ("market", {"sweep": {"i_max_grid": {"kind": "linear", "start": 0, "stop": 1,
                                              "num": 3}}}, "sweep.i_max_grid"),
         ("market", {"population": {"gain": 1e308, "loss": 1e308}}, "population.loss"),
+        ("market", {"population": {"success": {"family": "exp_saturating",
+                                               "params": {"rate": -1}}}},
+         "population.success.params.rate"),
+        ("market", {"population": {"success": {"family": "hyperbolic",
+                                               "params": {"half_saturation": 0}}}},
+         "population.success.params.half_saturation"),
+        ("market", {"population": {"cost": {"family": "power",
+                                            "params": {"scale": -1, "exponent": 2.0}}}},
+         "population.cost.params.scale"),
+        ("market", {"population": {"cost": {"family": "exp_growth",
+                                            "params": {"scale": 1.0, "rate": [2, 1]}}}},
+         "population.cost.params.rate"),
+        ("market", {"population": {"cost": {"family": ["power"]}}}, "population.cost.family"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, subcommand, config, field):
         code, message = self._run(tmp_path, None, subcommand, config)
@@ -260,6 +290,22 @@ class TestSweepErrors:
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == EXIT_CONFIG
         assert record["error"].startswith("<parse>:")
+
+    def test_error_text_is_bounded(self, tmp_path):
+        gain = 1.0
+        for _ in range(500):
+            gain = [gain]
+        code, message = self._run(tmp_path, None, "market", {"population": {"gain": gain}})
+        assert code == EXIT_CONFIG
+        assert message.startswith("population.gain:")
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("num,exception", [(2**58, "MemoryError"), (1e308, "ValueError")])
+    def test_grid_too_large_to_allocate_is_an_internal_failure(self, tmp_path, num, exception):
+        # both sizes fail at once: beyond the address space, or numpy's maximum size
+        code, message = self._run(tmp_path, {"i_max_grid": _geometric(num=num)})
+        assert code == EXIT_NUMERIC
+        assert message.split(":")[0].endswith(exception)
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
         solve = infoload.market.solve_roots
@@ -395,3 +441,60 @@ def test_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == EXIT_OK, result.stderr
     assert len(read_csv(tmp_path / "out" / "market.csv")) == 20
+
+
+@pytest.mark.parametrize("path", sorted(FIELDS))
+@pytest.mark.parametrize("value", ["x", {"x": 1}])
+def test_wrong_type_names_its_field(tmp_path, path, value):
+    section, key = path.split(".")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, {section: {key: value}}))
+    assert exc.value.field.startswith(path)
+
+
+def test_readme_config_table_lists_every_field_and_default():
+    readme = (REPO / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| [^|]* \| `([^`]*)` \|", readme, re.MULTILINE)
+    assert len(rows) == len(FIELDS)
+    assert {path: json.loads(default) for path, default in rows} == \
+        {path: default for path, (default, _) in FIELDS.items()}
+
+
+REFERENCE_JSON = json.loads((REPO / "configs" / "reference.json").read_text())
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# no valid size in the pool exceeds 10**4, so no example allocates more than a few MB
+FUZZ_VALUES = [-1, 0, 1, 2.5, True, "x", None, [], {}, math.nan, math.inf, 10**400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(list(_key_paths(REFERENCE_JSON))),
+       mutation=st.sampled_from(["replace", "delete", "add unknown key", "nest"]),
+       value=st.sampled_from(FUZZ_VALUES))
+def test_mutated_reference_config_ends_with_a_documented_exit(path, mutation, value):
+    config = copy.deepcopy(REFERENCE_JSON)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    if mutation == "replace":
+        node[path[-1]] = value
+    elif mutation == "delete":
+        del node[path[-1]]
+    elif mutation == "add unknown key":
+        node["unknown"] = value
+    else:
+        node[path[-1]] = [node[path[-1]]]
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config_path.write_text(json.dumps(config))
+        code = main(["market", "--config", str(config_path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CONJECTURE, EXIT_USAGE)
+        if code in (EXIT_CONFIG, EXIT_NUMERIC):
+            assert json.loads((out / "error.json").read_text())["exit_code"] == code
