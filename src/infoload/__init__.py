@@ -3,6 +3,8 @@
 __version__ = "0.1.0"
 
 from infoload.curves import (
+    COST_FAMILIES,
+    SUCCESS_FAMILIES,
     CostCurve,
     CurveValidationReport,
     ExpGrowthCost,
@@ -11,10 +13,7 @@ from infoload.curves import (
     PowerCost,
     SuccessCurve,
     ZeroCost,
-    eval_cost,
-    eval_cost_deriv,
-    eval_success,
-    eval_success_deriv,
+    params_of,
     validate_curves,
 )
 from infoload.agent import (
@@ -22,7 +21,6 @@ from infoload.agent import (
     Population,
     Regime,
     Trader,
-    UnconstrainedOptimum,
     expected_return,
     expected_utility,
     grid_oracle,

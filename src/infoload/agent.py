@@ -6,11 +6,13 @@ utility ``g(i) = lambda'(i) * (W + L) - xi'(i)`` is strictly decreasing for any
 non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, by bracket doubling and bisection on
-numpy arrays down to adjacent floats.  A ``Population`` holds many traders as
-float64 columns; the solver, ``constrain`` and ``Population.utility`` read the
-columns directly, and a ``Trader`` sequence is turned into columns once.  A
-brute-force grid search over the same interval serves as an independent
-verifier.
+numpy arrays down to adjacent floats; ``unconstrained_optimum`` is one
+trader's root as a float.  A ``Population`` holds many traders as float64
+columns of kernel codes and parameters; the solver, ``constrain`` and
+``Population.utility`` read the columns directly, a ``Trader`` sequence is
+turned into columns once, and indexing rebuilds a trader's curves with
+``curves.from_kernel_code``.  A brute-force grid search over the same interval
+serves as an independent verifier.
 """
 
 from __future__ import annotations
@@ -25,18 +27,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from infoload import kernels
-from infoload.curves import (
-    COST_POWER,
-    COST_ZERO,
-    SUCCESS_EXP_SATURATING,
-    CostCurve,
-    ExpGrowthCost,
-    ExpSaturating,
-    Hyperbolic,
-    PowerCost,
-    SuccessCurve,
-    ZeroCost,
-)
+from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, SuccessCurve,
+                             from_kernel_code)
 from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
@@ -65,23 +57,14 @@ class Regime(str, enum.Enum):
     FULLY_INFORMED = "fully_informed"
 
 
-def _make_success(code: int, param: float) -> SuccessCurve:
-    return ExpSaturating(param) if code == SUCCESS_EXP_SATURATING else Hyperbolic(param)
-
-
-def _make_cost(code: int, scale: float, param: float) -> CostCurve:
-    if code == COST_ZERO:
-        return ZeroCost()
-    return (PowerCost if code == COST_POWER else ExpGrowthCost)(scale, param)
-
-
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):
     """Traders as columns: entry k of every array describes trader k.
 
     Codes and parameters are those of ``kernel_code()``, so a zero-cost
     trader has cost scale and cost param 0.0.  Indexing (and so iteration)
-    gives validated ``Trader``s with Python floats.  ``sample_population`` and
+    gives validated ``Trader``s with Python floats, their curves looked up in
+    the ``curves`` family registries.  ``sample_population`` and
     ``from_traders`` build populations from validated inputs.
     """
 
@@ -110,8 +93,8 @@ class Population(Sequence):
         k = range(len(self))[operator.index(k)]
         gain, loss, s_code, s_param, c_code, c_scale, c_param = (
             getattr(self, f.name)[k].item() for f in fields(self))
-        return Trader(gain, loss, _make_success(s_code, s_param),
-                      _make_cost(c_code, c_scale, c_param))
+        return Trader(gain, loss, from_kernel_code(SUCCESS_FAMILIES, s_code, s_param),
+                      from_kernel_code(COST_FAMILIES, c_code, c_scale, c_param))
 
     def families(self):
         """(success code, cost code, agent indices) of every curve-family pair present."""
@@ -130,18 +113,6 @@ class Population(Sequence):
                 self.cost_scale[agents], self.cost_param[agents],
                 self.gain[agents], self.loss[agents])
         return out
-
-
-@dataclass(frozen=True)
-class UnconstrainedOptimum:
-    """Root of the marginal utility; unbounded iff the cost curve is zero."""
-
-    unbounded: bool
-    i_value: Optional[float] = None
-
-    def as_float(self) -> float:
-        """Unbounded maps to +inf for order statistics and comparisons."""
-        return math.inf if self.unbounded else self.i_value
 
 
 @dataclass(frozen=True)
@@ -195,7 +166,7 @@ def _solve_scaled(population: Population, multipliers) -> np.ndarray:
     c_scale = np.multiply.outer(np.asarray(multipliers, dtype=np.float64), population.cost_scale)
     roots = np.full(c_scale.shape, math.inf)  # zero cost: g > 0 everywhere
     for s_code, c_code, agents in population.families():
-        if c_code == COST_ZERO:
+        if c_code == kernels.COST_ZERO:
             continue
         cols = [c.ravel() for c in np.broadcast_arrays(
             population.success_param[agents], c_scale[:, agents], population.cost_param[agents],
@@ -237,12 +208,9 @@ def _sign_change(g, agents: np.ndarray) -> np.ndarray:
     return lo.view(np.float64)
 
 
-def unconstrained_optimum(trader: Trader) -> UnconstrainedOptimum:
-    """One trader's root, by ``solve_roots``; unbounded for a zero cost curve."""
-    i_u = float(solve_roots([trader])[0])
-    if math.isinf(i_u):
-        return UnconstrainedOptimum(unbounded=True)
-    return UnconstrainedOptimum(unbounded=False, i_value=i_u)
+def unconstrained_optimum(trader: Trader) -> float:
+    """One trader's root ``i_u``, by ``solve_roots``: +inf for a zero cost curve."""
+    return solve_roots([trader]).item()
 
 
 def check_i_max(i_max: float) -> None:

@@ -16,7 +16,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -24,11 +24,9 @@ import numpy as np
 
 from infoload import __version__
 from infoload.agent import Population, Regime, Trader, grid_oracle
-from infoload.curves import ExpSaturating, PowerCost
+from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, ExpSaturating, PowerCost, params_of
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 from infoload.market import (
-    COST_PARAMS,
-    SUCCESS_PARAMS,
     MarketConfig,
     PopulationSpec,
     ReturnModel,
@@ -97,7 +95,7 @@ def _interval(field: str, value) -> tuple:
 
 def _curve(families: dict):
     """Parser of a ``{family, params}`` record into the family name and the
-    intervals of its params, in the order ``families[family]`` names them."""
+    intervals of its params, in the order of the family class's fields."""
 
     def parse(field: str, record) -> tuple:
         if not (isinstance(record, dict) and set(record) == {"family", "params"}):
@@ -107,7 +105,7 @@ def _curve(families: dict):
         if not (isinstance(family, str) and family in families):
             raise ConfigError(f"{field}.family",
                               f"must be one of {sorted(families)}, got {reprlib.repr(family)}")
-        names = families[family]
+        names = params_of(families[family])
         if not (isinstance(params, dict) and set(params) == set(names)):
             raise ConfigError(f"{field}.params",
                               f"family {family!r} requires exactly {list(names)}")
@@ -147,9 +145,9 @@ FIELDS = {
     "population.gain": (1.0, _interval),
     "population.loss": (1.0, _interval),
     "population.success": ({"family": "exp_saturating", "params": {"rate": 1.0}},
-                           _curve(SUCCESS_PARAMS)),
+                           _curve(SUCCESS_FAMILIES)),
     "population.cost": ({"family": "power", "params": {"scale": [0.01, 1.0], "exponent": 2.0}},
-                        _curve(COST_PARAMS)),
+                        _curve(COST_FAMILIES)),
     "population.master_seed": (0, _number(int)),
     "market.i_max": (2.0, _number(float)),
     "market.theta": (0.5, _number(float)),
@@ -175,18 +173,23 @@ class Settings:
     config_sha256: str
 
 
+def _name(text: str) -> str:
+    """An unknown section or key name as an error shows it: shortened past 40 characters."""
+    return text if len(text) <= 40 else reprlib.repr(text)
+
+
 def _build_settings(raw, config_bytes: bytes, seed_override: Optional[int]) -> Settings:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "top level must be a JSON object")
     given = {}
     for name, section in raw.items():
         if not any(path.startswith(f"{name}.") for path in FIELDS):
-            raise ConfigError(name, "unknown section")
+            raise ConfigError(_name(name), "unknown section")
         if not isinstance(section, dict):
             raise ConfigError(name, f"expected an object, got {reprlib.repr(section)}")
         for key, value in section.items():
             if f"{name}.{key}" not in FIELDS:
-                raise ConfigError(f"{name}.{key}", "unknown key")
+                raise ConfigError(f"{name}.{_name(key)}", "unknown key")
             given[f"{name}.{key}"] = value
     if seed_override is not None:
         given["population.master_seed"] = seed_override
@@ -371,7 +374,8 @@ class _ConjectureFailure(Exception):
 
 
 def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
-    trader = sample_population(settings.population)[0]
+    # agent 0 depends only on (master_seed, 0): draw it alone
+    trader = sample_population(replace(settings.population, n_agents=1))[0]
     curve = utility_curve(trader, settings.market.i_max, settings.n_points)
     return [write_csv(out_dir / "figure3.csv", ["i", "expected_utility"],
                       [curve.grid, curve.utilities])]

@@ -5,30 +5,47 @@ saturate at 1 only in the limit.  Cost curves are convex, strictly increasing
 and zero at the origin; the degenerate zero-cost curve encodes the costless
 ("Muthian") scenario and is the only family allowed to break strict convexity.
 
-The classes hold and validate parameters; the formulas live only in
-``kernels``.  A curve's ``value``, ``complement`` and ``deriv`` evaluate the
-kernel function of that name on a one-element array.
+This is the one module that knows the families.  Each class holds and
+validates its parameters and carries its ``kernels`` family code as ``code``;
+its dataclass fields, in order, are its parameters and their config names
+(``params_of``).  ``kernel_code()`` gives code and parameters to the formulas,
+which live only in ``kernels``, and ``from_kernel_code`` turns them back into
+a curve.  ``SUCCESS_FAMILIES`` and ``COST_FAMILIES`` map each config family
+name to its class: a new family is one formula branch in ``kernels``, one
+class here and one registry entry.  A curve's ``value``, ``complement`` and
+``deriv`` evaluate the kernel function of that name on a one-element array,
+at a level i that must be finite and non-negative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
 from infoload import kernels
 from infoload.errors import ParameterError
-from infoload.kernels import (COST_EXP_GROWTH, COST_POWER, COST_ZERO,  # family codes
-                              SUCCESS_EXP_SATURATING, SUCCESS_HYPERBOLIC)
 
 
 def _at_one_level(formula):
     """A method evaluating the kernel ``formula`` at one level i, with the curve's codes."""
     def method(self, i: float) -> float:
+        if not (math.isfinite(i) and i >= 0):
+            raise ParameterError(f"information level must be a finite non-negative real, got {i!r}")
         return formula(np.array([i], dtype=np.float64), *self.kernel_code()).item()
     return method
+
+
+def params_of(cls) -> tuple:
+    """A family's parameter names, in kernel and config order: its class's dataclass fields."""
+    return tuple(f.name for f in fields(cls))
+
+
+def _kernel_code(self) -> tuple:
+    """The family code, then the parameters in field order: the kernel formulas' arguments."""
+    return (self.code, *(getattr(self, name) for name in params_of(type(self))))
 
 
 # each class binds value and deriv in its own namespace (perfbench/tracer.py wraps them there)
@@ -46,21 +63,21 @@ def _require(cond: bool, msg: str) -> None:
 class ExpSaturating:
     """Success probability 1 - exp(-rate * i)."""
 
+    code: ClassVar[int] = kernels.SUCCESS_EXP_SATURATING
     rate: float
 
     def __post_init__(self):
         _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
 
     value, complement, deriv = _SUCCESS_METHODS
-
-    def kernel_code(self):
-        return SUCCESS_EXP_SATURATING, self.rate
+    kernel_code = _kernel_code
 
 
 @dataclass(frozen=True)
 class Hyperbolic:
     """Success probability i / (i + half_saturation)."""
 
+    code: ClassVar[int] = kernels.SUCCESS_HYPERBOLIC
     half_saturation: float
 
     def __post_init__(self):
@@ -70,15 +87,14 @@ class Hyperbolic:
         )
 
     value, complement, deriv = _SUCCESS_METHODS
-
-    def kernel_code(self):
-        return SUCCESS_HYPERBOLIC, self.half_saturation
+    kernel_code = _kernel_code
 
 
 @dataclass(frozen=True)
 class PowerCost:
     """Elaboration cost scale * i**exponent with exponent > 1."""
 
+    code: ClassVar[int] = kernels.COST_POWER
     scale: float
     exponent: float
 
@@ -90,9 +106,7 @@ class PowerCost:
         )
 
     value, deriv = _COST_METHODS
-
-    def kernel_code(self):
-        return COST_POWER, self.scale, self.exponent
+    kernel_code = _kernel_code
 
     def scaled(self, multiplier: float) -> "PowerCost":
         return PowerCost(self.scale * multiplier, self.exponent)
@@ -102,6 +116,7 @@ class PowerCost:
 class ExpGrowthCost:
     """Elaboration cost scale * (exp(rate * i) - 1)."""
 
+    code: ClassVar[int] = kernels.COST_EXP_GROWTH
     scale: float
     rate: float
 
@@ -110,9 +125,7 @@ class ExpGrowthCost:
         _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
 
     value, deriv = _COST_METHODS
-
-    def kernel_code(self):
-        return COST_EXP_GROWTH, self.scale, self.rate
+    kernel_code = _kernel_code
 
     def scaled(self, multiplier: float) -> "ExpGrowthCost":
         return ExpGrowthCost(self.scale * multiplier, self.rate)
@@ -122,10 +135,12 @@ class ExpGrowthCost:
 class ZeroCost:
     """Costless elaboration; the degenerate case that makes full information optimal."""
 
+    code: ClassVar[int] = kernels.COST_ZERO
+
     value, deriv = _COST_METHODS
 
     def kernel_code(self):
-        return COST_ZERO, 0.0, 0.0
+        return self.code, 0.0, 0.0  # the cost formulas take a scale and a param
 
     def scaled(self, multiplier: float) -> "ZeroCost":
         return self
@@ -134,31 +149,15 @@ class ZeroCost:
 SuccessCurve = Union[ExpSaturating, Hyperbolic]
 CostCurve = Union[PowerCost, ExpGrowthCost, ZeroCost]
 
-
-def eval_success(curve: SuccessCurve, i: float) -> float:
-    """Evaluate the success probability at information level i (in [0, 1))."""
-    return curve.value(_level(i))
-
-
-def eval_success_deriv(curve: SuccessCurve, i: float) -> float:
-    """Exact first derivative of the success probability."""
-    return curve.deriv(_level(i))
+# config family name -> class
+SUCCESS_FAMILIES = {"exp_saturating": ExpSaturating, "hyperbolic": Hyperbolic}
+COST_FAMILIES = {"power": PowerCost, "exp_growth": ExpGrowthCost, "zero": ZeroCost}
 
 
-def eval_cost(curve: CostCurve, i: float) -> float:
-    """Evaluate the elaboration cost at information level i."""
-    return curve.value(_level(i))
-
-
-def eval_cost_deriv(curve: CostCurve, i: float) -> float:
-    """Exact first derivative of the elaboration cost."""
-    return curve.deriv(_level(i))
-
-
-def _level(i: float) -> float:
-    if not (math.isfinite(i) and i >= 0):
-        raise ParameterError(f"information level must be a finite non-negative real, got {i!r}")
-    return i
+def from_kernel_code(families: dict, code: int, *params: float):
+    """The curve of ``families`` whose ``kernel_code()`` is ``(code, *params)``."""
+    cls = {cls.code: cls for cls in families.values()}[code]
+    return cls(*params[:len(params_of(cls))])
 
 
 @dataclass

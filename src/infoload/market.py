@@ -4,7 +4,9 @@ costless-information conjecture checks.
 Efficiency is structural: a market is efficient when the fraction of traders
 whose constrained optimum sits at the information ceiling reaches the
 threshold theta.  Heterogeneity enters through per-trader curve parameters,
-chiefly the cost scale.
+chiefly the cost scale.  A ``PopulationSpec`` names its curve families as the
+config does; their classes, codes and param names come from the
+``curves.SUCCESS_FAMILIES`` and ``curves.COST_FAMILIES`` registries.
 
 Agent k's parameters come from its own keyed substream,
 ``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``, so agent k depends
@@ -28,25 +30,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from infoload.agent import Population, Regime, Trader, constrain, solve_roots
-from infoload.curves import (
-    COST_EXP_GROWTH,
-    COST_POWER,
-    COST_ZERO,
-    SUCCESS_EXP_SATURATING,
-    SUCCESS_HYPERBOLIC,
-)
+from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
+from infoload.kernels import COST_ZERO
 
 Interval = Tuple[float, float]
 
 # the spawn key k is one uint32 word of the agent's SeedSequence entropy
 MAX_AGENTS = 2**32
-
-SUCCESS_CODES = {"exp_saturating": SUCCESS_EXP_SATURATING, "hyperbolic": SUCCESS_HYPERBOLIC}
-COST_CODES = {"power": COST_POWER, "exp_growth": COST_EXP_GROWTH, "zero": COST_ZERO}
-# each family's param names in the config, in PopulationSpec order (a cost's scale, then shape)
-SUCCESS_PARAMS = {"exp_saturating": ("rate",), "hyperbolic": ("half_saturation",)}
-COST_PARAMS = {"power": ("scale", "exponent"), "exp_growth": ("scale", "rate"), "zero": ()}
 
 
 def _check_interval(name: str, iv: Interval) -> None:
@@ -79,13 +70,14 @@ class PopulationSpec:
         if not math.isfinite(self.gain[1] + self.loss[1]):
             raise ConfigError("population.loss", "gain + loss must be finite for every agent, got "
                               f"upper bounds {self.gain[1]} + {self.loss[1]}")
-        if self.success_family not in SUCCESS_CODES:
+        if self.success_family not in SUCCESS_FAMILIES:
             raise ConfigError("population.success.family", f"unknown family {self.success_family!r}")
-        (name,) = SUCCESS_PARAMS[self.success_family]
+        (name,) = params_of(SUCCESS_FAMILIES[self.success_family])
         _check_interval(f"population.success.params.{name}", self.success_param)
-        if self.cost_family not in COST_CODES:
+        if self.cost_family not in COST_FAMILIES:
             raise ConfigError("population.cost.family", f"unknown family {self.cost_family!r}")
-        for name, iv in zip(COST_PARAMS[self.cost_family], (self.cost_scale, self.cost_shape)):
+        for name, iv in zip(params_of(COST_FAMILIES[self.cost_family]),
+                            (self.cost_scale, self.cost_shape)):
             _check_interval(f"population.cost.params.{name}", iv)
         if self.cost_family == "power" and self.cost_shape[0] <= 1.0:
             raise ConfigError("population.cost.params.exponent", "lower bound must exceed 1 "
@@ -247,10 +239,10 @@ def sample_population(spec: PopulationSpec) -> Population:
     gain, loss, s_param, c_scale, c_param = [
         np.full(n, float(lo)) if lo == hi else float(lo) + (float(hi) - float(lo)) * next(draws)
         for lo, hi in intervals]
-    c_code = COST_CODES[spec.cost_family]
+    c_code = COST_FAMILIES[spec.cost_family].code
     if c_code == COST_ZERO:
         c_scale, c_param = np.zeros(n), np.zeros(n)
-    return Population(gain, loss, np.full(n, SUCCESS_CODES[spec.success_family]), s_param,
+    return Population(gain, loss, np.full(n, SUCCESS_FAMILIES[spec.success_family].code), s_param,
                       np.full(n, c_code), c_scale, c_param)
 
 
@@ -366,10 +358,11 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
     check_theta(theta)
 
     fractions = informed_fractions(population, schedule)
-    efficients = [f >= theta for f in fractions]
     ceiling_utils = [population.utility(i_max).max().item() for i_max in schedule]
 
     problems = []
+    # efficient is frac >= theta, so an efficient verdict after the threshold crossing
+    # needs a rising fraction: this check reports it
     if any(b > a for a, b in zip(fractions, fractions[1:])):
         problems.append("fraction_informed not non-increasing")
     if fractions[-1] != 0.0:
@@ -379,13 +372,6 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
         problems.append("ceiling utility not eventually decreasing")
     if not ceiling_utils[-1] < divergence_bound:
         problems.append(f"ceiling utility {ceiling_utils[-1]} not below {divergence_bound}")
-    crossed = False
-    for frac, eff in zip(fractions, efficients):
-        if frac < theta:
-            crossed = True
-        if crossed and eff:
-            problems.append("efficient verdict after threshold crossing")
-            break
     if problems:
         return ConjectureVerdict(name="conjecture3", passed=False, detail="; ".join(problems))
     return ConjectureVerdict(

@@ -125,30 +125,28 @@ class TestUnconstrainedOptimum:
     def test_reference_trader(self, reference_trader):
         # oracle: dense grid search at step 1e-4
         oracle = grid_oracle(reference_trader, 5.0, 1e-4)
-        opt = unconstrained_optimum(reference_trader)
-        assert not opt.unbounded
-        assert opt.i_value == pytest.approx(oracle.i_star, abs=1e-3)
-        assert opt.i_value == pytest.approx(1.7455, abs=1e-3)
+        i_u = unconstrained_optimum(reference_trader)
+        assert math.isfinite(i_u)
+        assert i_u == pytest.approx(oracle.i_star, abs=1e-3)
+        assert i_u == pytest.approx(1.7455, abs=1e-3)
 
     def test_zero_cost_unbounded(self, rng):
-        opt = unconstrained_optimum(random_trader(rng, cost_family="zero"))
-        assert opt.unbounded
-        assert opt.as_float() == math.inf
+        assert unconstrained_optimum(random_trader(rng, cost_family="zero")) == math.inf
 
     def test_high_cost_tiny_root(self):
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))
         oracle = grid_oracle(trader, 1.0, 1e-5)
-        opt = unconstrained_optimum(trader)
-        assert opt.i_value == pytest.approx(oracle.i_star, abs=2e-5)
-        assert opt.i_value == pytest.approx(0.09128, abs=1e-4)
+        i_u = unconstrained_optimum(trader)
+        assert i_u == pytest.approx(oracle.i_star, abs=2e-5)
+        assert i_u == pytest.approx(0.09128, abs=1e-4)
 
     def test_root_kills_marginal_utility(self, rng):
         for _ in range(100):
             trader = random_trader(rng)
-            opt = unconstrained_optimum(trader)
-            if opt.unbounded or opt.i_value == 0.0:
+            i_u = unconstrained_optimum(trader)
+            if math.isinf(i_u) or i_u == 0.0:
                 continue
-            assert abs(marginal_utility(trader, opt.i_value)) <= 1e-6 * (
+            assert abs(marginal_utility(trader, i_u)) <= 1e-6 * (
                 trader.gain + trader.loss)
 
 

@@ -1,6 +1,8 @@
 import copy
 import csv
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import infoload.cli
 import infoload.market
 import infoload.sweep
+from infoload.agent import Population
 from infoload.cli import (
     EXIT_CONFIG,
     EXIT_CONJECTURE,
@@ -27,8 +31,9 @@ from infoload.cli import (
     main,
     parse_config,
 )
+from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError
-from infoload.market import ConjectureVerdict
+from infoload.market import ConjectureVerdict, sample_population
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -155,6 +160,28 @@ class TestSubcommands:
         rows = read_csv(out / "figure3.csv")
         best = max(rows, key=lambda r: float(r["expected_utility"]))
         assert float(best["i"]) == pytest.approx(1.7455, abs=1e-3)
+
+    def test_figure3_samples_agent_0_alone(self, tmp_path, monkeypatch):
+        sample, sizes = infoload.cli.sample_population, []
+
+        def spy(spec):
+            sizes.append(spec.n_agents)
+            return sample(spec)
+
+        monkeypatch.setattr(infoload.cli, "sample_population", spy)
+        path = write_config(tmp_path, {"population": {"n_agents": 50}})
+        assert main(["figure3", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert sizes == [1]
+
+    def test_figure3_is_independent_of_n_agents(self, tmp_path):
+        csvs = []
+        for n in (1, 50):
+            population = {"n_agents": n, "gain": [0.5, 2.0], "master_seed": 9}
+            path = write_config(tmp_path, {"population": population}, name=f"{n}.json")
+            out = tmp_path / f"out{n}"
+            assert main(["figure3", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            csvs.append((out / "figure3.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_conjectures_pass(self, tmp_path):
         path = write_config(tmp_path, {})
@@ -298,6 +325,14 @@ class TestSweepErrors:
         code, message = self._run(tmp_path, None, "market", {"population": {"gain": gain}})
         assert code == EXIT_CONFIG
         assert message.startswith("population.gain:")
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("config,error", [({"market": {"k" * 100_000: 1}}, "unknown key"),
+                                              ({"k" * 100_000: {}}, "unknown section")])
+    def test_unknown_name_is_bounded(self, tmp_path, config, error):
+        code, message = self._run(tmp_path, None, "market", config)
+        assert code == EXIT_CONFIG
+        assert message.endswith(error)
         assert len(message) < 200
 
     @pytest.mark.parametrize("num,exception", [(2**58, "MemoryError"), (1e308, "ValueError")])
@@ -450,6 +485,23 @@ def test_wrong_type_names_its_field(tmp_path, path, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(write_config(tmp_path, {section: {key: value}}))
     assert exc.value.field.startswith(path)
+
+
+@pytest.mark.parametrize("success,cost", itertools.product(SUCCESS_FAMILIES, COST_FAMILIES))
+def test_every_family_pair_parses_and_samples(tmp_path, success, cost):
+    def record(families, family):
+        names = params_of(families[family])
+        return {"family": family, "params": {name: [1.5, 2.5] for name in names}}
+
+    config = {"population": {"n_agents": 3, "success": record(SUCCESS_FAMILIES, success),
+                             "cost": record(COST_FAMILIES, cost)}}
+    population = sample_population(parse_config(write_config(tmp_path, config)).population)
+    assert isinstance(population[0].success, SUCCESS_FAMILIES[success])
+    assert isinstance(population[0].cost, COST_FAMILIES[cost])
+    again = Population.from_traders(list(population))
+    assert list(again) == list(population)
+    for field in dataclasses.fields(Population):
+        np.testing.assert_array_equal(getattr(again, field.name), getattr(population, field.name))
 
 
 def test_readme_config_table_lists_every_field_and_default():

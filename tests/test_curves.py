@@ -11,10 +11,6 @@ from infoload import (
     Hyperbolic,
     PowerCost,
     ZeroCost,
-    eval_cost,
-    eval_cost_deriv,
-    eval_success,
-    eval_success_deriv,
     validate_curves,
 )
 from infoload.errors import ParameterError
@@ -27,27 +23,27 @@ def central_diff(f, i):
 
 class TestSuccessEval:
     def test_exp_saturating_at_zero(self):
-        assert eval_success(ExpSaturating(1.0), 0.0) == 0.0
+        assert ExpSaturating(1.0).value(0.0) == 0.0
 
     def test_hyperbolic_at_half_saturation(self):
-        assert eval_success(Hyperbolic(1.0), 1.0) == 0.5
+        assert Hyperbolic(1.0).value(1.0) == 0.5
 
     def test_exp_saturating_at_one(self):
         # series cross-check: 1 - e^{-1} = sum_{n>=1} (-1)^{n+1} / n!
         series = sum((-1.0) ** (n + 1) / math.factorial(n) for n in range(1, 20))
-        value = eval_success(ExpSaturating(1.0), 1.0)
+        value = ExpSaturating(1.0).value(1.0)
         assert value == pytest.approx(series, rel=1e-14)
         assert value == pytest.approx(0.63212, abs=1e-5)
 
     def test_deriv_at_zero(self):
-        assert eval_success_deriv(ExpSaturating(1.0), 0.0) == 1.0
-        assert eval_success_deriv(Hyperbolic(1.0), 0.0) == 1.0
+        assert ExpSaturating(1.0).deriv(0.0) == 1.0
+        assert Hyperbolic(1.0).deriv(0.0) == 1.0
 
     def test_exp_saturating_deriv(self):
         curve = ExpSaturating(2.0)
-        assert eval_success_deriv(curve, 1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
-        fd = central_diff(lambda i: eval_success(curve, i), 1.0)
-        assert eval_success_deriv(curve, 1.0) == pytest.approx(fd, rel=1e-5)
+        assert curve.deriv(1.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
+        fd = central_diff(lambda i: curve.value(i), 1.0)
+        assert curve.deriv(1.0) == pytest.approx(fd, rel=1e-5)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
@@ -58,29 +54,36 @@ class TestSuccessEval:
             Hyperbolic(0.0)
 
     def test_negative_information_level_rejected(self):
-        with pytest.raises(ParameterError):
-            eval_success(ExpSaturating(1.0), -0.5)
+        curves = (ExpSaturating(1.0), Hyperbolic(1.0), PowerCost(1.0, 2.0),
+                  ExpGrowthCost(1.0, 1.0), ZeroCost())
+        for curve in curves:
+            for method in ("value", "deriv", "complement"):
+                if not hasattr(curve, method):  # cost curves have no complement
+                    continue
+                for level in (-0.5, math.nan, math.inf):
+                    with pytest.raises(ParameterError, match="information level must be"):
+                        getattr(curve, method)(level)
 
 
 class TestCostEval:
     def test_zero_family(self):
         for i in (0.0, 1.0, 1e6):
-            assert eval_cost(ZeroCost(), i) == 0.0
-            assert eval_cost_deriv(ZeroCost(), i) == 0.0
+            assert ZeroCost().value(i) == 0.0
+            assert ZeroCost().deriv(i) == 0.0
 
     def test_power(self):
-        assert eval_cost(PowerCost(0.1, 2.0), 1.0) == pytest.approx(0.1)
-        assert eval_cost_deriv(PowerCost(0.1, 2.0), 1.0) == pytest.approx(0.2)
+        assert PowerCost(0.1, 2.0).value(1.0) == pytest.approx(0.1)
+        assert PowerCost(0.1, 2.0).deriv(1.0) == pytest.approx(0.2)
 
     def test_exp_growth(self):
-        assert eval_cost(ExpGrowthCost(1.0, 1.0), 1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
-        assert eval_cost_deriv(ExpGrowthCost(1.0, 1.0), 1.0) == pytest.approx(math.e, rel=1e-12)
-        fd = central_diff(lambda i: eval_cost(ExpGrowthCost(1.0, 1.0), i), 1.0)
-        assert eval_cost_deriv(ExpGrowthCost(1.0, 1.0), 1.0) == pytest.approx(fd, rel=1e-5)
+        assert ExpGrowthCost(1.0, 1.0).value(1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
+        assert ExpGrowthCost(1.0, 1.0).deriv(1.0) == pytest.approx(math.e, rel=1e-12)
+        fd = central_diff(lambda i: ExpGrowthCost(1.0, 1.0).value(i), 1.0)
+        assert ExpGrowthCost(1.0, 1.0).deriv(1.0) == pytest.approx(fd, rel=1e-5)
 
     def test_zero_at_origin(self):
-        assert eval_cost(PowerCost(3.0, 1.5), 0.0) == 0.0
-        assert eval_cost(ExpGrowthCost(3.0, 0.5), 0.0) == 0.0
+        assert PowerCost(3.0, 1.5).value(0.0) == 0.0
+        assert ExpGrowthCost(3.0, 0.5).value(0.0) == 0.0
 
     def test_convexity_constraint_rejected(self):
         with pytest.raises(ParameterError):
@@ -129,7 +132,7 @@ class TestSuccessProperties:
             # stay below float saturation so strict monotonicity is observable
             upper = 30.0 / curve.rate if isinstance(curve, ExpSaturating) else 20.0
             probes = np.sort(rng.uniform(0.0, upper, size=20))
-            values = [eval_success(curve, i) for i in probes]
+            values = [curve.value(i) for i in probes]
             assert all(0.0 <= v < 1.0 for v in values)
             assert all(b > a for a, b in zip(values, values[1:]))
 

@@ -75,7 +75,7 @@ class TestSweepImax:
         assert series.critical_i_max == grid[-1]
 
     def test_single_agent_flips_at_root(self, reference_trader):
-        i_u = unconstrained_optimum(reference_trader).i_value
+        i_u = unconstrained_optimum(reference_trader)
         grid = list(np.linspace(0.5, 3.0, 26))  # step 0.1 around i_u ~ 1.7455
         series = sweep_imax([reference_trader], grid, theta=1.0)
         assert series.critical_i_max == pytest.approx(i_u, abs=0.1)
@@ -139,7 +139,7 @@ class TestCriticalQuantile:
             # => c = e^{-target} / target
             scale = math.exp(-target) / target
             traders.append(Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(scale, 2.0)))
-        i_us = [unconstrained_optimum(t).i_value for t in traders]
+        i_us = [unconstrained_optimum(t) for t in traders]
         assert i_us == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-8)
         assert critical_imax_quantile(traders, 0.5) == pytest.approx(3.0, rel=1e-8)
 
@@ -228,7 +228,7 @@ def _populations(draw):
     """Traders drawn with repeats from a small pool, and ceilings that hit roots."""
     pool = draw(st.lists(_traders, min_size=1, max_size=5))
     traders = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
-    roots = [unconstrained_optimum(t).as_float() for t in traders]
+    roots = [unconstrained_optimum(t) for t in traders]
     on_root = [r for r in roots if 0.0 < r < math.inf]
     ceilings = set(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8)))
     if on_root:
@@ -275,7 +275,7 @@ class TestSortedRootsMatchMarket:
     def test_ties_infinite_and_zero_roots(self, reference_trader, theta):
         traders = ([reference_trader] * 3 + [CORNER_ZERO_TRADER] * 2
                    + [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())])
-        i_u = unconstrained_optimum(reference_trader).i_value
+        i_u = unconstrained_optimum(reference_trader)
         grid = [0.5, np.nextafter(i_u, 0.0), i_u, np.nextafter(i_u, math.inf), 4.0]
         series = sweep_imax(traders, grid, theta)
         _assert_matches_market(series, traders, grid, theta)
