@@ -22,7 +22,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def expected_return(lambda_value: float, gain: float, loss: float) -> float:
     """Expected dollar return of the two-outcome bet at success probability lambda."""
     if not 0.0 <= lambda_value <= 1.0:
         raise ParameterError(f"success probability must lie in [0, 1], got {lambda_value!r}")
-    return kernels.expected_return(lambda_value, gain, loss)
+    return float(kernels.expected_return(lambda_value, gain, loss))
 
 
 def _kernel_args(trader: Trader) -> tuple:
@@ -260,23 +260,30 @@ def information_grid(i_max: float, step: float) -> np.ndarray:
     return grid
 
 
-def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:
-    """Brute-force argmax of expected utility on a uniform grid (ties: smallest i)."""
+def grid_oracles(traders: Sequence[Trader], i_max: float,
+                 step: float = DEFAULT_ORACLE_STEP) -> List[AgentOutcome]:
+    """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
+    each trader; every trader's utilities go into the same two kernel work arrays."""
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     grid = information_grid(i_max, step)
-    util = utility_on_grid(trader, grid)
-    best = int(np.argmax(util))  # argmax returns the first maximizer
-    if best == 0:
-        regime = Regime.CORNER_ZERO
-    elif best == len(grid) - 1:
-        regime = Regime.FULLY_INFORMED
-    else:
-        regime = Regime.INTERIOR
-    return AgentOutcome(
-        i_star=float(grid[best]),
-        u_star=float(util[best]),
-        regime=regime,
-        fully_informed=regime is Regime.FULLY_INFORMED,
-    )
+    out = np.empty_like(grid), np.empty_like(grid)
+    outcomes = []
+    for trader in traders:
+        util = kernels.utility_grid(grid, *_kernel_args(trader), out=out)
+        best = int(np.argmax(util))  # argmax returns the first maximizer
+        if best == 0:
+            regime = Regime.CORNER_ZERO
+        elif best == len(grid) - 1:
+            regime = Regime.FULLY_INFORMED
+        else:
+            regime = Regime.INTERIOR
+        outcomes.append(AgentOutcome(i_star=float(grid[best]), u_star=float(util[best]),
+                                     regime=regime, fully_informed=regime is Regime.FULLY_INFORMED))
+    return outcomes
+
+
+def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:
+    """``grid_oracles`` of one trader."""
+    return grid_oracles([trader], i_max, step)[0]

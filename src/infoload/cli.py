@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from infoload import __version__
-from infoload.agent import Population, Regime, Trader, grid_oracle
+from infoload.agent import Population, Regime, Trader, grid_oracles
 from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, ExpSaturating, PowerCost, params_of
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 from infoload.market import (
@@ -33,19 +33,18 @@ from infoload.market import (
     check_conjecture1,
     check_conjecture2,
     check_conjecture3,
+    check_grid,
     run_market,
     sample_population,
     simulate_muthian_returns,
 )
-from infoload.sweep import check_grid, sweep_2d, sweep_imax, utility_curve
+from infoload.sweep import sweep_2d, utility_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CONJECTURE = 4
 EXIT_USAGE = 64
-
-SUBCOMMANDS = ("agent", "market", "conjectures", "figure3", "sweep", "returns")
 
 AGENT_ORACLE_STEP = 1e-3
 
@@ -311,8 +310,8 @@ def reference_overload_population(n_agents: int = 50) -> List[Trader]:
 def _cmd_agent(settings: Settings, out_dir: Path) -> List[Path]:
     population = sample_population(settings.population)
     outcome = run_market(settings.market, population)
-    oracle = np.array([grid_oracle(trader, settings.market.i_max, AGENT_ORACLE_STEP).i_star
-                       for trader in population])
+    oracle = np.array([o.i_star for o in
+                       grid_oracles(population, settings.market.i_max, AGENT_ORACLE_STEP)])
     gap = np.abs(outcome.i_star - oracle)
     far = np.flatnonzero(gap > AGENT_ORACLE_STEP + 1e-6)
     if far.size:
@@ -383,23 +382,21 @@ def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
 
 def _cmd_sweep(settings: Settings, out_dir: Path) -> List[Path]:
     population = sample_population(settings.population)
-    grid, mults, theta = settings.i_max_grid, settings.cost_multiplier_grid, settings.market.theta
-    diagram = None if mults is None else sweep_2d(population, grid, mults, theta)
-    # cost.scaled(1.0) is bit-identical to the cost itself: that row is the 1-D series
-    unit = [] if diagram is None else np.flatnonzero(diagram.multipliers == 1.0).tolist()
-    if unit:
-        phase = [diagram.i_max_grid, diagram.fractions[unit[0]], diagram.efficient[unit[0]]]
-    else:
-        phase = list(zip(*sweep_imax(population, grid, theta).points))
-    outputs = [write_csv(out_dir / "phase.csv",
-                         ["i_max", "fraction_informed", "efficient"], phase)]
-    if diagram is not None:
-        n_mults, n_grid = diagram.fractions.shape
+    mults = settings.cost_multiplier_grid
+    # one solve for the requested rows and the unit row, which is the 1-D series
+    diagram = sweep_2d(population, settings.i_max_grid, sorted({1.0, *(mults or [])}),
+                       settings.market.theta)
+    grid = diagram.i_max_grid
+    unit = int(np.searchsorted(diagram.multipliers, 1.0))
+    outputs = [write_csv(out_dir / "phase.csv", ["i_max", "fraction_informed", "efficient"],
+                         [grid, diagram.fractions[unit], diagram.efficient[unit]])]
+    if mults is not None:
+        rows = np.searchsorted(diagram.multipliers, mults)
         outputs.append(write_csv(
             out_dir / "phase2d.csv",
             ["cost_multiplier", "i_max", "fraction_informed", "efficient"],
-            [np.repeat(diagram.multipliers, n_grid), np.tile(diagram.i_max_grid, n_mults),
-             diagram.fractions.ravel(), diagram.efficient.ravel()]))
+            [np.repeat(diagram.multipliers[rows], len(grid)), np.tile(grid, len(rows)),
+             diagram.fractions[rows].ravel(), diagram.efficient[rows].ravel()]))
     return outputs
 
 
@@ -445,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _Parser(prog="infoload",
                      description="Information-overload market efficiency simulator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -468,7 +465,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _ConjectureFailure as exc:
         write_manifest(out_dir, args.subcommand, settings, exc.outputs)
         return _write_error(out_dir, EXIT_CONJECTURE, str(exc))
-    except (ConfigError, FileNotFoundError, PreconditionError) as exc:
+    except (FileNotFoundError, PreconditionError) as exc:  # a ConfigError is one too
         return _write_error(out_dir, EXIT_CONFIG, str(exc))
     except Exception as exc:  # a numeric or internal failure ends with a record, not a traceback
         return _write_error(out_dir, EXIT_NUMERIC, f"{type(exc).__name__}: {exc}")

@@ -20,7 +20,7 @@ at a level i that must be finite and non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
@@ -46,6 +46,11 @@ def params_of(cls) -> tuple:
 def _kernel_code(self) -> tuple:
     """The family code, then the parameters in field order: the kernel formulas' arguments."""
     return (self.code, *(getattr(self, name) for name in params_of(type(self))))
+
+
+def _scaled(self, multiplier: float):
+    """The same cost curve with its scale times ``multiplier``."""
+    return replace(self, scale=self.scale * multiplier)
 
 
 # each class binds value and deriv in its own namespace (perfbench/tracer.py wraps them there)
@@ -107,9 +112,7 @@ class PowerCost:
 
     value, deriv = _COST_METHODS
     kernel_code = _kernel_code
-
-    def scaled(self, multiplier: float) -> "PowerCost":
-        return PowerCost(self.scale * multiplier, self.exponent)
+    scaled = _scaled
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,7 @@ class ExpGrowthCost:
 
     value, deriv = _COST_METHODS
     kernel_code = _kernel_code
-
-    def scaled(self, multiplier: float) -> "ExpGrowthCost":
-        return ExpGrowthCost(self.scale * multiplier, self.rate)
+    scaled = _scaled
 
 
 @dataclass(frozen=True)

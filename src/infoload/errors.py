@@ -5,10 +5,15 @@ class ParameterError(ValueError):
     """A curve or trader parameter is outside its admissible domain."""
 
 
-class ConfigError(ValueError):
+class PreconditionError(ValueError):
+    """A caller violated an operation's stated precondition."""
+
+
+class ConfigError(PreconditionError):
     """A configuration value violates the schema or a model invariant.
 
     Carries the dotted path of the offending field so CLI errors can name it.
+    A ``PreconditionError``: the value breaks the precondition of its callee.
     """
 
     def __init__(self, field, message):
@@ -19,7 +24,3 @@ class ConfigError(ValueError):
 
 class NumericRangeError(ArithmeticError):
     """A numeric routine left the representable range (e.g. bracket overflow)."""
-
-
-class PreconditionError(ValueError):
-    """A caller violated an operation's stated precondition."""

@@ -103,6 +103,17 @@ def check_theta(theta: float) -> None:
         raise ConfigError("market.theta", f"must lie in (0, 1], got {theta}")
 
 
+def check_grid(field: str, values: Sequence[float]) -> List[float]:
+    """Return ``values`` as a list; raise a config error naming ``field`` unless
+    they are non-empty, strictly increasing, positive and finite."""
+    grid = list(values)
+    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(field, "grid must be non-empty and strictly increasing")
+    if not all(math.isfinite(v) and v > 0 for v in grid):
+        raise ConfigError(field, "grid values must be positive finite reals")
+    return grid
+
+
 @dataclass(eq=False)
 class MarketOutcome:
     """The verdict, and entry k of each array for agent k (participating or not)."""
@@ -273,22 +284,16 @@ def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome
     )
 
 
-def informed_fractions(traders: Sequence[Trader], i_max_grid: Sequence[float]) -> List[float]:
+def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> np.ndarray:
     """``run_market(...).fraction_informed`` (no participation rule) at every
-    ceiling: count(i_u >= i_max) / n over roots solved once and sorted."""
-    return _fractions_at(solve_roots(traders), i_max_grid)
-
-
-def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> List[float]:
-    """count(i_u >= i_max) / n at every ceiling, for the population's roots ``i_u``."""
+    ceiling: count(i_u >= i_max) / n over the population's roots ``i_u``, sorted."""
     if len(roots) == 0:
         raise PreconditionError("trader collection must be non-empty")
     nan = np.flatnonzero(np.isnan(roots))
     if nan.size:
         raise NumericRangeError(f"agent {nan[0]}: unconstrained optimum is NaN")
     n = len(roots)
-    counts = n - np.searchsorted(np.sort(roots), i_max_grid, side="left")
-    return [int(c) / n for c in counts]
+    return (n - np.searchsorted(np.sort(roots), i_max_grid, side="left")) / n
 
 
 def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> ConjectureVerdict:
@@ -351,13 +356,12 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
     costless = np.flatnonzero(population.cost_code == COST_ZERO)
     if costless.size:
         raise PreconditionError(f"agent {costless[0]} has a zero cost curve")
-    schedule = list(i_max_schedule)
-    if (len(schedule) < 10 or any(b <= a for a, b in zip(schedule, schedule[1:]))
-            or not all(math.isfinite(s) and s > 0 for s in schedule)):
-        raise PreconditionError("schedule must be positive, increasing, length >= 10")
+    schedule = check_grid("i_max_schedule", i_max_schedule)
+    if len(schedule) < 10:
+        raise PreconditionError(f"i_max_schedule: needs >= 10 ceilings, got {len(schedule)}")
     check_theta(theta)
 
-    fractions = informed_fractions(population, schedule)
+    fractions = _fractions_at(solve_roots(population), schedule).tolist()
     ceiling_utils = [population.utility(i_max).max().item() for i_max in schedule]
 
     problems = []

@@ -2,9 +2,10 @@
 
 The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
-so the critical ceiling is an order statistic of the population's optima.  The
-sweeps solve each root once, sort the roots and count every ceiling by binary
-search; the quantile keeps its own code (a plain sort and ``ceil(theta * n)``)
+so the critical ceiling is an order statistic of the population's optima.
+``sweep_2d`` solves every multiplier's roots at once, sorts each row's and counts
+every ceiling by binary search; ``sweep_imax`` is its multiplier-1.0 row.  The
+quantile keeps its own code (a plain sort and the smallest k with k / n >= theta)
 as the independent oracle the sweeps are validated against.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from infoload.agent import (Population, Trader, _solve_scaled, check_i_max, solve_roots,
                             utility_on_grid)
-from infoload.market import _fractions_at, check_theta, informed_fractions
+from infoload.market import _fractions_at, check_grid, check_theta
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
@@ -68,37 +69,19 @@ def utility_curve(trader: Trader, i_max: float, n_points: int) -> UtilityCurve:
                         argmax_index=int(np.argmax(util)))
 
 
-def check_grid(field: str, values: Sequence[float]) -> List[float]:
-    """Return ``values`` as a list; raise a config error naming ``field`` unless
-    they are non-empty, strictly increasing, positive and finite."""
-    grid = list(values)
-    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(field, "grid must be non-empty and strictly increasing")
-    if not all(math.isfinite(v) and v > 0 for v in grid):
-        raise ConfigError(field, "grid values must be positive finite reals")
-    return grid
-
-
-def _series(grid: List[float], fractions: Sequence[float], theta: float) -> PhaseSeries:
-    # non-increasing fractions make the efficient ceilings a prefix of the grid
-    if any(not b <= a for a, b in zip(fractions, fractions[1:])):
-        raise NumericRangeError("phase series violates fraction monotonicity")
-    points: List[PhasePoint] = [(i_max, frac, bool(frac >= theta))
-                                for i_max, frac in zip(grid, fractions)]
-    critical = max((i_max for i_max, _, eff in points if eff), default=None)
-    return PhaseSeries(points=points, critical_i_max=critical)
-
-
 def sweep_imax(traders: Sequence[Trader], i_max_grid: Sequence[float],
                theta: float) -> PhaseSeries:
-    """Fraction informed and efficiency verdict at every ceiling, and the boundary."""
-    grid = check_grid("sweep.i_max_grid", i_max_grid)
-    check_theta(theta)
-    return _series(grid, informed_fractions(traders, grid), theta)
+    """Fraction informed and efficiency verdict at every ceiling, and the boundary:
+    the multiplier-1.0 row of ``sweep_2d``."""
+    diagram = sweep_2d(traders, i_max_grid, [1.0], theta)
+    points = list(zip(diagram.i_max_grid.tolist(), diagram.fractions[0].tolist(),
+                      diagram.efficient[0].tolist()))
+    return PhaseSeries(points=points, critical_i_max=diagram.critical_per_row[0])
 
 
 def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[float]:
-    """Exact phase boundary: the ceil(theta*n)-th largest unconstrained optimum.
+    """Exact phase boundary: the k-th largest unconstrained optimum, for the
+    smallest k with ``k / n >= theta`` (the comparison ``run_market`` makes).
 
     Returns inf for populations efficient at any finite ceiling and None when
     the boundary sits at 0 (never efficient).
@@ -107,7 +90,9 @@ def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[
     if len(traders) == 0:
         raise PreconditionError("trader collection must be non-empty")
     i_us = sorted(solve_roots(traders).tolist(), reverse=True)
-    k = math.ceil(theta * len(i_us))
+    n = len(i_us)
+    # theta * n may round up past an integer (0.07 * 100): start one below its ceiling
+    k = next(k for k in range(max(1, math.ceil(theta * n) - 1), n + 1) if k / n >= theta)
     value = i_us[k - 1]
     return None if value == 0.0 else value
 
@@ -116,19 +101,23 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
              multipliers: Sequence[float], theta: float) -> PhaseDiagram:
     """Phase diagram over (information ceiling, cost-scale multiplier).
 
-    Row r is ``sweep_imax`` of the traders with every cost scale times
+    Row r is the phase series of the traders with every cost scale times
     ``multipliers[r]``; all rows' roots come from one solve on scaled columns.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = check_grid("sweep.i_max_grid", i_max_grid)
     check_theta(theta)
 
-    rows = [_series(grid, _fractions_at(roots, grid), theta)
-            for roots in _solve_scaled(Population.from_traders(traders), mults)]
+    fractions = np.array([_fractions_at(roots, grid)
+                          for roots in _solve_scaled(Population.from_traders(traders), mults)])
+    # non-increasing fractions make each row's efficient ceilings a prefix of the grid
+    if not np.all(fractions[:, 1:] <= fractions[:, :-1]):
+        raise NumericRangeError("phase series violates fraction monotonicity")
+    efficient = fractions >= theta
     return PhaseDiagram(
         i_max_grid=np.asarray(grid, dtype=float),
         multipliers=np.asarray(mults, dtype=float),
-        fractions=np.asarray([[p[1] for p in row.points] for row in rows], dtype=float),
-        efficient=np.asarray([[p[2] for p in row.points] for row in rows], dtype=bool),
-        critical_per_row=[row.critical_i_max for row in rows],
+        fractions=fractions,
+        efficient=efficient,
+        critical_per_row=[grid[k - 1] if k else None for k in efficient.sum(axis=1).tolist()],
     )

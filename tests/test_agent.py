@@ -19,7 +19,7 @@ from infoload import (
     unconstrained_optimum,
 )
 from infoload import Population, kernels
-from infoload.agent import information_grid, solve_roots, utility_on_grid
+from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
 
 from conftest import random_trader
@@ -316,6 +316,16 @@ class TestGridOracle:
             grid_oracle(reference_trader, 1.0, 2.0)
         with pytest.raises(ParameterError):
             grid_oracle(reference_trader, 1.0, 0.0)
+
+    def test_population_form_is_each_traders_argmax(self, rng):
+        traders = [random_trader(rng, family) for family in ("power", "exp_growth", "zero")
+                   for _ in range(10)]
+        grid = information_grid(8.0, 1e-3)
+        for trader, out in zip(traders, grid_oracles(traders, 8.0, 1e-3)):
+            util = utility_on_grid(trader, grid)
+            best = int(np.argmax(util))
+            assert (out.i_star, out.u_star) == (grid[best], util[best]), trader
+            assert out == grid_oracle(trader, 8.0, 1e-3)
 
     def test_grid_is_inclusive(self):
         grid = information_grid(1.0, 0.3)

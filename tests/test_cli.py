@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infoload.cli
-import infoload.market
 import infoload.sweep
 from infoload.agent import Population
 from infoload.cli import (
@@ -229,6 +228,23 @@ class TestSubcommands:
         assert len(read_csv(out / "phase.csv")) == 4
         assert len(read_csv(out / "phase2d.csv")) == 12
 
+    def test_phase_csv_is_the_unit_row_whatever_the_multipliers(self, tmp_path):
+        runs = {}
+        for name, mults in (("none", None), ("with_unit", [0.5, 1.0, 2.0]),
+                            ("without_unit", [0.5, 2.0])):
+            cfg = {"population": {"n_agents": 30},
+                   "sweep": {"i_max_grid": _geometric(0.125, 8.0, 13),
+                             "cost_multiplier_grid": mults}}
+            out = tmp_path / name
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            runs[name] = out
+        assert len({(out / "phase.csv").read_bytes() for out in runs.values()}) == 1
+        assert not (runs["none"] / "phase2d.csv").exists()
+        with_unit = (runs["with_unit"] / "phase2d.csv").read_text().splitlines()
+        assert (runs["without_unit"] / "phase2d.csv").read_text().splitlines() == [
+            line for line in with_unit if not line.startswith("1,")]
+
     def test_returns_outputs(self, tmp_path):
         cfg = {"returns": {"n_draws": 100}}
         path = write_config(tmp_path, cfg)
@@ -343,19 +359,20 @@ class TestSweepErrors:
         assert message.split(":")[0].endswith(exception)
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
-        solve = infoload.market.solve_roots
+        solve = infoload.sweep._solve_scaled
 
-        def nan_for_agent_3(traders):
-            return np.where(np.arange(len(traders)) == 3, math.nan, solve(traders))
+        def nan_for_agent_3(population, multipliers):
+            roots = solve(population, multipliers)
+            return np.where(np.arange(roots.shape[1]) == 3, math.nan, roots)
 
-        monkeypatch.setattr(infoload.market, "solve_roots", nan_for_agent_3)
+        monkeypatch.setattr(infoload.sweep, "_solve_scaled", nan_for_agent_3)
         code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
         assert code == EXIT_NUMERIC
         assert "agent 3" in message
 
     def test_non_monotone_series_is_a_numeric_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(infoload.sweep, "informed_fractions",
-                            lambda traders, grid: [0.2, 0.6])
+        monkeypatch.setattr(infoload.sweep, "_fractions_at",
+                            lambda roots, grid: np.array([0.2, 0.6]))
         code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
         assert code == EXIT_NUMERIC
         assert "monotonicity" in message

@@ -103,3 +103,18 @@ def test_curve_methods_equal_the_kernel_on_columns(rng):
                 column = getattr(kernels, f"{family}_{name}")(levels, *curve.kernel_code())
                 scalar = [getattr(curve, name)(i) for i in levels.tolist()]
                 assert np.array_equal(scalar, column), (curve, name)
+
+
+def test_out_buffers_give_bit_identical_utilities(rng):
+    # one pair of work arrays reused across every family pair and the overflow
+    # edges, so values left over from the previous trader must not leak through
+    grid = np.concatenate([np.linspace(0.0, 30.0, 1001), [354.89, 354.9, 1e6, 1e103, 1e300]])
+    out = np.full_like(grid, np.nan), np.full_like(grid, np.nan)
+    for family in ("power", "exp_growth", "zero"):
+        for _ in range(20):
+            trader = random_trader(rng, family)
+            args = (*trader.success.kernel_code(), *trader.cost.kernel_code(),
+                    trader.gain, trader.loss)
+            util = kernels.utility_grid(grid, *args, out=out)
+            assert util is out[0]
+            assert np.array_equal(util, kernels.utility_grid(grid, *args)), trader

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import infoload.market
 import infoload.sweep
 from infoload import (
     ExpGrowthCost,
@@ -106,17 +105,19 @@ class TestSweepImax:
 
     def test_nan_root_names_the_agent(self, rng, monkeypatch):
         traders = [random_trader(rng, cost_family="power") for _ in range(4)]
-        solve = infoload.market.solve_roots
+        solve = infoload.sweep._solve_scaled
         monkeypatch.setattr(
-            infoload.market, "solve_roots",
-            lambda ts: np.where([t is traders[2] for t in ts], math.nan, solve(ts)))
+            infoload.sweep, "_solve_scaled",
+            lambda population, mults: np.where(np.arange(4) == 2, math.nan,
+                                               solve(population, mults)))
         with pytest.raises(NumericRangeError, match="agent 2"):
             sweep_imax(traders, [0.5, 1.0], theta=0.5)
 
     @pytest.mark.parametrize("fractions", [[0.5, 0.7, 0.1], [0.5, math.nan, 0.1]])
     def test_non_monotone_fractions_are_numeric_errors(self, reference_trader, monkeypatch,
                                                        fractions):
-        monkeypatch.setattr(infoload.sweep, "informed_fractions", lambda traders, grid: fractions)
+        monkeypatch.setattr(infoload.sweep, "_fractions_at",
+                            lambda roots, grid: np.array(fractions))
         with pytest.raises(NumericRangeError, match="monotonicity"):
             sweep_imax([reference_trader], [1.0, 2.0, 3.0], theta=0.5)
 
@@ -142,6 +143,16 @@ class TestCriticalQuantile:
         i_us = [unconstrained_optimum(t) for t in traders]
         assert i_us == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-8)
         assert critical_imax_quantile(traders, 0.5) == pytest.approx(3.0, rel=1e-8)
+
+    def test_theta_times_n_rounding_up_past_an_integer(self):
+        # 0.07 * 100 == 7.000000000000001, yet 7 fully informed traders of 100 are 0.07
+        traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(math.exp(-t) / t, 2.0))
+                   for t in np.linspace(0.5, 5.0, 100)]
+        roots = sorted((unconstrained_optimum(t) for t in traders), reverse=True)
+        assert len(set(roots)) == 100
+        assert run_market(MarketConfig(i_max=roots[6], theta=0.07), traders).efficient
+        assert critical_imax_quantile(traders, 0.07) == roots[6]
+        assert sweep_imax(traders, [roots[7], roots[6]], theta=0.07).critical_i_max == roots[6]
 
     def test_muthian_is_infinite(self):
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())] * 4
