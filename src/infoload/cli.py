@@ -245,21 +245,22 @@ def parse_config(path, seed_override: Optional[int] = None) -> Settings:
 # output helpers
 
 
-def _column_text(column) -> List[str]:
-    """CSV cells of one column: floats as ``%.12g`` (so ``inf``, ``-inf``, ``nan``),
-    booleans as ``true``/``false``, anything else as ``str``."""
+def _cells(column) -> tuple:
+    """One column's cells and their ``%`` format: floats as ``%.12g`` (so ``inf``,
+    ``-inf``, ``nan``), booleans as ``true``/``false``, anything else as ``%s``."""
     column = np.asarray(column)
-    if column.dtype.kind == "f":
-        return list(map("%.12g".__mod__, column.tolist()))
     if column.dtype.kind == "b":
-        return ["true" if v else "false" for v in column.tolist()]
-    return list(map(str, column.tolist()))
+        return ["true" if v else "false" for v in column.tolist()], "%s"
+    return column.tolist(), "%.12g" if column.dtype.kind == "f" else "%s"
 
 
 def write_csv(path: Path, header: Sequence[str], columns) -> Path:
-    """Write equal-length columns under ``header``, formatting column by column."""
+    """Write equal-length columns under ``header`` and return ``path``; each row is
+    formatted with one ``%``, and columns of unequal length raise ``ValueError``."""
+    cells = list(map(_cells, columns))
+    row = ",".join(fmt for _, fmt in cells)
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_column_text, columns), strict=True)))
+    lines.extend(map(row.__mod__, zip(*(values for values, _ in cells), strict=True)))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
@@ -441,12 +442,10 @@ def _write_error(out_dir: Optional[Path], code: int, message: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _Parser(prog="infoload",
                      description="Information-overload market efficiency simulator")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _DISPATCH:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+    parser.add_argument("subcommand", choices=_DISPATCH)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seed", type=int, default=None)
 
     try:
         args = parser.parse_args(argv)

@@ -29,6 +29,7 @@ from infoload.cli import (
     FIELDS,
     main,
     parse_config,
+    write_csv,
 )
 from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError
@@ -138,6 +139,12 @@ class TestSubcommands:
 
     def test_no_arguments_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    def test_help_names_every_subcommand(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        help_text = capsys.readouterr().out
+        for name in ("agent", "market", "conjectures", "figure3", "sweep", "returns"):
+            assert name in help_text
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"market": {"theta": 2.0}})
@@ -472,6 +479,67 @@ def test_golden_market_and_agent_csvs(tmp_path, config, seed):
                      "--seed", str(seed)]) == EXIT_OK
         digests += [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names]
     assert tuple(digests) == GOLDEN_SHA256[config, seed]
+
+
+# digests of the CSVs the goldens above never reach, on configs/reference.json:
+# an int column (draw_index, n), quoted strings and pass/fail (conjectures.csv)
+OTHER_GOLDEN_SHA256 = {
+    ("figure3", 0): {
+        "figure3.csv": "32226ab83bcbf456fdfe9d11038013138ce3192814129bd343afebe674143968"},
+    ("figure3", 3): {
+        "figure3.csv": "889e3c13dfc8130d387112cc4d1e98c0cd352c36718e87ded03428968139503a"},
+    ("returns", 0): {
+        "returns.csv": "2a5156c7d550a6d34bba5e6f96e52a9a33bee3e7ef832958fc02ebc4c7fb4849",
+        "returns_summary.csv": "1eaa4ea3a82b9026e4391ddfb1a8727adf42e800a24ea16126cb2025ad4ef688"},
+    ("returns", 3): {
+        "returns.csv": "df36ca52291ed7c2003ffa16a21303e6bf3a823cf76477e8a6d53a376126901f",
+        "returns_summary.csv": "2d2e4ce7b8bde0dbfa4f781f14928c64e11a124cd252f0711bc024bfc76ce4b9"},
+    ("conjectures", 0): {
+        "conjectures.csv": "e40c8cf6948735db50797a5a00b11e29a7fccba706a9e81eb07ee559f8174e0b"},
+    ("conjectures", 3): {
+        "conjectures.csv": "e40c8cf6948735db50797a5a00b11e29a7fccba706a9e81eb07ee559f8174e0b"},
+}
+
+
+@pytest.mark.parametrize("subcommand,seed", sorted(OTHER_GOLDEN_SHA256))
+def test_golden_figure3_returns_and_conjectures_csvs(tmp_path, subcommand, seed):
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(REPO / "configs" / "reference.json"),
+                 "--out", str(out), "--seed", str(seed)]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == OTHER_GOLDEN_SHA256[subcommand, seed]
+
+
+class TestWriteCsv:
+    def test_cell_formats(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["x", "n", "ok", "text"], [
+            np.array([math.inf, -math.inf, math.nan, -0.0, 1e-05, 1e+12, 0.1 + 0.2]),
+            np.array([2**53 + 1, -(2**62), 0, 1, 2, 3, 4]),
+            np.array([True, False, True, False, False, False, True]),
+            ["50%", "%s", "%%", "%d", "a b", "\"q\"", ""]])
+        assert path == tmp_path / "t.csv"
+        assert path.read_bytes() == (
+            b"x,n,ok,text\n"
+            b"inf,9007199254740993,true,50%\n"
+            b"-inf,-4611686018427387904,false,%s\n"
+            b"nan,0,true,%%\n"
+            b"-0,1,false,%d\n"
+            b"1e-05,2,false,a b\n"
+            b"1e+12,3,false,\"q\"\n"
+            b"0.3,4,true,\n")
+
+    def test_python_lists_and_scalars(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["a", "b", "c"],
+                         [[0.1], [np.bool_(False)], [2**64 + 1]])
+        assert path.read_bytes() == b"a,b,c\n0.1,false,18446744073709551617\n"
+
+    def test_zero_rows_is_the_header_line(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([]), []])
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
 SCIPY_BLOCKED = """
