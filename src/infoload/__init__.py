@@ -37,7 +37,6 @@ from infoload.market import (
     ReturnModel,
     check_conjecture1,
     check_conjecture2,
-    check_conjecture3,
     run_market,
     sample_population,
     simulate_muthian_returns,
@@ -46,6 +45,7 @@ from infoload.sweep import (
     PhaseDiagram,
     PhaseSeries,
     UtilityCurve,
+    check_conjecture3,
     critical_imax_quantile,
     sweep_2d,
     sweep_imax,

@@ -12,7 +12,9 @@ columns of kernel codes and parameters; the solver, ``constrain`` and
 ``Population.utility`` read the columns directly, a ``Trader`` sequence is
 turned into columns once, and indexing rebuilds a trader's curves with
 ``curves.from_kernel_code``.  A brute-force grid search over the same interval
-serves as an independent verifier.
+serves as an independent verifier: ``grid_oracles`` reads the same columns and
+returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
+``AgentOutcome`` is one trader's row of them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -117,11 +119,21 @@ class Population(Sequence):
 
 @dataclass(frozen=True)
 class AgentOutcome:
+    """One trader's row of ``constrain``'s columns: optimum, its utility and regime."""
+
     i_star: float
     u_star: float
     regime: Regime
-    fully_informed: bool
-    i_unconstrained: Optional[float] = None  # +inf when unbounded; None for grid oracle
+
+    @property
+    def fully_informed(self) -> bool:
+        return self.regime is Regime.FULLY_INFORMED
+
+
+def _first_row(columns) -> AgentOutcome:
+    """Row 0 of ``(i_star, u_star, regime)`` columns, as Python values."""
+    i_star, u_star, regime = (column[0].item() for column in columns)
+    return AgentOutcome(i_star, u_star, Regime(regime))
 
 
 def expected_return(lambda_value: float, gain: float, loss: float) -> float:
@@ -237,11 +249,7 @@ def optimize_information(trader: Trader, i_max: float) -> AgentOutcome:
     """Constrained optimum on [0, i_max]: min(i_u, i_max), with regime labels."""
     check_i_max(i_max)
     population = Population.from_traders([trader])
-    i_u = solve_roots(population)
-    (i_star,), (u_star,), (regime,) = (a.tolist() for a in constrain(population, i_max, i_u))
-    return AgentOutcome(i_star=i_star, u_star=u_star, regime=Regime(regime),
-                        fully_informed=regime == Regime.FULLY_INFORMED,
-                        i_unconstrained=i_u.item())
+    return _first_row(constrain(population, i_max, solve_roots(population)))
 
 
 def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
@@ -250,40 +258,39 @@ def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
 
 
 def information_grid(i_max: float, step: float) -> np.ndarray:
-    """Inclusive grid {0, step, 2*step, ..., i_max}."""
+    """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max."""
     n = int(math.floor(i_max / step + 1e-9))
     grid = step * np.arange(n + 1, dtype=np.float64)
     if grid[-1] < i_max - 1e-12 * max(1.0, i_max):
         grid = np.append(grid, i_max)
     else:
-        grid[-1] = min(grid[-1], i_max)
+        grid[-1] = i_max
     return grid
 
 
-def grid_oracles(traders: Sequence[Trader], i_max: float,
-                 step: float = DEFAULT_ORACLE_STEP) -> List[AgentOutcome]:
+def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_ORACLE_STEP
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
-    each trader; every trader's utilities go into the same two kernel work arrays."""
+    every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``; every
+    trader's utilities go into the same two kernel work arrays."""
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
+    population = Population.from_traders(traders)
     grid = information_grid(i_max, step)
     out = np.empty_like(grid), np.empty_like(grid)
-    outcomes = []
-    for trader in traders:
-        util = kernels.utility_grid(grid, *_kernel_args(trader), out=out)
-        best = int(np.argmax(util))  # argmax returns the first maximizer
-        if best == 0:
-            regime = Regime.CORNER_ZERO
-        elif best == len(grid) - 1:
-            regime = Regime.FULLY_INFORMED
-        else:
-            regime = Regime.INTERIOR
-        outcomes.append(AgentOutcome(i_star=float(grid[best]), u_star=float(util[best]),
-                                     regime=regime, fully_informed=regime is Regime.FULLY_INFORMED))
-    return outcomes
+    best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
+    rows = zip(*(getattr(population, f.name).tolist() for f in fields(population)))
+    for k, (gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
+        util = kernels.utility_grid(grid, *curves, gain, loss, out=out)
+        best[k] = np.argmax(util)  # argmax returns the first maximizer
+        u_star[k] = util[best[k]]
+    # the first grid point is the corner 0, the last (i_max) fully informed
+    regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
+        best == len(grid) - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))
+    return grid[best], u_star, regime
 
 
 def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:
     """``grid_oracles`` of one trader."""
-    return grid_oracles([trader], i_max, step)[0]
+    return _first_row(grid_oracles([trader], i_max, step))

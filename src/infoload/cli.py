@@ -32,13 +32,12 @@ from infoload.market import (
     ReturnModel,
     check_conjecture1,
     check_conjecture2,
-    check_conjecture3,
     check_grid,
     run_market,
     sample_population,
     simulate_muthian_returns,
 )
-from infoload.sweep import sweep_2d, utility_curve
+from infoload.sweep import check_conjecture3, sweep_2d, utility_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,30 +288,13 @@ def _agent_columns(population: Population, outcome) -> list:
 
 
 # ---------------------------------------------------------------------------
-# reference populations for the conjectures subcommand
-
-
-def reference_mixed_population(n_agents: int = 100) -> List[Trader]:
-    """Half low-cost (corner at any modest ceiling), half high-cost (overloaded)."""
-    half = n_agents // 2
-    low = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.001, 2.0))
-    high = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))
-    return [low] * half + [high] * (n_agents - half)
-
-
-def reference_overload_population(n_agents: int = 50) -> List[Trader]:
-    return [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.01, 2.0))] * n_agents
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_agent(settings: Settings, out_dir: Path) -> List[Path]:
     population = sample_population(settings.population)
     outcome = run_market(settings.market, population)
-    oracle = np.array([o.i_star for o in
-                       grid_oracles(population, settings.market.i_max, AGENT_ORACLE_STEP)])
+    oracle, _, _ = grid_oracles(population, settings.market.i_max, AGENT_ORACLE_STEP)
     gap = np.abs(outcome.i_star - oracle)
     far = np.flatnonzero(gap > AGENT_ORACLE_STEP + 1e-6)
     if far.size:
@@ -347,14 +329,16 @@ def _cmd_conjectures(settings: Settings, out_dir: Path) -> List[Path]:
     v1 = check_conjecture1(sample_population(muthian_spec),
                            i_max=settings.market.i_max, theta=settings.market.theta)
 
-    mixed = reference_mixed_population(100)
+    # half low-cost (corner at any modest ceiling), half high-cost (overloaded)
+    mixed = ([Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.001, 2.0))] * 50
+             + [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))] * 50)
     v2 = check_conjecture2(
         (MarketConfig(i_max=2.0, theta=0.4), mixed),
         (MarketConfig(i_max=2.0, theta=0.6), mixed))
 
     schedule = [2.0**k for k in range(15)]
-    v3 = check_conjecture3(reference_overload_population(50),
-                           theta=settings.market.theta, i_max_schedule=schedule)
+    overload = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.01, 2.0))] * 50
+    v3 = check_conjecture3(overload, theta=settings.market.theta, i_max_schedule=schedule)
 
     verdicts = [v1, v2, v3]
     path = write_csv(out_dir / "conjectures.csv",
@@ -428,6 +412,7 @@ _DISPATCH = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

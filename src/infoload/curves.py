@@ -176,9 +176,9 @@ class CurveValidationReport:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def validate_curves(success: SuccessCurve, cost: CostCurve, i_probe_max: float,
-                    n_probe: int = 64) -> CurveValidationReport:
-    """Probe both curves on a log-spaced grid and report constraint checks.
+def validate_curves(success: SuccessCurve, cost: CostCurve,
+                    i_probe_max: float) -> CurveValidationReport:
+    """Probe both curves on a 64-point log-spaced grid and report constraint checks.
 
     Checks: zero at origin for both, positive first derivatives, concavity of
     the success curve, convexity of the cost curve (skipped for the zero-cost
@@ -186,7 +186,7 @@ def validate_curves(success: SuccessCurve, cost: CostCurve, i_probe_max: float,
     """
     if not (i_probe_max > 0 and math.isfinite(i_probe_max)):
         raise ParameterError("i_probe_max must be a positive finite real")
-    grid = np.geomspace(i_probe_max * 1e-6, i_probe_max, n_probe)
+    grid = np.geomspace(i_probe_max * 1e-6, i_probe_max, 64)
     lam_c = kernels.success_complement(grid, *success.kernel_code())  # 1 - lambda, stable
     lam_d = kernels.success_deriv(grid, *success.kernel_code())
     xi_d = kernels.cost_deriv(grid, *cost.kernel_code())

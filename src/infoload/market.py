@@ -1,5 +1,6 @@
-"""Population sampling, market-level efficiency classification and the three
-costless-information conjecture checks.
+"""Population sampling, market-level efficiency classification and two
+conjecture checks: costless information (1) and overload beside efficiency (2).
+Conjecture 3, over rising ceilings, is a phase series and lives in ``sweep``.
 
 Efficiency is structural: a market is efficient when the fraction of traders
 whose constrained optimum sits at the information ceiling reaches the
@@ -31,7 +32,7 @@ import numpy as np
 
 from infoload.agent import Population, Regime, Trader, constrain, solve_roots
 from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
-from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
+from infoload.errors import ConfigError, ParameterError, PreconditionError
 from infoload.kernels import COST_ZERO
 
 Interval = Tuple[float, float]
@@ -122,7 +123,6 @@ class MarketOutcome:
     efficient: bool
     counts: dict  # Regime value -> int, over participating agents
     mean_utility: float
-    n_agents: int
     n_excluded: int
     i_u: np.ndarray  # unconstrained optimum, +inf for zero cost
     i_star: np.ndarray  # min(i_u, i_max); 0 at the corner
@@ -275,25 +275,12 @@ def run_market(config: MarketConfig, traders: Sequence[Trader]) -> MarketOutcome
         efficient=fraction >= config.theta,
         counts=counts,
         mean_utility=mean_u,
-        n_agents=len(population),
         n_excluded=len(population) - n_part,
         i_u=i_u,
         i_star=i_star,
         u_star=u_star,
         regime=regime,
     )
-
-
-def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> np.ndarray:
-    """``run_market(...).fraction_informed`` (no participation rule) at every
-    ceiling: count(i_u >= i_max) / n over the population's roots ``i_u``, sorted."""
-    if len(roots) == 0:
-        raise PreconditionError("trader collection must be non-empty")
-    nan = np.flatnonzero(np.isnan(roots))
-    if nan.size:
-        raise NumericRangeError(f"agent {nan[0]}: unconstrained optimum is NaN")
-    n = len(roots)
-    return (n - np.searchsorted(np.sort(roots), i_max_grid, side="left")) / n
 
 
 def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> ConjectureVerdict:
@@ -345,43 +332,6 @@ def check_conjecture2(efficient_leg: Tuple[MarketConfig, Sequence[Trader]],
         name="conjecture2", passed=True,
         detail=(f"efficient at theta={cfg_a.theta} with {interior_a} interior agents; "
                 f"inefficient at theta={cfg_b.theta}"),
-    )
-
-
-def check_conjecture3(traders: Sequence[Trader], theta: float,
-                      i_max_schedule: Sequence[float],
-                      divergence_bound: float = -1e6) -> ConjectureVerdict:
-    """Unbounded information: everyone overloads and utility diverges to -inf."""
-    population = Population.from_traders(traders)
-    costless = np.flatnonzero(population.cost_code == COST_ZERO)
-    if costless.size:
-        raise PreconditionError(f"agent {costless[0]} has a zero cost curve")
-    schedule = check_grid("i_max_schedule", i_max_schedule)
-    if len(schedule) < 10:
-        raise PreconditionError(f"i_max_schedule: needs >= 10 ceilings, got {len(schedule)}")
-    check_theta(theta)
-
-    fractions = _fractions_at(solve_roots(population), schedule).tolist()
-    ceiling_utils = [population.utility(i_max).max().item() for i_max in schedule]
-
-    problems = []
-    # efficient is frac >= theta, so an efficient verdict after the threshold crossing
-    # needs a rising fraction: this check reports it
-    if any(b > a for a, b in zip(fractions, fractions[1:])):
-        problems.append("fraction_informed not non-increasing")
-    if fractions[-1] != 0.0:
-        problems.append(f"fraction_informed at final ceiling is {fractions[-1]}, not 0")
-    tail = ceiling_utils[-3:]
-    if not all(b < a for a, b in zip(tail, tail[1:])):
-        problems.append("ceiling utility not eventually decreasing")
-    if not ceiling_utils[-1] < divergence_bound:
-        problems.append(f"ceiling utility {ceiling_utils[-1]} not below {divergence_bound}")
-    if problems:
-        return ConjectureVerdict(name="conjecture3", passed=False, detail="; ".join(problems))
-    return ConjectureVerdict(
-        name="conjecture3", passed=True,
-        detail=(f"fraction_informed falls to 0 and ceiling utility reaches "
-                f"{ceiling_utils[-1]:.4g} over {len(schedule)} ceilings"),
     )
 
 

@@ -1,10 +1,12 @@
-"""Utility curves, efficiency phase sweeps and the critical information ceiling.
+"""Utility curves, efficiency phase sweeps, the critical information ceiling and
+conjecture 3.
 
 The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
 so the critical ceiling is an order statistic of the population's optima.
-``sweep_2d`` solves every multiplier's roots at once, sorts each row's and counts
-every ceiling by binary search; ``sweep_imax`` is its multiplier-1.0 row.  The
+``sweep_2d``, the one path from roots to a phase series, solves every multiplier's
+roots at once, sorts each row's and counts every ceiling by binary search;
+``sweep_imax`` and ``check_conjecture3`` read its multiplier-1.0 row.  The
 quantile keeps its own code (a plain sort and the smallest k with k / n >= theta)
 as the independent oracle the sweeps are validated against.
 """
@@ -19,10 +21,12 @@ import numpy as np
 
 from infoload.agent import (Population, Trader, _solve_scaled, check_i_max, solve_roots,
                             utility_on_grid)
-from infoload.market import _fractions_at, check_grid, check_theta
+from infoload.market import ConjectureVerdict, check_grid, check_theta
 from infoload.errors import ConfigError, NumericRangeError, PreconditionError
+from infoload.kernels import COST_ZERO
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
+DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
 
 
 @dataclass
@@ -97,6 +101,18 @@ def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[
     return None if value == 0.0 else value
 
 
+def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> np.ndarray:
+    """``run_market(...).fraction_informed`` (no participation rule) at every
+    ceiling: count(i_u >= i_max) / n over the population's roots ``i_u``, sorted."""
+    if len(roots) == 0:
+        raise PreconditionError("trader collection must be non-empty")
+    nan = np.flatnonzero(np.isnan(roots))
+    if nan.size:
+        raise NumericRangeError(f"agent {nan[0]}: unconstrained optimum is NaN")
+    n = len(roots)
+    return (n - np.searchsorted(np.sort(roots), i_max_grid, side="left")) / n
+
+
 def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
              multipliers: Sequence[float], theta: float) -> PhaseDiagram:
     """Phase diagram over (information ceiling, cost-scale multiplier).
@@ -120,4 +136,36 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
         fractions=fractions,
         efficient=efficient,
         critical_per_row=[grid[k - 1] if k else None for k in efficient.sum(axis=1).tolist()],
+    )
+
+
+def check_conjecture3(traders: Sequence[Trader], theta: float,
+                      i_max_schedule: Sequence[float]) -> ConjectureVerdict:
+    """Unbounded information: everyone overloads and utility diverges to -inf.  The
+    fractions informed are a ``sweep_2d`` row, which raises if they ever rise."""
+    population = Population.from_traders(traders)
+    costless = np.flatnonzero(population.cost_code == COST_ZERO)
+    if costless.size:
+        raise PreconditionError(f"agent {costless[0]} has a zero cost curve")
+    schedule = check_grid("i_max_schedule", i_max_schedule)
+    if len(schedule) < 10:
+        raise PreconditionError(f"i_max_schedule: needs >= 10 ceilings, got {len(schedule)}")
+
+    fractions = sweep_2d(population, schedule, [1.0], theta).fractions[0].tolist()
+    ceiling_utils = [population.utility(i_max).max().item() for i_max in schedule]
+
+    problems = []
+    if fractions[-1] != 0.0:
+        problems.append(f"fraction_informed at final ceiling is {fractions[-1]}, not 0")
+    tail = ceiling_utils[-3:]
+    if not all(b < a for a, b in zip(tail, tail[1:])):
+        problems.append("ceiling utility not eventually decreasing")
+    if not ceiling_utils[-1] < DIVERGENCE_BOUND:
+        problems.append(f"ceiling utility {ceiling_utils[-1]} not below {DIVERGENCE_BOUND}")
+    if problems:
+        return ConjectureVerdict(name="conjecture3", passed=False, detail="; ".join(problems))
+    return ConjectureVerdict(
+        name="conjecture3", passed=True,
+        detail=(f"fraction_informed falls to 0 and ceiling utility reaches "
+                f"{ceiling_utils[-1]:.4g} over {len(schedule)} ceilings"),
     )

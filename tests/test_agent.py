@@ -321,18 +321,25 @@ class TestGridOracle:
         traders = [random_trader(rng, family) for family in ("power", "exp_growth", "zero")
                    for _ in range(10)]
         grid = information_grid(8.0, 1e-3)
-        for trader, out in zip(traders, grid_oracles(traders, 8.0, 1e-3)):
+        columns = grid_oracles(traders, 8.0, 1e-3)
+        for trader, i_star, u_star, regime in zip(traders, *columns):
             util = utility_on_grid(trader, grid)
             best = int(np.argmax(util))
-            assert (out.i_star, out.u_star) == (grid[best], util[best]), trader
-            assert out == grid_oracle(trader, 8.0, 1e-3)
+            assert (i_star, u_star) == (grid[best], util[best]), trader
+            out = grid_oracle(trader, 8.0, 1e-3)
+            assert (i_star, u_star, regime) == (out.i_star, out.u_star, out.regime.value)
 
-    def test_grid_is_inclusive(self):
+    def test_grid_is_inclusive(self, reference_trader):
         grid = information_grid(1.0, 0.3)
         assert grid[0] == 0.0
         assert grid[-1] == 1.0
         grid = information_grid(1.0, 0.25)
         assert len(grid) == 5 and grid[-1] == 1.0
+        # step * n = 0.375 lies within rounding of i_max, just below it
+        i_max = 0.3750000000000001
+        assert information_grid(i_max, 1e-3)[-1] == i_max
+        out = grid_oracle(reference_trader, i_max, 1e-3)
+        assert out.regime is Regime.FULLY_INFORMED and out.i_star == i_max
 
 
 class TestProperties:

@@ -140,6 +140,19 @@ class TestSubcommands:
     def test_no_arguments_usage_error(self):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,message", [
+        (["market", "--config", "c.json", "--out", "o", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["market", "--config", "c.json"], "the following arguments are required: --out"),
+        (["frobnicate", "--config", "c.json", "--out", "o"],
+         "argument subcommand: invalid choice: 'frobnicate'"),
+    ])
+    def test_usage_error_says_what_was_wrong(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: infoload ")
+        assert err.splitlines()[-1].startswith(f"infoload: error: {message}")
+
     def test_help_names_every_subcommand(self, capsys):
         assert main(["--help"]) == EXIT_OK
         help_text = capsys.readouterr().out
@@ -561,6 +574,34 @@ def test_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == EXIT_OK, result.stderr
     assert len(read_csv(tmp_path / "out" / "market.csv")) == 20
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+import numpy
+preloaded = "numpy.random" in sys.modules
+from infoload.cli import main
+code = main(sys.argv[1:])
+print(preloaded, "numpy.random" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["sweep", "market"])
+def test_runs_without_loading_numpy_random(tmp_path, subcommand):
+    # numpy imports numpy.random lazily; its first use costs about 14 ms and 2-6 MB,
+    # and sampling reproduces its SeedSequence and PCG64 without it
+    path = write_config(tmp_path, {"population": {"n_agents": 20}})
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE, subcommand, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_OK, result.stderr
+    preloaded, loaded = result.stdout.split()
+    assert preloaded == "True" or loaded == "False"
 
 
 @pytest.mark.parametrize("path", sorted(FIELDS))
