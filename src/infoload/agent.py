@@ -99,10 +99,10 @@ class Population(Sequence):
                       from_kernel_code(COST_FAMILIES, c_code, c_scale, c_param))
 
     def families(self):
-        """(success code, cost code, agent indices) of every curve-family pair present."""
-        for s_code in np.unique(self.success_code).tolist():
+        """(success code, cost code, agent indices) of each family pair present, codes ascending."""
+        for s_code in np.flatnonzero(np.bincount(self.success_code)).tolist():
             success = self.success_code == s_code
-            for c_code in np.unique(self.cost_code[success]).tolist():
+            for c_code in np.flatnonzero(np.bincount(self.cost_code[success])).tolist():
                 yield s_code, c_code, np.flatnonzero(success & (self.cost_code == c_code))
 
     def utility(self, i) -> np.ndarray:
@@ -197,26 +197,29 @@ def _sign_change(g, agents: np.ndarray) -> np.ndarray:
     """Largest float with g > 0, elementwise, for decreasing g.
 
     The bracket [lo, hi] starts at [0, 1] and hi doubles while g(hi) > 0, so
-    g(lo) > 0 >= g(hi) wherever g(0) > 0.  Bisection then halves the distance
-    between the float64 bit patterns of lo and hi (ordered like the
-    non-negative floats they encode) until they are adjacent floats, in at
-    most 63 steps.  ``agents`` names each entry in errors.
+    g(lo) > 0 >= g(hi) wherever g(0) > 0.  Bisection on the float64 bit patterns (ordered
+    like the floats) then moves lo or hi to the midpoint, by arithmetic on each probe's 0/1
+    outcome, until all are adjacent floats; the first floor(log2(widest width)) steps cannot
+    be the last, so they skip that test.  ``agents`` names each entry in errors.
     """
     hi = np.ones(len(agents))
     while True:
         up = g(hi) > 0.0
         if not up.any():
             break
-        hi[up] *= 2.0
+        hi += hi * up
         if hi.max() > 1e300:
             raise NumericRangeError(f"agent {agents[np.argmax(hi)]}: bracket expansion "
                                     "overflowed while locating the optimum")
     lo = np.where(hi > 1.0, hi / 2.0, 0.0).view(np.int64)
     hi = hi.view(np.int64)
-    while (hi - lo > 1).any():
+    steps = int((hi - lo).max()).bit_length() - 1
+    while steps > 0 or (hi - lo > 1).any():
+        steps -= 1
         mid = lo + (hi - lo) // 2
         up = g(mid.view(np.float64)) > 0.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        lo += (mid - lo) * up
+        hi -= (hi - mid) * ~up
     return lo.view(np.float64)
 
 

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infoload import (
     ExpGrowthCost,
@@ -18,7 +21,7 @@ from infoload import (
     optimize_information,
     unconstrained_optimum,
 )
-from infoload import Population, kernels
+from infoload import Population, agent, kernels
 from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
 
@@ -31,6 +34,14 @@ class TestTrader:
         with pytest.raises(ParameterError, match="gain \\+ loss"):
             Trader(1e308, 1e308, ExpSaturating(1.0), PowerCost(1.0, 2.0))
         assert Trader(1e308, 7e307, ExpSaturating(1.0), PowerCost(1.0, 2.0)).gain == 1e308
+
+
+def _families_by_unique(population):
+    """``Population.families`` as two ``np.unique`` passes: the reference order."""
+    for s_code in np.unique(population.success_code).tolist():
+        success = population.success_code == s_code
+        for c_code in np.unique(population.cost_code[success]).tolist():
+            yield s_code, c_code, np.flatnonzero(success & (population.cost_code == c_code))
 
 
 class TestPopulation:
@@ -53,6 +64,15 @@ class TestPopulation:
     def test_empty(self):
         population = Population.from_traders([])
         assert len(population) == 0 and list(population) == []
+
+    def test_families_in_np_unique_order(self, rng):
+        mixed = Population.from_traders([random_trader(rng) for _ in range(300)])
+        for population in (mixed, Population.from_traders([])):
+            families = [(s, c, agents.tolist()) for s, c, agents in population.families()]
+            assert families == [(s, c, agents.tolist())
+                                for s, c, agents in _families_by_unique(population)]
+            assert all(type(s) is int and type(c) is int for s, c, _ in families)
+        assert len(list(mixed.families())) == 6
 
 
 class TestExpectedReturn:
@@ -250,6 +270,75 @@ class TestSolveRoots:
                 assert expected_utility(trader, i) == utility_on_grid(trader, [i])[0], (trader, i)
             checked += 1
         assert checked > 1900
+
+
+def _reference_sign_change(g, agents):
+    """The ``while``/``np.where`` bisection loop of ``_sign_change``: the bit-exact reference."""
+    hi = np.ones(len(agents))
+    while True:
+        up = g(hi) > 0.0
+        if not up.any():
+            break
+        hi[up] *= 2.0
+        if hi.max() > 1e300:
+            raise NumericRangeError(f"agent {agents[np.argmax(hi)]}: bracket expansion "
+                                    "overflowed while locating the optimum")
+    lo = np.where(hi > 1.0, hi / 2.0, 0.0).view(np.int64)
+    hi = hi.view(np.int64)
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        up = g(mid.view(np.float64)) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo.view(np.float64)
+
+
+def _solve_counting(population, multipliers):
+    """``_solve_scaled``'s roots as int64 bit patterns, and how often it evaluated g."""
+    calls = []
+    marginal_utility_grid = kernels.marginal_utility_grid
+
+    def counting(*args):
+        calls.append(None)
+        return marginal_utility_grid(*args)
+
+    with mock.patch.object(kernels, "marginal_utility_grid", counting):
+        roots = agent._solve_scaled(population, multipliers)
+    return roots.view(np.int64).tolist(), len(calls)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+_COSTLY_TRADERS = st.lists(st.builds(
+    Trader, st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+    st.one_of(st.builds(ExpSaturating, _log_uniform(-2, 2)),
+              st.builds(Hyperbolic, _log_uniform(-2, 2))),
+    st.one_of(st.builds(PowerCost, _log_uniform(-3, 3), st.floats(1.1, 3.5)),
+              st.builds(ExpGrowthCost, _log_uniform(-3, 3), _log_uniform(-2, 1)))),
+    min_size=1, max_size=16)
+
+# one column with g(0) <= 0, whose bisection goes down at every step
+_CORNER = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))
+# roots above 1, below 1, and g(0) <= 0, within and across family pairs
+_MIXED = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0)),
+          Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(100.0, 2.0)),
+          Trader(2.0, 1.0, Hyperbolic(0.5), ExpGrowthCost(0.01, 0.5)), _CORNER,
+          Trader(1.0, 3.0, Hyperbolic(2.0), ExpGrowthCost(50.0, 1.0))]
+
+
+class TestBisectionEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(traders=_COSTLY_TRADERS, multipliers=st.sampled_from([(1.0,), (0.01, 1.0, 100.0)]))
+    @example(traders=[_CORNER], multipliers=(1.0,))
+    @example(traders=[Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0))],
+             multipliers=(1.0,))
+    @example(traders=_MIXED, multipliers=(0.01, 1.0, 100.0))
+    def test_roots_and_g_calls_equal_the_while_loop(self, traders, multipliers):
+        population = Population.from_traders(traders)
+        solved = _solve_counting(population, multipliers)
+        with mock.patch.object(agent, "_sign_change", _reference_sign_change):
+            assert solved == _solve_counting(population, multipliers)
 
 
 class TestOptimizeInformation:
