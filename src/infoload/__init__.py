@@ -6,7 +6,6 @@ from infoload.curves import (
     COST_FAMILIES,
     SUCCESS_FAMILIES,
     CostCurve,
-    CurveValidationReport,
     ExpGrowthCost,
     ExpSaturating,
     Hyperbolic,
@@ -14,7 +13,6 @@ from infoload.curves import (
     SuccessCurve,
     ZeroCost,
     params_of,
-    validate_curves,
 )
 from infoload.agent import (
     AgentOutcome,

@@ -7,7 +7,7 @@ non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, by bracket doubling and bisection on
 numpy arrays down to adjacent floats; ``unconstrained_optimum`` is one
-trader's root as a float.  A ``Population`` holds many traders as float64
+trader's root as a float.  A ``Population`` holds many traders as checked
 columns of kernel codes and parameters; the solver, ``constrain`` and
 ``Population.utility`` read the columns directly, a ``Trader`` sequence is
 turned into columns once, and indexing rebuilds a trader's curves with
@@ -30,7 +30,7 @@ import numpy as np
 
 from infoload import kernels
 from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, SuccessCurve,
-                             from_kernel_code)
+                             check_columns, from_kernel_code)
 from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
@@ -46,11 +46,7 @@ class Trader:
     cost: CostCurve
 
     def __post_init__(self):
-        for name, v in (("gain", self.gain), ("loss", self.loss)):
-            if not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be a positive finite dollar amount, got {v!r}")
-        if not math.isfinite(self.gain + self.loss):
-            raise ParameterError(f"gain + loss must be finite, got {self.gain!r} + {self.loss!r}")
+        check_columns(gain=self.gain, loss=self.loss)
 
 
 class Regime(str, enum.Enum):
@@ -64,10 +60,10 @@ class Population(Sequence):
     """Traders as columns: entry k of every array describes trader k.
 
     Codes and parameters are those of ``kernel_code()``, so a zero-cost
-    trader has cost scale and cost param 0.0.  Indexing (and so iteration)
-    gives validated ``Trader``s with Python floats, their curves looked up in
-    the ``curves`` family registries.  ``sample_population`` and
-    ``from_traders`` build populations from validated inputs.
+    trader has cost scale and cost param 0.0.  A Population checks its own
+    columns (1-D, of one length, in their domains by ``curves.check_columns``),
+    so indexing (and so iteration) gives each row as a ``Trader`` with Python
+    floats, its curves looked up in the ``curves`` family registries.
     """
 
     gain: np.ndarray
@@ -77,6 +73,12 @@ class Population(Sequence):
     cost_code: np.ndarray
     cost_scale: np.ndarray
     cost_param: np.ndarray
+
+    def __post_init__(self):
+        shapes = {name: np.shape(column) for name, column in vars(self).items()}
+        if set(shapes.values()) != {(np.size(self.gain),)}:
+            raise ParameterError(f"columns must be 1-D arrays of one length, got shapes {shapes}")
+        check_columns(**vars(self))
 
     @classmethod
     def from_traders(cls, traders: Sequence[Trader]) -> Population:

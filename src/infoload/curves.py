@@ -5,22 +5,26 @@ saturate at 1 only in the limit.  Cost curves are convex, strictly increasing
 and zero at the origin; the degenerate zero-cost curve encodes the costless
 ("Muthian") scenario and is the only family allowed to break strict convexity.
 
-This is the one module that knows the families.  Each class holds and
-validates its parameters and carries its ``kernels`` family code as ``code``;
-its dataclass fields, in order, are its parameters and their config names
-(``params_of``).  ``kernel_code()`` gives code and parameters to the formulas,
-which live only in ``kernels``, and ``from_kernel_code`` turns them back into
-a curve.  ``SUCCESS_FAMILIES`` and ``COST_FAMILIES`` map each config family
-name to its class: a new family is one formula branch in ``kernels``, one
-class here and one registry entry.  A curve's ``value``, ``complement`` and
-``deriv`` evaluate the kernel function of that name on a one-element array,
-at a level i that must be finite and non-negative.
+This is the one module that knows the families.  Each class holds its
+parameters and carries its ``kernels`` family code as ``code``; its dataclass
+fields, in order, are its parameters and their config names (``params_of``).
+``kernel_code()`` gives code and parameters to the formulas, which live only
+in ``kernels``, and ``from_kernel_code`` turns them back into a curve.
+``SUCCESS_FAMILIES`` and ``COST_FAMILIES`` map each config family name to its
+class: a new family is one formula, one class (with its domain) and one
+registry entry.  Each parameter's domain is one ``BOUNDS`` entry, and every
+curve, ``Trader`` and ``agent.Population`` is checked against them by
+``check_columns``.  A curve's ``value``, ``complement`` and ``deriv`` evaluate
+the kernel function of that name on a one-element array, at a level i that
+must be finite and non-negative.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
@@ -38,6 +42,7 @@ def _at_one_level(formula):
     return method
 
 
+@functools.cache
 def params_of(cls) -> tuple:
     """A family's parameter names, in kernel and config order: its class's dataclass fields."""
     return tuple(f.name for f in fields(cls))
@@ -53,15 +58,72 @@ def _scaled(self, multiplier: float):
     return replace(self, scale=self.scale * multiplier)
 
 
+# each parameter's domain: the finite reals above its bound (a half-line)
+BOUNDS = {"gain": 0, "loss": 0, "rate": 0, "half_saturation": 0, "scale": 0, "exponent": 1}
+# a Population's columns of each kind of curve: the family code, then the kernel parameters
+_SUCCESS_COLUMNS = ("success_code", "success_param")
+_COST_COLUMNS = ("cost_code", "cost_scale", "cost_param")
+
+
+def in_domain(name: str, x):
+    """Whether ``x``, a float or (elementwise) an array, lies in parameter ``name``'s domain."""
+    return (x > BOUNDS[name]) & (x < math.inf)
+
+
+def domain_rule(name: str) -> str:
+    return f"must be finite and exceed {BOUNDS[name]}" + " (convexity)" * (name == "exponent")
+
+
+def check_columns(**columns) -> None:
+    """Raise ``ParameterError`` at the first agent (row) and column outside its domain.
+
+    ``columns`` are some of a ``Population``'s, as 1-D arrays or as floats (one row,
+    naming no agent): ``gain`` and ``loss``, with a finite sum, and a family code with
+    its parameters in the family's domains and 0 past the family's parameters.
+    """
+    found = [(np.logical_not(in_domain(name, columns[name])), name, domain_rule(name),
+              columns[name]) for name in ("gain", "loss") if name in columns]
+    if "gain" in columns and "loss" in columns:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, not finite
+            total = columns["gain"] + columns["loss"]
+        found.append((np.logical_not(total < math.inf), "gain + loss", "must be finite", total))
+    for families, (code_column, *param_columns) in ((SUCCESS_FAMILIES, _SUCCESS_COLUMNS),
+                                                    (COST_FAMILIES, _COST_COLUMNS)):
+        if code_column not in columns:
+            continue
+        code = columns[code_column]
+        members = {cls: code == cls.code for cls in families.values()}
+        known = functools.reduce(operator.or_, members.values())
+        found.append((np.logical_not(known & (np.asarray(code).dtype.kind in "iu")), code_column,
+                      f"must be an integer code in {sorted(cls.code for cls in members)}", code))
+        for cls, rows in ((cls, rows) for cls, rows in members.items() if np.count_nonzero(rows)):
+            for column, name in zip(param_columns, params_of(cls) + (None, None)):
+                x = columns.get(column)
+                if x is None:
+                    continue
+                if name is None:  # a kernel parameter the family does not have
+                    found.append((rows & (x != 0), column, f"must be 0 for {cls.__name__}", x))
+                else:
+                    found.append((rows & np.logical_not(in_domain(name, x)),
+                                  f"{column} ({name})", domain_rule(name), x))
+    bad = [(np.argmax(out), i) for i, (out, *_) in enumerate(found) if np.count_nonzero(out)]
+    if bad:
+        k, i = min(bad)
+        _, label, rule, values = found[i]
+        where = f"agent {k}: " if np.ndim(values) else ""
+        raise ParameterError(f"{where}{label} {rule}, got {np.atleast_1d(values)[k].item()!r}")
+
+
+def _checked(columns: tuple):
+    """A ``__post_init__`` checking a curve's ``kernel_code()`` as one row of ``columns``."""
+    return lambda self: check_columns(**dict(zip(columns, self.kernel_code())))
+
+
 # each class binds value and deriv in its own namespace (perfbench/tracer.py wraps them there)
-_SUCCESS_METHODS = tuple(map(_at_one_level, (kernels.success_value, kernels.success_complement,
-                                             kernels.success_deriv)))
-_COST_METHODS = _at_one_level(kernels.cost_value), _at_one_level(kernels.cost_deriv)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParameterError(msg)
+_SUCCESS_METHODS = (_checked(_SUCCESS_COLUMNS), *map(_at_one_level, (
+    kernels.success_value, kernels.success_complement, kernels.success_deriv)))
+_COST_METHODS = (_checked(_COST_COLUMNS), *map(_at_one_level, (
+    kernels.cost_value, kernels.cost_deriv)))
 
 
 @dataclass(frozen=True)
@@ -71,10 +133,7 @@ class ExpSaturating:
     code: ClassVar[int] = kernels.SUCCESS_EXP_SATURATING
     rate: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
-
-    value, complement, deriv = _SUCCESS_METHODS
+    __post_init__, value, complement, deriv = _SUCCESS_METHODS
     kernel_code = _kernel_code
 
 
@@ -85,13 +144,7 @@ class Hyperbolic:
     code: ClassVar[int] = kernels.SUCCESS_HYPERBOLIC
     half_saturation: float
 
-    def __post_init__(self):
-        _require(
-            math.isfinite(self.half_saturation) and self.half_saturation > 0,
-            "half_saturation must be a positive finite real",
-        )
-
-    value, complement, deriv = _SUCCESS_METHODS
+    __post_init__, value, complement, deriv = _SUCCESS_METHODS
     kernel_code = _kernel_code
 
 
@@ -103,14 +156,7 @@ class PowerCost:
     scale: float
     exponent: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.scale) and self.scale > 0, "scale must be a positive finite real")
-        _require(
-            math.isfinite(self.exponent) and self.exponent > 1,
-            "exponent must exceed 1 (convexity)",
-        )
-
-    value, deriv = _COST_METHODS
+    __post_init__, value, deriv = _COST_METHODS
     kernel_code = _kernel_code
     scaled = _scaled
 
@@ -123,11 +169,7 @@ class ExpGrowthCost:
     scale: float
     rate: float
 
-    def __post_init__(self):
-        _require(math.isfinite(self.scale) and self.scale > 0, "scale must be a positive finite real")
-        _require(math.isfinite(self.rate) and self.rate > 0, "rate must be a positive finite real")
-
-    value, deriv = _COST_METHODS
+    __post_init__, value, deriv = _COST_METHODS
     kernel_code = _kernel_code
     scaled = _scaled
 
@@ -138,7 +180,7 @@ class ZeroCost:
 
     code: ClassVar[int] = kernels.COST_ZERO
 
-    value, deriv = _COST_METHODS
+    __post_init__, value, deriv = _COST_METHODS
 
     def kernel_code(self):
         return self.code, 0.0, 0.0  # the cost formulas take a scale and a param
@@ -159,45 +201,3 @@ def from_kernel_code(families: dict, code: int, *params: float):
     """The curve of ``families`` whose ``kernel_code()`` is ``(code, *params)``."""
     cls = {cls.code: cls for cls in families.values()}[code]
     return cls(*params[:len(params_of(cls))])
-
-
-@dataclass
-class CurveValidationReport:
-    """Outcome of the numeric constraint probe over a pair of curves."""
-
-    checks: dict = field(default_factory=dict)
-    muthian_degenerate: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def failures(self):
-        return sorted(name for name, ok in self.checks.items() if not ok)
-
-
-def validate_curves(success: SuccessCurve, cost: CostCurve,
-                    i_probe_max: float) -> CurveValidationReport:
-    """Probe both curves on a 64-point log-spaced grid and report constraint checks.
-
-    Checks: zero at origin for both, positive first derivatives, concavity of
-    the success curve, convexity of the cost curve (skipped for the zero-cost
-    family, which is flagged degenerate) and success bounded below 1.
-    """
-    if not (i_probe_max > 0 and math.isfinite(i_probe_max)):
-        raise ParameterError("i_probe_max must be a positive finite real")
-    grid = np.geomspace(i_probe_max * 1e-6, i_probe_max, 64)
-    lam_c = kernels.success_complement(grid, *success.kernel_code())  # 1 - lambda, stable
-    lam_d = kernels.success_deriv(grid, *success.kernel_code())
-    xi_d = kernels.cost_deriv(grid, *cost.kernel_code())
-
-    report = CurveValidationReport(muthian_degenerate=isinstance(cost, ZeroCost))
-    report.checks["success_zero_at_origin"] = success.value(0.0) == 0.0
-    report.checks["cost_zero_at_origin"] = cost.value(0.0) == 0.0
-    report.checks["success_deriv_positive"] = bool(np.all(lam_d > 0))
-    report.checks["success_below_one"] = bool(np.all(lam_c > 0))
-    report.checks["success_concave"] = bool(np.all(np.diff(lam_d) < 0))
-    if not report.muthian_degenerate:
-        report.checks["cost_deriv_positive"] = bool(np.all(xi_d > 0))
-        report.checks["cost_convex"] = bool(np.all(np.diff(xi_d) > 0))
-    return report

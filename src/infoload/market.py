@@ -31,7 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from infoload.agent import Population, Regime, Trader, constrain, solve_roots
-from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
+from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, check_columns, domain_rule,
+                             in_domain, params_of)
 from infoload.errors import ConfigError, ParameterError, PreconditionError
 from infoload.kernels import COST_ZERO
 
@@ -41,12 +42,13 @@ Interval = Tuple[float, float]
 MAX_AGENTS = 2**32
 
 
-def _check_interval(name: str, iv: Interval) -> None:
+def _check_interval(field: str, name: str, iv: Interval) -> None:
+    """Both ends of ``iv`` in parameter ``name``'s domain, a half-line, so all of ``iv``."""
     lo, hi = iv
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError(name, f"degenerate or non-finite interval {iv!r}")
-    if lo <= 0:
-        raise ConfigError(name, f"lower bound must be positive, got {lo}")
+    if not (in_domain(name, lo) & in_domain(name, hi)):
+        raise ConfigError(field, f"{name} {domain_rule(name)}, got {iv!r}")
+    if not lo <= hi:
+        raise ConfigError(field, f"lower bound exceeds upper bound in {iv!r}")
 
 
 @dataclass(frozen=True)
@@ -64,27 +66,25 @@ class PopulationSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_agents <= MAX_AGENTS:
-            raise ConfigError("population.n_agents", f"must lie in [1, 2**32], got {self.n_agents}")
-        _check_interval("population.gain", self.gain)
-        _check_interval("population.loss", self.loss)
-        if not math.isfinite(self.gain[1] + self.loss[1]):
-            raise ConfigError("population.loss", "gain + loss must be finite for every agent, got "
-                              f"upper bounds {self.gain[1]} + {self.loss[1]}")
-        if self.success_family not in SUCCESS_FAMILIES:
-            raise ConfigError("population.success.family", f"unknown family {self.success_family!r}")
-        (name,) = params_of(SUCCESS_FAMILIES[self.success_family])
-        _check_interval(f"population.success.params.{name}", self.success_param)
-        if self.cost_family not in COST_FAMILIES:
-            raise ConfigError("population.cost.family", f"unknown family {self.cost_family!r}")
-        for name, iv in zip(params_of(COST_FAMILIES[self.cost_family]),
-                            (self.cost_scale, self.cost_shape)):
-            _check_interval(f"population.cost.params.{name}", iv)
-        if self.cost_family == "power" and self.cost_shape[0] <= 1.0:
-            raise ConfigError("population.cost.params.exponent", "lower bound must exceed 1 "
-                              f"(cost must be convex), got {self.cost_shape[0]}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("population.master_seed", "must be a 64-bit unsigned integer")
+        for name, lo, hi in (("n_agents", 1, MAX_AGENTS), ("master_seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                               and lo <= value <= hi):
+                raise ConfigError(f"population.{name}",
+                                  f"must be an integer in [{lo}, {hi}], got {value!r}")
+        _check_interval("population.gain", "gain", self.gain)
+        _check_interval("population.loss", "loss", self.loss)
+        try:
+            check_columns(gain=self.gain[1], loss=self.loss[1])  # the largest gain + loss
+        except ParameterError as exc:
+            raise ConfigError("population.loss", str(exc)) from None
+        for kind, families, family, intervals in (
+                ("success", SUCCESS_FAMILIES, self.success_family, (self.success_param,)),
+                ("cost", COST_FAMILIES, self.cost_family, (self.cost_scale, self.cost_shape))):
+            if family not in families:
+                raise ConfigError(f"population.{kind}.family", f"unknown family {family!r}")
+            for name, iv in zip(params_of(families[family]), intervals):
+                _check_interval(f"population.{kind}.params.{name}", name, iv)
 
 
 @dataclass(frozen=True)

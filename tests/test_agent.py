@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,8 @@ from infoload import (
     optimize_information,
     unconstrained_optimum,
 )
-from infoload import Population, agent, kernels
+from infoload import COST_FAMILIES, SUCCESS_FAMILIES, Population, PopulationSpec, agent, curves
+from infoload import kernels, sample_population
 from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
 
@@ -44,7 +46,101 @@ def _families_by_unique(population):
             yield s_code, c_code, np.flatnonzero(success & (population.cost_code == c_code))
 
 
+def _two_agents(**overrides):
+    """Valid columns of two agents (exp-saturating/power, hyperbolic/zero), then ``overrides``."""
+    columns = dict(gain=np.array([1.0, 2.0]), loss=np.array([1.0, 1.0]),
+                   success_code=np.array([0, 1]), success_param=np.array([1.0, 0.5]),
+                   cost_code=np.array([1, 0]), cost_scale=np.array([0.1, 0.0]),
+                   cost_param=np.array([2.0, 0.0]))
+    return {**columns, **overrides}
+
+
+# cells of hand-built columns: valid and invalid values, exponents around 1
+_CELLS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 0.5, 1.0, math.nextafter(1.0, 0.0),
+          math.nextafter(1.0, 2.0), 2.0]
+
+
+@st.composite
+def _rows(draw):
+    """A valid trader's kernel-code row with up to two cells replaced: a code by one of
+    -1..3, any other cell by one of ``_CELLS``."""
+    s_code, c_code = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    params = (draw(st.sampled_from([0.5, 2.0])), 2.0) if c_code else (0.0, 0.0)
+    row = [draw(st.sampled_from([0.5, 2.0])), 1.0, s_code, 0.5, c_code, *params]
+    for j in draw(st.lists(st.integers(0, 6), max_size=2)):
+        row[j] = draw(st.integers(-1, 3) if j in (2, 4) else st.sampled_from(_CELLS))
+    return tuple(row)
+
+
+def _row_as_trader(row):
+    """The ``Trader`` whose ``from_traders`` columns are ``row``, or None if there is none."""
+    gain, loss, s_code, s_param, c_code, c_scale, c_param = row
+    try:
+        trader = Trader(gain, loss, curves.from_kernel_code(SUCCESS_FAMILIES, s_code, s_param),
+                        curves.from_kernel_code(COST_FAMILIES, c_code, c_scale, c_param))
+    except (KeyError, ParameterError):  # KeyError: no family has that code
+        return None
+    columns = Population.from_traders([trader])
+    same = all(getattr(columns, f.name)[0] == value for f, value in zip(fields(columns), row))
+    return trader if same else None
+
+
 class TestPopulation:
+    @pytest.mark.parametrize("overrides,message", [
+        ({"gain": np.array([1.0, math.nan])}, "agent 1: gain must be finite"),
+        ({"cost_param": np.array([1.0, 0.0])},
+         r"agent 0: cost_param \(exponent\) must be finite and exceed 1 \(convexity\), got 1.0"),
+        ({"cost_code": np.array([7, 0])}, "agent 0: cost_code must be an integer code"),
+        ({"success_code": np.array([0, 5])}, "agent 1: success_code must be an integer code"),
+        ({"cost_code": np.array([1, -1])}, "agent 1: cost_code must be an integer code"),
+        ({"cost_code": np.array([1.0, 0.0])}, "agent 0: cost_code must be an integer code"),
+        ({"success_code": np.array([0.0, 1.0])}, "agent 0: success_code must be an integer code"),
+        ({"cost_scale": np.array([-0.1, 0.0])}, r"agent 0: cost_scale \(scale\) must be finite"),
+        ({"cost_scale": np.array([0.1, 0.5])}, "agent 1: cost_scale must be 0 for ZeroCost"),
+        ({"cost_param": np.array([2.0, 3.0])}, "agent 1: cost_param must be 0 for ZeroCost"),
+        ({"loss": np.array([1.0, 1e308]), "gain": np.array([1.0, 1e308])},
+         r"agent 1: gain \+ loss must be finite"),
+        ({"gain": np.array([1.0, 2.0, 3.0])}, "columns must be 1-D arrays of one length.*'gain'"),
+        ({"cost_param": np.array([[2.0, 0.0]])}, "columns must be 1-D arrays of one length"),
+        # the first bad agent is named, whatever the column order
+        ({"gain": np.array([1.0, -1.0]), "cost_param": np.array([0.5, 0.0])},
+         r"agent 0: cost_param \(exponent\)"),
+    ])
+    def test_hand_built_columns_are_checked(self, overrides, message):
+        assert len(Population(**_two_agents())) == 2
+        with pytest.raises(ParameterError, match=message):
+            Population(**_two_agents(**overrides))
+
+    def test_checked_before_any_solve(self):
+        with mock.patch.object(kernels, "marginal_utility_grid") as g:
+            with pytest.raises(ParameterError, match="agent 1: gain"):
+                solve_roots(Population(**_two_agents(gain=np.array([1.0, math.nan]))))
+        g.assert_not_called()
+
+    @pytest.mark.parametrize("success", sorted(SUCCESS_FAMILIES))
+    @pytest.mark.parametrize("cost", sorted(COST_FAMILIES))
+    def test_sampled_populations_accepted(self, success, cost):
+        spec = PopulationSpec(
+            n_agents=50, gain=(0.5, 2.0), loss=(0.5, 2.0), success_family=success,
+            success_param=(0.2, 2.0), cost_family=cost, cost_scale=(0.01, 1.0),
+            cost_shape=(math.nextafter(1.0, 2.0), 3.0), master_seed=5)
+        assert len(sample_population(spec)) == 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rows(), max_size=4))
+    def test_accepted_iff_every_row_is_a_trader(self, rows):
+        columns = [np.array([row[j] for row in rows], dtype=np.int64 if j in (2, 4) else float)
+                   for j in range(7)]  # codes are integer columns
+        traders = [_row_as_trader(row) for row in rows]
+        try:
+            population = Population(*columns)
+        except ParameterError as exc:
+            first = next(k for k, trader in enumerate(traders) if trader is None)
+            assert str(exc).startswith(f"agent {first}: ")
+        else:
+            assert None not in traders
+            assert list(population) == traders
+
     def test_columns_round_trip_to_traders(self, rng):
         traders = [random_trader(rng) for _ in range(50)]
         population = Population.from_traders(traders)

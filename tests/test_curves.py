@@ -11,7 +11,6 @@ from infoload import (
     Hyperbolic,
     PowerCost,
     ZeroCost,
-    validate_curves,
 )
 from infoload.errors import ParameterError
 
@@ -94,23 +93,6 @@ class TestCostEval:
             PowerCost(-1.0, 2.0)
         with pytest.raises(ParameterError):
             ExpGrowthCost(0.0, 1.0)
-
-
-class TestValidateCurves:
-    def test_reference_pair_passes(self):
-        report = validate_curves(ExpSaturating(1.0), PowerCost(0.1, 2.0), 100.0)
-        assert report.passed, report.failures()
-        assert not report.muthian_degenerate
-
-    def test_zero_cost_flagged_degenerate(self):
-        report = validate_curves(Hyperbolic(2.0), ZeroCost(), 100.0)
-        assert report.passed
-        assert report.muthian_degenerate
-        assert "cost_convex" not in report.checks
-
-    def test_bad_probe_range(self):
-        with pytest.raises(ParameterError):
-            validate_curves(ExpSaturating(1.0), ZeroCost(), 0.0)
 
 
 def _random_success(rng):

@@ -65,7 +65,7 @@ class TestPopulationSpec:
             make_spec(loss=(0.0, 1.0))
 
     def test_power_exponent_must_exceed_one(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="convexity"):
             make_spec(cost_shape=(1.0, 2.0))
 
     def test_gain_plus_loss_must_be_finite(self):
@@ -75,6 +75,37 @@ class TestPopulationSpec:
     def test_n_agents_positive(self):
         with pytest.raises(ConfigError):
             make_spec(n_agents=0)
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"n_agents": 2.5}, "population.n_agents"),
+        ({"n_agents": 100.0}, "population.n_agents"),
+        ({"n_agents": True}, "population.n_agents"),
+        ({"master_seed": 1.5}, "population.master_seed"),
+        ({"master_seed": True}, "population.master_seed"),
+        ({"master_seed": -1}, "population.master_seed"),
+        ({"master_seed": 2**64}, "population.master_seed"),
+    ])
+    def test_counts_and_seeds_must_be_integers(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer"):
+            make_spec(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        assert make_spec(n_agents=np.int64(5), master_seed=np.uint64(2**64 - 1)).n_agents == 5
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"cost_shape": (1.5, math.inf)}, "population.cost.params.exponent"),
+        ({"cost_shape": (math.nan, 2.0)}, "population.cost.params.exponent"),
+        ({"cost_scale": (-1.0, 1.0)}, "population.cost.params.scale"),
+        ({"success_param": (0.5, math.inf)}, "population.success.params.rate"),
+        ({"gain": (0.0, 1.0)}, "population.gain"),
+        ({"cost_family": "exp_growth", "cost_shape": (0.0, 1.0)}, "population.cost.params.rate"),
+    ])
+    def test_both_interval_ends_in_the_domain(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            make_spec(**overrides)
+
+    def test_zero_cost_ignores_cost_intervals(self):
+        assert make_spec(cost_family="zero", cost_shape=(0.5, 1.0)).cost_family == "zero"
 
     def test_n_agents_fits_one_spawn_word(self):
         # only the spec is built: nothing is sampled or allocated
