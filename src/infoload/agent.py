@@ -164,7 +164,7 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     """Unconstrained optimum ``i_u`` of every trader, as one float64 array.
 
     ``i_u`` is the largest float at which the marginal utility g (the kernel
-    ``marginal_utility_grid``) is positive; at that float g > 0 and at the next
+    ``marginal_utility``) is positive; at that float g > 0 and at the next
     float g <= 0.  Zero cost gives +inf (g never turns negative) and
     g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
     """
@@ -186,10 +186,10 @@ def _solve_scaled(population: Population, multipliers) -> np.ndarray:
             population.success_param[agents], c_scale[:, agents], population.cost_param[agents],
             population.gain[agents], population.loss[agents])]
 
-        def g(i):
-            return kernels.marginal_utility_grid(i, s_code, cols[0], c_code, *cols[1:])
-
-        # g(0) <= 0: the optimum is the origin; entry p of a column is agents[p % len(agents)]
+        # g writes into two work arrays; entry p of a column is agents[p % len(agents)]
+        g = kernels.marginal_utility(s_code, cols[0], c_code, *cols[1:],
+                                     out=(np.empty(len(cols[0])), np.empty(len(cols[0]))))
+        # g(0) <= 0: the optimum is the origin
         family = np.where(g(0.0) > 0.0, _sign_change(g, np.resize(agents, len(cols[0]))), 0.0)
         roots[:, agents] = family.reshape(-1, len(agents))
     return roots
@@ -200,28 +200,35 @@ def _sign_change(g, agents: np.ndarray) -> np.ndarray:
 
     The bracket [lo, hi] starts at [0, 1] and hi doubles while g(hi) > 0, so
     g(lo) > 0 >= g(hi) wherever g(0) > 0.  Bisection on the float64 bit patterns (ordered
-    like the floats) then moves lo or hi to the midpoint, by arithmetic on each probe's 0/1
-    outcome, until all are adjacent floats; the first floor(log2(widest width)) steps cannot
-    be the last, so they skip that test.  ``agents`` names each entry in errors.
+    like the floats) then moves lo to the midpoint wherever g(mid) > 0, until every bracket
+    is two adjacent floats.  Each bracket is [0, 1] or [2**(k-1), 2**k], whose width in bit
+    patterns is 1023 * 2**52 or 2**52, so the first 52 halvings are exact whatever g says:
+    each adds a per-column half-width that is shifted right once per step.  The [0, 1]
+    brackets then have width 1023 left, and the last steps track each width.  Every probe
+    writes into arrays made once per call.  ``agents`` names each entry in errors.
     """
-    hi = np.ones(len(agents))
-    while True:
-        up = g(hi) > 0.0
-        if not up.any():
-            break
-        hi += hi * up
+    hi, probe, up = np.ones(len(agents)), np.empty(len(agents)), np.empty(len(agents), bool)
+    while np.greater(g(hi), 0.0, out=up).any():
+        hi += np.multiply(hi, up, out=probe)
         if hi.max() > 1e300:
             raise NumericRangeError(f"agent {agents[np.argmax(hi)]}: bracket expansion "
                                     "overflowed while locating the optimum")
     lo = np.where(hi > 1.0, hi / 2.0, 0.0).view(np.int64)
-    hi = hi.view(np.int64)
-    steps = int((hi - lo).max()).bit_length() - 1
-    while steps > 0 or (hi - lo > 1).any():
-        steps -= 1
-        mid = lo + (hi - lo) // 2
-        up = g(mid.view(np.float64)) > 0.0
-        lo += (mid - lo) * up
-        hi -= (hi - mid) * ~up
+    width = hi.view(np.int64) - lo
+    half, step, mid = width >> 1, np.empty_like(lo), probe.view(np.int64)
+    for _ in range(52):
+        np.add(lo, half, out=mid)
+        np.greater(g(probe), 0.0, out=up)
+        lo += np.multiply(half, up, out=step)
+        half >>= 1
+    width >>= 52  # 1, or 1023 for a [0, 1] bracket
+    while width.max() > 1:
+        np.right_shift(width, 1, out=half)
+        np.add(lo, half, out=mid)
+        np.greater(g(probe), 0.0, out=up)
+        lo += np.multiply(half, up, out=step)
+        width &= up  # what is left is half, and the odd unit where lo moved
+        width += half
     return lo.view(np.float64)
 
 

@@ -74,13 +74,52 @@ def domain_rule(name: str) -> str:
     return f"must be finite and exceed {BOUNDS[name]}" + " (convexity)" * (name == "exponent")
 
 
+def _extremes(x):
+    """(smallest, largest) entry of ``x`` as Python numbers, None if it has none."""
+    if type(x) in (float, int):
+        return x, x
+    x = np.asarray(x)
+    if x.size == 0:
+        return None
+    return np.minimum.reduce(x, None).item(), np.maximum.reduce(x, None).item()
+
+
+def _extremes_in_domains(columns) -> bool:
+    """Whether each column's extremes lie in its domain, with one family per code
+    column: a sufficient condition for every row to, whatever the number of rows."""
+    extremes = {column: _extremes(x) for column, x in columns.items()}
+    if None in extremes.values():
+        return False
+    names = {"gain": "gain", "loss": "loss"}
+    for families, (code_column, *param_columns) in ((SUCCESS_FAMILIES, _SUCCESS_COLUMNS),
+                                                    (COST_FAMILIES, _COST_COLUMNS)):
+        if code_column in columns:
+            low, high = extremes[code_column]
+            cls = {cls.code: cls for cls in families.values()}.get(low)
+            integer = np.asarray(columns[code_column]).dtype.kind in "iu"
+            if low != high or cls is None or not integer:
+                return False
+            names.update(zip(param_columns, params_of(cls) + (None, None)))
+    for column, name in names.items():
+        if column in extremes:
+            low, high = extremes[column]
+            if not (low == high == 0 if name is None else in_domain(name, low) and high < math.inf):
+                return False
+    # the largest sum bounds every row's; Python floats overflow to inf unwarned
+    return not ("gain" in columns and "loss" in columns) or (
+        extremes["gain"][1] + extremes["loss"][1] < math.inf)
+
+
 def check_columns(**columns) -> None:
     """Raise ``ParameterError`` at the first agent (row) and column outside its domain.
 
     ``columns`` are some of a ``Population``'s, as 1-D arrays or as floats (one row,
     naming no agent): ``gain`` and ``loss``, with a finite sum, and a family code with
-    its parameters in the family's domains and 0 past the family's parameters.
+    its parameters in the family's domains and 0 past the family's parameters.  The
+    extremes of each column are tested first; per-row masks are built only when they fail.
     """
+    if _extremes_in_domains(columns):
+        return
     found = [(np.logical_not(in_domain(name, columns[name])), name, domain_rule(name),
               columns[name]) for name in ("gain", "loss") if name in columns]
     if "gain" in columns and "loss" in columns:

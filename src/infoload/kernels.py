@@ -4,10 +4,15 @@ Each formula is a numpy function of an array of levels ``i`` for the family
 coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
 against ``i``, one per trader.  The scalar curve API evaluates them on
 one-element arrays, so it agrees bit for bit with the solver's columns
-(``marginal_utility_grid``) and the oracle's grids (``utility_grid``).  A cost
+(``marginal_utility``) and the oracle's grids (``utility_grid``).  A cost
 or cost slope beyond the float64 range is +inf, and overflow never warns.
 An ``out=`` argument runs the same ufuncs into arrays the caller owns, so the
 values are bit-identical and a loop over traders allocates no grid per trader.
+``marginal_utility`` builds the solver's g for one family pair: it computes the
+factors free of the level once, and given ``out=`` every call of g writes into
+the same two work arrays, so a bisection probe allocates nothing.  The column
+and scalar slopes (``marginal_utility_grid``, ``success_deriv``,
+``cost_deriv``) call the same per-family code, so each formula is written once.
 """
 
 import numpy as np
@@ -37,35 +42,57 @@ def success_complement(i, code, param):
     return param / (i + param)
 
 
+def _success_deriv(code, param):
+    """lambda' as a function of ``(i, out)``, its level-free factor computed once."""
+    if code == SUCCESS_EXP_SATURATING:  # param * exp(-param * i)
+        neg = -param
+        return lambda i, out: np.multiply(
+            param, np.exp(np.multiply(neg, i, out=out), out=out), out=out)
+    # param / (i + param) ** 2
+    return lambda i, out: np.divide(param, np.square(np.add(i, param, out=out), out=out), out=out)
+
+
 @np.errstate(over="ignore")
 def success_deriv(i, code, param):
     """First derivative of the success probability."""
-    if code == SUCCESS_EXP_SATURATING:
-        return param * np.exp(-param * i)
-    return param / (i + param) ** 2
+    return _success_deriv(code, param)(i, None)
+
+
+def _zeros(i, out):
+    """Zeros shaped like ``i``, or ``out`` filled with zeros."""
+    if out is None:
+        return np.zeros_like(i)
+    out.fill(0.0)
+    return out
 
 
 @np.errstate(over="ignore")
 def cost_value(i, code, scale, param, out=None):
     """Elaboration cost: 0, scale * i**exponent or scale * (exp(rate * i) - 1)."""
     if code == COST_ZERO:
-        if out is None:
-            return np.zeros_like(i)
-        out.fill(0.0)
-        return out
+        return _zeros(i, out)
     if code == COST_POWER:
         return np.multiply(scale, np.power(i, param, out=out), out=out)
     return np.multiply(scale, np.expm1(np.multiply(param, i, out=out), out=out), out=out)
 
 
+def _cost_deriv(code, scale, param):
+    """xi' as a function of ``(i, out)``, its level-free factors computed once."""
+    if code == COST_ZERO:
+        return _zeros
+    factor = scale * param
+    if code == COST_POWER:  # scale * param * i ** (param - 1)
+        exponent = param - 1.0
+        return lambda i, out: np.multiply(factor, np.power(i, exponent, out=out), out=out)
+    # scale * param * exp(param * i)
+    return lambda i, out: np.multiply(
+        factor, np.exp(np.multiply(param, i, out=out), out=out), out=out)
+
+
 @np.errstate(over="ignore")
 def cost_deriv(i, code, scale, param):
     """First derivative of the elaboration cost."""
-    if code == COST_ZERO:
-        return np.zeros_like(i)
-    if code == COST_POWER:
-        return scale * param * np.power(i, param - 1.0)
-    return scale * param * np.exp(param * i)
+    return _cost_deriv(code, scale, param)(i, None)
 
 
 def expected_return(lam, gain, loss, out=None):
@@ -87,12 +114,30 @@ def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, ou
 
 
 @np.errstate(over="ignore")
+def marginal_utility(s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None):
+    """The marginal utility g(i) = lambda'(i) * (W + L) - xi'(i), as a function of the
+    levels i; -inf where the cost derivative is +inf.
+
+    The factors free of i are computed once, in the order ``success_deriv`` and
+    ``cost_deriv`` use, so every value of g is theirs bit for bit.  Given ``out``, two
+    float64 arrays shaped like g's values, every call of g runs its ufuncs into them
+    and returns the first, which the next call overwrites.
+    """
+    lam_d, cost_d = _success_deriv(s_code, s_param), _cost_deriv(c_code, c_scale, c_param)
+    total = gain + loss
+    util, scratch = (None, None) if out is None else out
+
+    def g(i):
+        with np.errstate(over="ignore"):
+            return np.subtract(np.multiply(lam_d(i, util), total, out=util),
+                               cost_d(i, scratch), out=util)
+    return g
+
+
 def marginal_utility_grid(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """d/di of expected utility; -inf where the cost derivative is +inf."""
-    i = np.asarray(i, dtype=np.float64)
-    lam_d = success_deriv(i, s_code, s_param)
-    cost_d = cost_deriv(i, c_code, c_scale, c_param)
-    return lam_d * (gain + loss) - cost_d
+    """d/di of expected utility at every level in ``i``, by ``marginal_utility``."""
+    return marginal_utility(s_code, s_param, c_code, c_scale, c_param, gain, loss)(
+        np.asarray(i, dtype=np.float64))
 
 
 # an alias, kept because perfbench/workloads.py checks utility_grid against it

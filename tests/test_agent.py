@@ -112,7 +112,7 @@ class TestPopulation:
             Population(**_two_agents(**overrides))
 
     def test_checked_before_any_solve(self):
-        with mock.patch.object(kernels, "marginal_utility_grid") as g:
+        with mock.patch.object(kernels, "marginal_utility") as g:
             with pytest.raises(ParameterError, match="agent 1: gain"):
                 solve_roots(Population(**_two_agents(gain=np.array([1.0, math.nan]))))
         g.assert_not_called()
@@ -391,14 +391,19 @@ def _reference_sign_change(g, agents):
 def _solve_counting(population, multipliers):
     """``_solve_scaled``'s roots as int64 bit patterns, and how often it evaluated g."""
     calls = []
-    marginal_utility_grid = kernels.marginal_utility_grid
+    build_g = kernels.marginal_utility  # the solve's g for each family pair
 
-    def counting(*args):
-        calls.append(None)
-        return marginal_utility_grid(*args)
+    def counting(*args, **kwargs):
+        g = build_g(*args, **kwargs)
 
-    with mock.patch.object(kernels, "marginal_utility_grid", counting):
+        def counted(i):
+            calls.append(None)
+            return g(i)
+        return counted
+
+    with mock.patch.object(kernels, "marginal_utility", counting):
         roots = agent._solve_scaled(population, multipliers)
+    assert len(calls) > 0
     return roots.view(np.int64).tolist(), len(calls)
 
 

@@ -2,6 +2,9 @@ import sys
 
 import mpmath
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoload import ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader, ZeroCost, kernels
 from infoload.agent import utility_on_grid
@@ -92,8 +95,8 @@ def test_kernel_matches_mpmath_oracle(rng):
 
 
 def test_curve_methods_equal_the_kernel_on_columns(rng):
-    # a hyperbolic slope at a 0-d level differs from the column in about 1 of 1,500
-    # points, so this many points tell a one-element evaluation from a 0-d one
+    # every formula is a chain of ufuncs, so a curve method (a one-element column) must
+    # give the column's bits at each of these 40,000 points
     for _ in range(400):
         trader = random_trader(rng)
         levels = rng.uniform(0.0, 20.0, 100)
@@ -118,3 +121,50 @@ def test_out_buffers_give_bit_identical_utilities(rng):
             util = kernels.utility_grid(grid, *args, out=out)
             assert util is out[0]
             assert np.array_equal(util, kernels.utility_grid(grid, *args)), trader
+
+
+def _marginal_utility_written_out(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
+    """The marginal utility as one expression per family, factors recomputed at every call."""
+    with np.errstate(over="ignore"):
+        if s_code == kernels.SUCCESS_EXP_SATURATING:
+            lam_d = s_param * np.exp(-s_param * i)
+        else:
+            lam_d = s_param / (i + s_param) ** 2
+        if c_code == kernels.COST_POWER:
+            cost_d = c_scale * c_param * np.power(i, c_param - 1.0)
+        else:
+            cost_d = c_scale * c_param * np.exp(c_param * i)
+        return lam_d * (gain + loss) - cost_d
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.parametrize("s_code", [kernels.SUCCESS_EXP_SATURATING, kernels.SUCCESS_HYPERBOLIC])
+@pytest.mark.parametrize("c_code", [kernels.COST_POWER, kernels.COST_EXP_GROWTH])
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(
+    _decades(-3, 3), _decades(-4, 4), _decades(-3, 1), _decades(-2, 2), _decades(-2, 2),
+    _decades(-6, 3), _decades(-6, 3)), min_size=1, max_size=12))
+def test_work_array_g_is_the_grid_kernel_bit_for_bit(s_code, c_code, rows):
+    # columns: success param, cost scale, cost param (1 + it for a power), gain, loss,
+    # and two sets of levels
+    s_param, c_scale, c_param, gain, loss, levels, other_levels = map(np.array, zip(*rows))
+    if c_code == kernels.COST_POWER:
+        c_param = 1.0 + c_param
+    args = (s_code, s_param, c_code, c_scale, c_param, gain, loss)
+    n = len(rows)
+    out = np.full(n, np.nan), np.full(n, np.nan)
+    g = kernels.marginal_utility(*args, out=out)
+    overflow = np.full(n, 1e300)  # the cost slope may be +inf there, so g is -inf, unwarned
+    for i in (0.0, levels, overflow, other_levels, 0.0, levels):
+        value = g(i)
+        assert value is out[0]
+        fresh = kernels.marginal_utility(*args)(i)
+        for expected in (fresh, kernels.marginal_utility_grid(i, *args),
+                         _marginal_utility_written_out(i, *args)):
+            assert value.view(np.int64).tolist() == expected.view(np.int64).tolist(), i
+    # exp(rate * 1e300) overflows; scale * param * 1e300 ** (param - 1) does past param 2.05
+    overflows = c_param > (2.05 if c_code == kernels.COST_POWER else 0.0)
+    assert g(overflow)[overflows].tolist() == [-np.inf] * np.count_nonzero(overflows)
