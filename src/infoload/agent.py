@@ -284,17 +284,20 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
     every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``; every
-    trader's utilities go into the same two kernel work arrays."""
+    trader's utilities go into the same two kernel work arrays, from one ``log`` of the
+    grid."""
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     population = Population.from_traders(traders)
     grid = information_grid(i_max, step)
+    with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
+        log_grid = np.log(grid)
     out = np.empty_like(grid), np.empty_like(grid)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
     rows = zip(*(getattr(population, f.name).tolist() for f in fields(population)))
     for k, (gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
-        util = kernels.utility_grid(grid, *curves, gain, loss, out=out)
+        util = kernels.utility_grid(grid, *curves, gain, loss, out=out, log_grid=log_grid)
         best[k] = np.argmax(util)  # argmax returns the first maximizer
         u_star[k] = util[best[k]]
     # the first grid point is the corner 0, the last (i_max) fully informed

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import reprlib
@@ -46,6 +47,7 @@ EXIT_CONJECTURE = 4
 EXIT_USAGE = 64
 
 AGENT_ORACLE_STEP = 1e-3
+CSV_CHUNK_ROWS = 1024  # rows per write, so no buffer holds a whole large table
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +257,18 @@ def _cells(column) -> tuple:
 
 def write_csv(path: Path, header: Sequence[str], columns) -> Path:
     """Write equal-length columns under ``header`` and return ``path``; each row is
-    formatted with one ``%``, and columns of unequal length raise ``ValueError``."""
+    formatted with one ``%``, and the rows go to the file ``CSV_CHUNK_ROWS`` at a
+    time.  Columns of unequal length raise ``ValueError`` before the file is opened."""
     cells = list(map(_cells, columns))
-    row = ",".join(fmt for _, fmt in cells)
-    lines = [",".join(header)]
-    lines.extend(map(row.__mod__, zip(*(values for values, _ in cells), strict=True)))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    lengths = {len(values) for values, _ in cells}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+    row = ",".join(fmt for _, fmt in cells) + "\n"
+    rows = map(row.__mod__, zip(*(values for values, _ in cells)))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        while chunk := "".join(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            fh.write(chunk)
     return path
 
 

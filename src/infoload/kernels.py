@@ -8,6 +8,14 @@ one-element arrays, so it agrees bit for bit with the solver's columns
 or cost slope beyond the float64 range is +inf, and overflow never warns.
 An ``out=`` argument runs the same ufuncs into arrays the caller owns, so the
 values are bit-identical and a loop over traders allocates no grid per trader.
+``utility_grid`` is the complement form ``W - (W + L) * (1 - lambda) - xi``,
+with ``1 - lambda`` from ``success_complement``, so it does not cancel as
+lambda -> 1.  A power cost's value is ``scale * exp(p * log i)`` everywhere;
+``utility_grid`` takes a precomputed ``log_grid``, so the oracle takes one
+``log`` per grid and one ``exp`` per trader.
+The rounding of ``log i`` reaches the exponent multiplied by ``p``, so the
+value is within ``(|p ln i| + 2) * 2**-52`` relative of the exact cost up to
+its overflow point.  The slope ``cost_deriv`` keeps ``np.power``.
 ``marginal_utility`` builds the solver's g for one family pair: it computes the
 factors free of the level once, and given ``out=`` every call of g writes into
 the same two work arrays, so a bisection probe allocates nothing.  The column
@@ -28,18 +36,18 @@ COST_EXP_GROWTH = 2
 BACKEND = "python"
 
 
-def success_value(i, code, param, out=None):
+def success_value(i, code, param):
     """Success probability: 1 - exp(-rate * i) or i / (i + half_saturation)."""
     if code == SUCCESS_EXP_SATURATING:
-        return np.negative(np.expm1(np.multiply(-param, i, out=out), out=out), out=out)
-    return np.divide(i, np.add(i, param, out=out), out=out)
+        return -np.expm1(-param * i)
+    return i / (i + param)
 
 
-def success_complement(i, code, param):
+def success_complement(i, code, param, out=None):
     """1 - success probability, computed without cancellation; positive for finite i."""
     if code == SUCCESS_EXP_SATURATING:
-        return np.exp(-param * i)
-    return param / (i + param)
+        return np.exp(np.multiply(-param, i, out=out), out=out)
+    return np.divide(param, np.add(i, param, out=out), out=out)
 
 
 def _success_deriv(code, param):
@@ -66,13 +74,15 @@ def _zeros(i, out):
     return out
 
 
-@np.errstate(over="ignore")
-def cost_value(i, code, scale, param, out=None):
-    """Elaboration cost: 0, scale * i**exponent or scale * (exp(rate * i) - 1)."""
+@np.errstate(over="ignore", divide="ignore")
+def cost_value(i, code, scale, param, out=None, log_i=None):
+    """Elaboration cost: 0, scale * exp(exponent * log i) (that is, scale * i**exponent)
+    or scale * (exp(rate * i) - 1).  ``log_i``, if given, is ``np.log(i)``."""
     if code == COST_ZERO:
         return _zeros(i, out)
     if code == COST_POWER:
-        return np.multiply(scale, np.power(i, param, out=out), out=out)
+        log_i = np.log(i, out=out) if log_i is None else log_i
+        return np.multiply(scale, np.exp(np.multiply(param, log_i, out=out), out=out), out=out)
     return np.multiply(scale, np.expm1(np.multiply(param, i, out=out), out=out), out=out)
 
 
@@ -95,21 +105,21 @@ def cost_deriv(i, code, scale, param):
     return _cost_deriv(code, scale, param)(i, None)
 
 
-def expected_return(lam, gain, loss, out=None):
-    """Expected dollar return of the two-outcome bet at success probability lam;
-    given ``out`` (not ``lam`` itself), ``lam`` is overwritten as scratch."""
-    lost = np.multiply(np.subtract(1.0, lam, out=out), loss, out=out)
-    return np.subtract(np.multiply(lam, gain, out=None if out is None else lam), lost, out=out)
+def expected_return(lam, gain, loss):
+    """Expected dollar return of the two-outcome bet at success probability lam."""
+    return lam * gain - (1.0 - lam) * loss
 
 
-def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None):
-    """Expected utility at every grid point; -inf where the cost is +inf.  ``out``,
-    two float64 arrays shaped like ``grid``, takes the result (first) and scratch."""
+def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None,
+                 log_grid=None):
+    """Expected utility ``W - (W + L) * (1 - lambda) - xi`` at every grid point; -inf
+    where the cost is +inf.  ``out``, two float64 arrays shaped like ``grid``, takes the
+    result (first) and scratch; ``log_grid``, if given, is ``np.log(grid)``."""
     i = np.asarray(grid, dtype=np.float64)
     util, scratch = (None, None) if out is None else out
-    lam = success_value(i, s_code, s_param, out=scratch)
-    util = expected_return(lam, gain, loss, out=util)
-    cost = cost_value(i, c_code, c_scale, c_param, out=scratch)
+    util = success_complement(i, s_code, s_param, out=util)
+    util = np.subtract(gain, np.multiply(gain + loss, util, out=util), out=util)
+    cost = cost_value(i, c_code, c_scale, c_param, out=scratch, log_i=log_grid)
     return np.subtract(util, cost, out=util)
 
 

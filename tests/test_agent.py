@@ -200,12 +200,19 @@ class TestExpectedUtility:
         assert expected == pytest.approx(0.16424, abs=1e-5)
 
     def test_zero_cost_reduces_to_expected_return(self, rng):
+        # the kernel's utility is W - (W + L) * (1 - lambda) - xi, so a zero cost leaves
+        # that complement form bit for bit; it rounds differently from
+        # lambda * W - (1 - lambda) * L, but each form is a few roundings of terms no
+        # larger than W + L, so the two agree within 4 ulps of W + L
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())
         assert expected_utility(trader, 1.0) == pytest.approx(0.26424, abs=1e-5)
         for _ in range(100):
             t = random_trader(rng, cost_family="zero")
             i = rng.uniform(0.0, 20.0)
-            assert expected_utility(t, i) == expected_return(t.success.value(i), t.gain, t.loss)
+            u = expected_utility(t, i)
+            assert u == t.gain - (t.gain + t.loss) * t.success.complement(i)
+            assert u == pytest.approx(expected_return(t.success.value(i), t.gain, t.loss),
+                                      rel=0.0, abs=4 * 2.0**-52 * (t.gain + t.loss))
 
 
 class TestMarginalUtility:

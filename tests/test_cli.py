@@ -435,6 +435,7 @@ class TestDeterminism:
 # golden digests of market.csv, market_summary.csv and agents.csv; the summaries
 # were recorded with one SeedSequence and Generator per agent and Brent roots,
 # the per-agent files with the bisection roots (adjacent floats at the sign change)
+# and the utility in complement form, W - (W + L) * (1 - lambda) - xi
 
 MARKET_2000 = {
     "population": {"n_agents": 2000, "gain": [0.5, 2.0], "loss": [0.5, 2.0],
@@ -446,14 +447,14 @@ MARKET_2000 = {
 
 GOLDEN_SHA256 = {
     ("reference", 0): (
-        "427e1c224f2e8178ca33368453c72bc759c5c04a5247154daf4fb78811255213",
+        "1dbcd83216572da3160ca9937394327dc9850ef9fba6949a089a3f7a45cb648f",
         "09f3e95cf7d7ebbc2fd3ed8c8645b87261255dc8252a034bfbc60fd06131a0cf",
-        "44e4caf1fe50de5929b436005a25fc2b561f2cc42951d3abd409b5b9768183f2",
+        "ab8ee6db0f59090b9c1e5fedaf040117ba54d1517460751c0604e416bc6ac461",
     ),
     ("reference", 7): (
-        "1cd5bc9ab523936fc4b7a4cabe7b23c752dbc09928ce2bc26d8be3cdf6654c38",
+        "577d0567da532b9481058d3124dc465c12ce96b03a0a62568740774647713384",
         "43b6ea601cae547ee4892571b56b5c89a83b6207ca1597acf56ae28db3a6aea7",
-        "7de45c2346c18b74359fec0acf83dc695b1b7be0f519e3205a9e8467722625db",
+        "73fd8bd20b30ffc215fcad66dc61be34b0e476faf28b769bfa8992769e1d2ad7",
     ),
     ("reference", 2**64 - 1): (
         "10bb37a4f0fe814a4f26b6b8803d64407278870a843e4089801fff2be82bc5d7",
@@ -466,14 +467,14 @@ GOLDEN_SHA256 = {
         "7494a42fce02cd6f89c3092c88ac3bb334aec8c88222b5c7cb256f335c112e75",
     ),
     ("market_2000", 7): (
-        "53976cf716d6f102aef977a09693ab6b4e7a3fbdcdf7c2665269cb1fbcb64ef8",
+        "4000518842d05b21708cfc08610849edb38ae7e786df5dd3959b45c126085e4a",
         "b6bf0faa572e3a7d53eb8020e2f07736548dcaf967f34b61db03ce3487c11803",
-        "d0721ab5816bf7eed73b821304903c524cfe78833e9bc38f971a64755d75642a",
+        "ce011543c77862db53cc498804b34d5ddcd105b25f91f1c893d8fd7b4c8e03a9",
     ),
     ("market_2000", 2**64 - 1): (
-        "05a5a5c6ef3c26055e3658b231ad2353eeb0b025e5f93ab438c968da1137b6c9",
+        "c98be1d0eec895e6d5c48a0e24267a24d06d078d20712d101e0a11ce8693caeb",
         "5e3d9c2a0c409b9212fbb144be9944c895b4b17c08bcc9c5892784f59ea32f08",
-        "cad036ef6aeb50a7f9f715891f68fd1b1a98d1fd466442890497dbec42bd55a1",
+        "1ec0525a1ad1f8b155502f7307a2121e2dc835e50612c05919b2f397fc14c871",
     ),
 }
 
@@ -495,12 +496,13 @@ def test_golden_market_and_agent_csvs(tmp_path, config, seed):
 
 
 # digests of the CSVs the goldens above never reach, on configs/reference.json:
-# an int column (draw_index, n), quoted strings and pass/fail (conjectures.csv)
+# an int column (draw_index, n), quoted strings and pass/fail (conjectures.csv);
+# figure3.csv's expected_utility is the complement-form utility
 OTHER_GOLDEN_SHA256 = {
     ("figure3", 0): {
         "figure3.csv": "32226ab83bcbf456fdfe9d11038013138ce3192814129bd343afebe674143968"},
     ("figure3", 3): {
-        "figure3.csv": "889e3c13dfc8130d387112cc4d1e98c0cd352c36718e87ded03428968139503a"},
+        "figure3.csv": "380a77899ada8cbb8be5e1252777b292f7ce7228d0debf5c1b5651739d934dae"},
     ("returns", 0): {
         "returns.csv": "2a5156c7d550a6d34bba5e6f96e52a9a33bee3e7ef832958fc02ebc4c7fb4849",
         "returns_summary.csv": "1eaa4ea3a82b9026e4391ddfb1a8727adf42e800a24ea16126cb2025ad4ef688"},

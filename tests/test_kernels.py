@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -109,18 +111,49 @@ def test_curve_methods_equal_the_kernel_on_columns(rng):
 
 
 def test_out_buffers_give_bit_identical_utilities(rng):
-    # one pair of work arrays reused across every family pair and the overflow
-    # edges, so values left over from the previous trader must not leak through
+    # one pair of work arrays and one log of the grid reused across every family pair
+    # and the overflow edges, so values left over from the previous trader must not
+    # leak through, and log 0 = -inf must give a zero power cost without a warning
     grid = np.concatenate([np.linspace(0.0, 30.0, 1001), [354.89, 354.9, 1e6, 1e103, 1e300]])
+    with np.errstate(divide="ignore"):
+        log_grid = np.log(grid)
     out = np.full_like(grid, np.nan), np.full_like(grid, np.nan)
     for family in ("power", "exp_growth", "zero"):
         for _ in range(20):
             trader = random_trader(rng, family)
             args = (*trader.success.kernel_code(), *trader.cost.kernel_code(),
                     trader.gain, trader.loss)
-            util = kernels.utility_grid(grid, *args, out=out)
-            assert util is out[0]
-            assert np.array_equal(util, kernels.utility_grid(grid, *args)), trader
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fresh = kernels.utility_grid(grid, *args)
+                for kwargs in ({}, {"log_grid": log_grid}):
+                    util = kernels.utility_grid(grid, *args, out=out, **kwargs)
+                    assert util is out[0]
+                    assert util.view(np.int64).tolist() == fresh.view(np.int64).tolist(), trader
+
+
+@mpmath.workprec(200)
+def test_power_cost_is_within_its_log_bound_up_to_overflow(rng):
+    # scale * exp(p * log i): log i is rounded, and p * log i carries that rounding into
+    # the exponent as an absolute error of about |p ln i| * 2**-53, which exp turns into
+    # a relative one; with the roundings of the product, exp and scale the value is
+    # within (|p ln i| + 2) * 2**-52 relative of the exact cost wherever it is finite
+    cases = [(1.0, 3.0, [1e100, 1e102, 5e102])]  # exp(3 * log 1e100) is 9e-14 off
+    for _ in range(100):
+        scale, p = rng.uniform(0.001, 5.0), 1.0 + rng.uniform(0.001, 2.0)
+        # from where i ** p and the cost are normal floats to just below where one overflows
+        lo, hi = (max(math.log(sys.float_info.min), math.log(sys.float_info.min / scale)) / p,
+                  min(math.log(sys.float_info.max), math.log(sys.float_info.max / scale)) / p)
+        cases.append((scale, p, np.exp(rng.uniform(lo, hi, 20)).tolist()
+                      + [math.exp(hi) * (1 - 1e-12)]))
+    for scale, p, levels in cases:
+        values = kernels.cost_value(np.array(levels), kernels.COST_POWER, scale, p)
+        assert np.array_equal(values, [PowerCost(scale, p).value(i) for i in levels])
+        for i, value in zip(levels, values.tolist()):
+            exact = mpmath.mpf(scale) * mpmath.mpf(i) ** mpmath.mpf(p)
+            bound = (abs(p * math.log(i)) + 2) * 2.0**-52
+            assert exact <= FLOAT_MAX and math.isfinite(value), (scale, p, i)
+            assert abs(mpmath.mpf(value) - exact) <= bound * exact, (scale, p, i)
 
 
 def _marginal_utility_written_out(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
