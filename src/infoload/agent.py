@@ -14,7 +14,10 @@ turned into columns once, and indexing rebuilds a trader's curves with
 ``curves.from_kernel_code``.  A brute-force grid search over the same interval
 serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
-``AgentOutcome`` is one trader's row of them.
+``AgentOutcome`` is one trader's row of them.  It uses nothing of the solver and
+skips only grid points that cannot be a first maximizer: a point whose computed
+cost is at least the stake ``W + L`` has utility at most index 0's ``W - (W + L)``,
+so it can at most tie index 0, which the argmax prefers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, Success
 from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
+# grid_oracles scans each cost at every ORACLE_SCAN_STRIDE-th grid point for its prefix
+ORACLE_SCAN_STRIDE = 256
 
 
 @dataclass(frozen=True)
@@ -280,12 +285,42 @@ def information_grid(i_max: float, step: float) -> np.ndarray:
     return grid
 
 
+def _oracle_lengths(population: Population, grid: np.ndarray,
+                    log_grid: np.ndarray) -> np.ndarray:
+    """How many leading grid points can hold each trader's first maximizer: those before
+    the first scan point (every ``ORACLE_SCAN_STRIDE``-th) whose cost exceeds
+    ``2 * (W + L)``, else all of them.  One ``cost_value`` call per family pair scans
+    all of its traders."""
+    scan = slice(None, None, ORACLE_SCAN_STRIDE)
+    with np.errstate(over="ignore"):  # an infinite limit is never exceeded
+        limit = 2.0 * (population.gain + population.loss)
+    lengths = np.full(len(population), len(grid))
+    for _, c_code, agents in population.families():
+        over = kernels.cost_value(
+            grid[scan], c_code, population.cost_scale[agents, None],
+            population.cost_param[agents, None], log_i=log_grid[scan]) > limit[agents, None]
+        lengths[agents] = np.where(over.any(axis=1), np.argmax(over, axis=1) * ORACLE_SCAN_STRIDE,
+                                   len(grid))
+    return lengths
+
+
 def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_ORACLE_STEP
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
-    every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``; every
-    trader's utilities go into the same two kernel work arrays, from one ``log`` of the
-    grid."""
+    every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``.
+
+    With ``T = W + L`` and ``c = 1 - lambda >= 0``, the computed utility
+    ``fl(fl(W - fl(T * c)) - xi)`` is at most ``fl(W - xi)``, and at index 0, where
+    ``c = 1`` and ``xi = 0`` exactly, it is ``fl(W - T)``.  So a point whose computed
+    cost is at least ``T`` can at most tie index 0, which the argmax prefers.  Every
+    costly family's exact cost is non-decreasing in i (``curves.BOUNDS``) and the
+    kernel's is within a few ulps of it, so past a point whose computed cost exceeds
+    ``2 * T`` every point costs at least ``T``: each trader's kernel call evaluates
+    only the prefix of the grid before the first such scan point
+    (``_oracle_lengths``), and the regime still reads the full grid's last index.
+    Every trader's utilities go into the same two kernel work arrays, from one
+    ``log`` of the grid.
+    """
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
@@ -293,13 +328,15 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     grid = information_grid(i_max, step)
     with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
         log_grid = np.log(grid)
-    out = np.empty_like(grid), np.empty_like(grid)
+    util, scratch = np.empty_like(grid), np.empty_like(grid)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
-    rows = zip(*(getattr(population, f.name).tolist() for f in fields(population)))
-    for k, (gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
-        util = kernels.utility_grid(grid, *curves, gain, loss, out=out, log_grid=log_grid)
-        best[k] = np.argmax(util)  # argmax returns the first maximizer
-        u_star[k] = util[best[k]]
+    rows = zip(_oracle_lengths(population, grid, log_grid).tolist(),
+               *(getattr(population, f.name).tolist() for f in fields(population)))
+    for k, (n, gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
+        prefix = kernels.utility_grid(grid[:n], *curves, gain, loss, out=(util[:n], scratch[:n]),
+                                      log_grid=log_grid[:n])
+        best[k] = np.argmax(prefix)  # argmax returns the first maximizer
+        u_star[k] = prefix[best[k]]
     # the first grid point is the corner 0, the last (i_max) fully informed
     regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
         best == len(grid) - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))

@@ -488,6 +488,67 @@ class TestOptimizeInformation:
             assert out.u_star >= util.max() - 1e-9
 
 
+def _reference_grid_oracles(traders, i_max, step=agent.DEFAULT_ORACLE_STEP):
+    """The full-grid loop of ``grid_oracles``: the bit-exact reference."""
+    agent.check_i_max(i_max)
+    if not (0 < step <= i_max):
+        raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
+    population = Population.from_traders(traders)
+    grid = information_grid(i_max, step)
+    with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
+        log_grid = np.log(grid)
+    out = np.empty_like(grid), np.empty_like(grid)
+    best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
+    rows = zip(*(getattr(population, f.name).tolist() for f in fields(population)))
+    for k, (gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
+        util = kernels.utility_grid(grid, *curves, gain, loss, out=out, log_grid=log_grid)
+        best[k] = np.argmax(util)  # argmax returns the first maximizer
+        u_star[k] = util[best[k]]
+    # the first grid point is the corner 0, the last (i_max) fully informed
+    regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
+        best == len(grid) - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))
+    return grid[best], u_star, regime
+
+
+def _oracle_points(traders, i_max, step):
+    """``grid_oracles``'s columns, and how many grid points its kernel calls evaluated."""
+    points = []
+    utility_grid = kernels.utility_grid
+
+    def counting(grid, *args, **kwargs):
+        points.append(len(grid))
+        return utility_grid(grid, *args, **kwargs)
+
+    with mock.patch.object(kernels, "utility_grid", counting):
+        columns = grid_oracles(traders, i_max, step)
+    return columns, sum(points)
+
+
+def _oracle_bits(columns):
+    i_star, u_star, regime = columns
+    return i_star.view(np.int64).tolist(), u_star.view(np.int64).tolist(), regime.tolist()
+
+
+# gains and losses up to the overflow edge, where 2 * (gain + loss) is not finite
+_PAYOFFS = st.one_of(_log_uniform(-2, 2), st.floats(1e307, 8.9e307))
+_ANY_TRADERS = st.lists(st.builds(
+    Trader, _PAYOFFS, _PAYOFFS,
+    st.one_of(st.builds(ExpSaturating, _log_uniform(-2, 2)),
+              st.builds(Hyperbolic, _log_uniform(-2, 2))),
+    st.one_of(st.builds(PowerCost, _log_uniform(-6, 3), st.floats(1.05, 4.0)),
+              st.builds(ExpGrowthCost, _log_uniform(-6, 3), _log_uniform(-2, 1)),
+              st.just(ZeroCost()))),
+    min_size=1, max_size=12)
+# optima at 0 (_CORNER), interior and at i_max, and a 2 * (W + L) that overflows; the
+# second interior optimum costs 0.7 with W + L = 2, near the (W + L) / e that bounds the cost
+# at any optimum, so a prefix cut where the cost first exceeds (W + L) / 4 would miss it
+_OPTIMA = [_CORNER, Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0)),
+           Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.7, 1.05)),
+           Trader(1.0, 3.0, Hyperbolic(2.0), ZeroCost()),
+           Trader(2.0, 1.0, Hyperbolic(0.5), ExpGrowthCost(1e-6, 0.5)),
+           Trader(8e307, 8e307, ExpSaturating(1.0), PowerCost(1e300, 3.0))]
+
+
 class TestGridOracle:
     def test_zero_cost_monotone(self):
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())
@@ -537,6 +598,33 @@ class TestGridOracle:
         assert information_grid(i_max, 1e-3)[-1] == i_max
         out = grid_oracle(reference_trader, i_max, 1e-3)
         assert out.regime is Regime.FULLY_INFORMED and out.i_star == i_max
+
+
+class TestGridOraclePrefix:
+    @settings(max_examples=200, deadline=None)
+    @given(traders=_ANY_TRADERS, i_max=_log_uniform(math.log10(0.05), math.log10(400.0)),
+           n_steps=st.one_of(st.integers(1, 300), st.integers(300, 20_000)))
+    @example(traders=_OPTIMA, i_max=5.0, n_steps=5000)
+    @example(traders=_OPTIMA, i_max=100.0, n_steps=100_000)
+    @example(traders=_OPTIMA, i_max=0.5, n_steps=255)  # shorter than the scan stride
+    @example(traders=_OPTIMA, i_max=0.5, n_steps=1)
+    def test_equals_the_full_grid_loop(self, traders, i_max, n_steps):
+        step = i_max / n_steps
+        assert _oracle_bits(grid_oracles(traders, i_max, step)) == _oracle_bits(
+            _reference_grid_oracles(traders, i_max, step))
+
+    def test_skips_costs_above_the_stake(self):
+        trader = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 3.0))
+        grid = information_grid(100.0, 1e-3)
+        columns, points = _oracle_points([trader], 100.0, 1e-3)
+        assert 0 < points < 0.1 * len(grid)
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles([trader], 100.0, 1e-3))
+
+    @pytest.mark.parametrize("cost", [ZeroCost(), PowerCost(1e-6, 2.0)])
+    def test_full_grid_when_no_cost_reaches_twice_the_stake(self, cost):
+        # cost 1e-6 * 100**2 = 0.01 never reaches 2 * (1 + 1)
+        _, points = _oracle_points([Trader(1.0, 1.0, ExpSaturating(1.0), cost)], 100.0, 1e-3)
+        assert points == len(information_grid(100.0, 1e-3))
 
 
 class TestProperties:

@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infoload.cli
+import infoload.market
 import infoload.sweep
 from infoload.agent import Population
 from infoload.cli import (
+    AGENT_ORACLE_STEP,
     EXIT_CONFIG,
     EXIT_CONJECTURE,
     EXIT_NUMERIC,
@@ -237,6 +239,28 @@ class TestSubcommands:
         assert main(["agent", "--config", str(path), "--out", str(out)]) == EXIT_OK
         (row,) = read_csv(out / "agents.csv")
         assert abs(float(row["i_star"]) - float(row["oracle_i_star"])) <= 1e-3 + 1e-6
+
+    @pytest.mark.parametrize("cost", [
+        {"family": "zero", "params": {}},
+        {"family": "power", "params": {"scale": 1e-12, "exponent": 1.5}}])
+    def test_agent_flat_utility_is_no_disagreement(self, tmp_path, cost):
+        # lambda saturates in float64, so the oracle's first maximizer starts a flat
+        # stretch of utility far from the optimizer's i_star, at the same utility
+        cfg = {"population": {"n_agents": 3, "cost": cost}, "market": {"i_max": 100.0}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["agent", "--config", str(path), "--out", str(out), "--seed", "1"]) == EXIT_OK
+        rows = read_csv(out / "agents.csv")
+        assert any(abs(float(r["i_star"]) - float(r["oracle_i_star"])) > 1e-3 for r in rows)
+
+    def test_agent_shifted_optimum_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
+        solve = infoload.market.solve_roots
+        monkeypatch.setattr(infoload.market, "solve_roots",
+                            lambda population: solve(population) + 10 * AGENT_ORACLE_STEP)
+        path = write_config(tmp_path, REFERENCE_CONFIG)
+        assert main(["agent", "--config", str(path), "--out", str(tmp_path / "out")]) == (
+            EXIT_NUMERIC)
+        assert "agent 0: optimizer/oracle disagree by 0.0095" in capsys.readouterr().err
 
     def test_sweep_outputs(self, tmp_path):
         cfg = {"population": {"n_agents": 10},
