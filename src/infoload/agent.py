@@ -16,8 +16,10 @@ serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
 ``AgentOutcome`` is one trader's row of them.  It uses nothing of the solver and
 skips only grid points that cannot be a first maximizer: a point whose computed
-cost is at least the stake ``W + L`` has utility at most index 0's ``W - (W + L)``,
-so it can at most tie index 0, which the argmax prefers.
+cost is at least ``W - u`` has utility at most ``u``.  A strided scan gives each
+trader an incumbent utility and a cut where the cost passes it, as in branch and
+bound; the cut is kept only when the best utility ``u`` of the evaluated prefix
+proves it, else the trader gets the whole grid.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Tuple
@@ -37,8 +40,12 @@ from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, Success
 from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
-# grid_oracles scans each cost at every ORACLE_SCAN_STRIDE-th grid point for its prefix
+# grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point for its prefix,
+# cut where the cost exceeds W less the best scan utility, times ORACLE_CUT_MARGIN
 ORACLE_SCAN_STRIDE = 256
+ORACLE_CUT_MARGIN = 1.0 + 2.0**-10
+# the relative cost error that a cut's bound allows for, above the kernel's 2**-42
+ORACLE_COST_ERROR = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -286,22 +293,40 @@ def information_grid(i_max: float, step: float) -> np.ndarray:
 
 
 def _oracle_lengths(population: Population, grid: np.ndarray,
-                    log_grid: np.ndarray) -> np.ndarray:
-    """How many leading grid points can hold each trader's first maximizer: those before
-    the first scan point (every ``ORACLE_SCAN_STRIDE``-th) whose cost exceeds
-    ``2 * (W + L)``, else all of them.  One ``cost_value`` call per family pair scans
-    all of its traders."""
+                    log_grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each trader's prefix length and the bound that must prove its cut (``grid_oracles``).
+
+    One 2-D ``utility_grid`` call per family pair evaluates every ``ORACLE_SCAN_STRIDE``-th
+    grid point of all of its traders, the costs landing in its scratch array.  A trader's
+    prefix ends at the first scan point ``s`` after its first best scan utility ``u_s``
+    whose cost exceeds ``(W - u_s) * ORACLE_CUT_MARGIN``; its bound is that cost, at most
+    the largest float, times ``1 - ORACLE_COST_ERROR``, or 0 where the cost is below
+    ``2**-1000 * (1 + scale)``.  A trader without such a point gets the whole grid and the
+    bound +inf.
+    """
     scan = slice(None, None, ORACLE_SCAN_STRIDE)
-    with np.errstate(over="ignore"):  # an infinite limit is never exceeded
-        limit = 2.0 * (population.gain + population.loss)
-    lengths = np.full(len(population), len(grid))
-    for _, c_code, agents in population.families():
-        over = kernels.cost_value(
-            grid[scan], c_code, population.cost_scale[agents, None],
-            population.cost_param[agents, None], log_i=log_grid[scan]) > limit[agents, None]
-        lengths[agents] = np.where(over.any(axis=1), np.argmax(over, axis=1) * ORACLE_SCAN_STRIDE,
-                                   len(grid))
-    return lengths
+    position = np.arange(len(grid[scan]))
+    lengths, bounds = np.full(len(population), len(grid)), np.full(len(population), math.inf)
+    for s_code, c_code, agents in population.families():
+        gain, c_scale = population.gain[agents], population.cost_scale[agents]
+        util, cost = np.empty((2, len(agents), len(position)))
+        kernels.utility_grid(grid[scan], s_code, population.success_param[agents, None], c_code,
+                             c_scale[:, None], population.cost_param[agents, None],
+                             gain[:, None], population.loss[agents, None], out=(util, cost),
+                             log_grid=log_grid[scan])
+        rows = np.arange(len(agents))
+        b_s = np.argmax(util, axis=1)  # the first maximizer
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite limit is never exceeded
+            limit = (gain - util[rows, b_s]) * ORACLE_CUT_MARGIN
+        over = (cost > limit[:, None]) & (position > b_s[:, None])
+        s = np.argmax(over, axis=1)
+        cut = over[rows, s]
+        s, cost_s = s[cut], cost[rows[cut], s[cut]]
+        lengths[agents[cut]] = s * ORACLE_SCAN_STRIDE
+        bounds[agents[cut]] = np.where(
+            cost_s >= 2.0**-1000 * (1.0 + c_scale[cut]),
+            np.minimum(cost_s, sys.float_info.max) * (1.0 - ORACLE_COST_ERROR), 0.0)
+    return lengths, bounds
 
 
 def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_ORACLE_STEP
@@ -309,17 +334,37 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
     every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``.
 
-    With ``T = W + L`` and ``c = 1 - lambda >= 0``, the computed utility
-    ``fl(fl(W - fl(T * c)) - xi)`` is at most ``fl(W - xi)``, and at index 0, where
-    ``c = 1`` and ``xi = 0`` exactly, it is ``fl(W - T)``.  So a point whose computed
-    cost is at least ``T`` can at most tie index 0, which the argmax prefers.  Every
-    costly family's exact cost is non-decreasing in i (``curves.BOUNDS``) and the
-    kernel's is within a few ulps of it, so past a point whose computed cost exceeds
-    ``2 * T`` every point costs at least ``T``: each trader's kernel call evaluates
-    only the prefix of the grid before the first such scan point
-    (``_oracle_lengths``), and the regime still reads the full grid's last index.
-    Every trader's utilities go into the same two kernel work arrays, from one
-    ``log`` of the grid.
+    Each trader's kernel call evaluates a prefix of the grid, cut by ``_oracle_lengths``
+    at a scan point ``s`` past which the cost is high, and it is kept only when exact
+    reasoning on the prefix's own values shows that no skipped point beats the prefix's
+    first maximizer ``b`` with utility ``u_p``; otherwise that trader gets the whole grid.
+    The scan's values serve only to place the cut.  The proof:
+
+    - With ``T = fl(W + L)`` and ``c = 1 - lambda >= 0``, the kernel's utility
+      ``fl(fl(W - fl(T * c)) - xi)`` is at most ``fl(W - xi)``, by monotone rounding.  So a
+      point whose computed cost is at least the real ``W - u_p`` has utility at most
+      ``u_p``; it lies after ``b``, so it can at most tie, and the argmax keeps ``b``.
+    - The cut is kept when ``bound >= fl(W - u_p)``.  If ``u_p == W`` that holds for any
+      bound and every utility is at most ``W``.  Otherwise ``fl(W - u_p)`` is positive and
+      at most the bound, which is finite, so the real ``W - u_p`` is at most
+      ``bound * (1 + 2**-53)``.  NaN fails the comparison, so it takes the whole grid.
+    - Every costly family's exact cost is ``scale * e(i)`` with ``e`` increasing in i
+      (``curves.BOUNDS``), so every skipped point's exact cost is at least the one at
+      ``s``.  Where the computed cost at ``s`` is at least ``2**-1000 * (1 + scale)``,
+      ``e`` and the cost are normal floats with room to spare, there and at every later
+      point.  There the kernel's cost is +inf beyond the float range, else within
+      ``(|x| + 2) * 2**-52 < 2**-42`` relative of the exact one, where the exponent ``x``
+      is ``p ln i`` for a power cost (``kernels``) or ``p i`` for an exponential one,
+      below 746 in size where ``e`` is normal and finite.  The 2-D scan and the trader's
+      own call may differ in their bits, so the cost at a skipped point is at least
+      ``min(cost_s, max float) * (1 - 2**-41)``, which exceeds ``bound * (1 + 2**-53)``
+      since ``ORACLE_COST_ERROR`` is ``2**-32``.  A smaller (zero or subnormal) cost at
+      ``s`` gives the bound 0, which proves only ``u_p == W``.
+    - An overflowing ``W - u_s`` gives an infinite limit that nothing exceeds, and an
+      overflowing ``W - u_p`` a comparison that fails: both take the whole grid.
+
+    The regime reads the full grid's last index.  Every trader's utilities go into the
+    same two kernel work arrays, from one ``log`` of the grid.
     """
     check_i_max(i_max)
     if not (0 < step <= i_max):
@@ -330,13 +375,17 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
         log_grid = np.log(grid)
     util, scratch = np.empty_like(grid), np.empty_like(grid)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
-    rows = zip(_oracle_lengths(population, grid, log_grid).tolist(),
+    lengths, bounds = _oracle_lengths(population, grid, log_grid)
+    rows = zip(lengths.tolist(), bounds.tolist(),
                *(getattr(population, f.name).tolist() for f in fields(population)))
-    for k, (n, gain, loss, *curves) in enumerate(rows):  # curves: codes and params, in kernel order
-        prefix = kernels.utility_grid(grid[:n], *curves, gain, loss, out=(util[:n], scratch[:n]),
-                                      log_grid=log_grid[:n])
-        best[k] = np.argmax(prefix)  # argmax returns the first maximizer
-        u_star[k] = prefix[best[k]]
+    for k, (n, bound, gain, loss, *curves) in enumerate(rows):  # curves: kernel order
+        for n in (n, len(grid)):  # a cut that its bound does not prove takes the whole grid
+            prefix = kernels.utility_grid(grid[:n], *curves, gain, loss,
+                                          out=(util[:n], scratch[:n]), log_grid=log_grid[:n])
+            best[k] = np.argmax(prefix)  # argmax returns the first maximizer
+            u_star[k] = prefix[best[k]]
+            if bound >= gain - u_star[k]:
+                break
     # the first grid point is the corner 0, the last (i_max) fully informed
     regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
         best == len(grid) - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))

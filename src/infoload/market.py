@@ -169,19 +169,31 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _mul128(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(hi:lo) * PCG multiplier mod 2**128; the low 64x64 product in 32-bit limbs."""
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI, lo * _PCG_MULT_LO
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
+              work: np.ndarray) -> None:
+    """(hi:lo) = (hi:lo) * PCG multiplier + (inc_hi:inc_lo) mod 2**128, in place.
 
-
-def _add128(a_hi, a_lo, b_hi, b_lo) -> Tuple[np.ndarray, np.ndarray]:
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
+    The carry of the low 64x64 product comes from 32-bit limbs, in the six uint64 rows
+    of ``work``."""
+    a0, a1, p, q, mid, carry = work
+    np.bitwise_and(lo, _MASK32, out=a0)
+    np.right_shift(lo, 32, out=a1)
+    np.right_shift(np.multiply(a0, _PCG_MULT_LO & _MASK32, out=p), 32, out=mid)
+    np.multiply(a0, _PCG_MULT_LO >> 32, out=p)
+    np.right_shift(p, 32, out=carry)
+    mid += np.bitwise_and(p, _MASK32, out=p)
+    np.multiply(a1, _PCG_MULT_LO & _MASK32, out=p)
+    carry += np.right_shift(p, 32, out=q)
+    mid += np.bitwise_and(p, _MASK32, out=p)
+    carry += np.multiply(a1, _PCG_MULT_LO >> 32, out=p)
+    carry += np.right_shift(mid, 32, out=mid)
+    hi *= _PCG_MULT_LO
+    hi += np.multiply(lo, _PCG_MULT_HI, out=p)
+    hi += carry
+    lo *= _PCG_MULT_LO
+    lo += inc_lo
+    hi += np.less(lo, inc_lo, out=p)  # the carry out of the low word
+    hi += inc_hi
 
 
 def _keyed_uniforms(master_seed: int, n: int, n_draws: int) -> np.ndarray:
@@ -224,15 +236,23 @@ def _keyed_uniforms(master_seed: int, n: int, n_draws: int) -> np.ndarray:
         words.append((value ^ (value >> 16)).astype(np.uint64))
     s_hi, s_lo, i_hi, i_lo = (words[2 * j] | (words[2 * j + 1] << 32) for j in range(4))
 
-    # pcg_setseq_128_srandom_r, then XSL-RR of the state after each step
+    # pcg_setseq_128_srandom_r: one step from inc + seed; then a step and an XSL-RR output
+    # per draw, in place, the output in the rows the step has finished with
     inc_hi, inc_lo = (i_hi << 1) | (i_lo >> 63), (i_lo << 1) | 1
-    hi, lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, s_hi, s_lo)), inc_hi, inc_lo)
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    work = np.empty((6, n), dtype=np.uint64)
+    x, rot, rotated = work[:3]
+    _pcg_step(hi, lo, inc_hi, inc_lo, work)
     out = np.empty((n_draws, n))
     for d in range(n_draws):
-        hi, lo = _add128(*_mul128(hi, lo), inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        out[d] = (x >> 11) * 2.0**-53
+        _pcg_step(hi, lo, inc_hi, inc_lo, work)
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, 58, out=rot)
+        np.right_shift(x, rot, out=rotated)
+        np.left_shift(x, np.bitwise_and(np.subtract(64, rot, out=rot), 63, out=rot), out=x)
+        x |= rotated
+        np.multiply(np.right_shift(x, 11, out=x), 2.0**-53, out=out[d])
     return out
 
 

@@ -510,18 +510,26 @@ def _reference_grid_oracles(traders, i_max, step=agent.DEFAULT_ORACLE_STEP):
     return grid[best], u_star, regime
 
 
-def _oracle_points(traders, i_max, step):
-    """``grid_oracles``'s columns, and how many grid points its kernel calls evaluated."""
-    points = []
+def _oracle_calls(traders, i_max, step):
+    """``grid_oracles``'s columns, and the shape of each of its kernel calls' values."""
+    shapes = []
     utility_grid = kernels.utility_grid
 
-    def counting(grid, *args, **kwargs):
-        points.append(len(grid))
-        return utility_grid(grid, *args, **kwargs)
+    def recording(grid, *args, **kwargs):
+        util = utility_grid(grid, *args, **kwargs)
+        shapes.append(util.shape)
+        return util
 
-    with mock.patch.object(kernels, "utility_grid", counting):
+    with mock.patch.object(kernels, "utility_grid", recording):
         columns = grid_oracles(traders, i_max, step)
-    return columns, sum(points)
+    return columns, shapes
+
+
+def _oracle_points(traders, i_max, step):
+    """``grid_oracles``'s columns, and how many points its kernel calls evaluated: a 2-D
+    call counts its grid times its rows."""
+    columns, shapes = _oracle_calls(traders, i_max, step)
+    return columns, sum(math.prod(shape) for shape in shapes)
 
 
 def _oracle_bits(columns):
@@ -608,23 +616,60 @@ class TestGridOraclePrefix:
     @example(traders=_OPTIMA, i_max=100.0, n_steps=100_000)
     @example(traders=_OPTIMA, i_max=0.5, n_steps=255)  # shorter than the scan stride
     @example(traders=_OPTIMA, i_max=0.5, n_steps=1)
+    # W - (W + L) * (1 - lambda) rounds to W at some grid points before others
+    @example(traders=[Trader(1e307, 1.0, ExpSaturating(10**1.5), PowerCost(1.0, 2.0))],
+             i_max=10**0.25, n_steps=512)
     def test_equals_the_full_grid_loop(self, traders, i_max, n_steps):
         step = i_max / n_steps
         assert _oracle_bits(grid_oracles(traders, i_max, step)) == _oracle_bits(
             _reference_grid_oracles(traders, i_max, step))
 
     def test_skips_costs_above_the_stake(self):
+        # the optimum 1.33 has utility 0.24; the cost 0.1 * i**3 passes 1 - 0.24 at 1.97
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 3.0))
         grid = information_grid(100.0, 1e-3)
         columns, points = _oracle_points([trader], 100.0, 1e-3)
-        assert 0 < points < 0.1 * len(grid)
+        assert 0 < points < 0.03 * len(grid)
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles([trader], 100.0, 1e-3))
 
-    @pytest.mark.parametrize("cost", [ZeroCost(), PowerCost(1e-6, 2.0)])
-    def test_full_grid_when_no_cost_reaches_twice_the_stake(self, cost):
-        # cost 1e-6 * 100**2 = 0.01 never reaches 2 * (1 + 1)
-        _, points = _oracle_points([Trader(1.0, 1.0, ExpSaturating(1.0), cost)], 100.0, 1e-3)
-        assert points == len(information_grid(100.0, 1e-3))
+    def test_cuts_after_an_incumbent_at_the_gain(self):
+        # W - (W + L) * (1 - lambda) rounds to W = 1e307 from i = 1.17 on, and every later cost
+        # exceeds W - W = 0: the cut must still come after the first scan point at W
+        trader = Trader(1e307, 1.0, ExpSaturating(10**1.5), PowerCost(1.0, 2.0))
+        columns, points = _oracle_points([trader], 100.0, 1e-3)
+        assert points < 0.03 * len(information_grid(100.0, 1e-3))
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles([trader], 100.0, 1e-3))
+
+    @pytest.mark.parametrize("trader", [
+        Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost()),
+        # the marginal utility 2 * exp(-5) - 2e-6 * 5 is still positive at i_max 5
+        Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e-6, 2.0))],
+        ids=["zero_cost", "rising_at_i_max"])
+    def test_full_grid_when_nothing_follows_the_best_scan_point(self, trader):
+        grid = information_grid(5.0, 1e-3)
+        columns, points = _oracle_points([trader], 5.0, 1e-3)
+        assert points == len(grid[::agent.ORACLE_SCAN_STRIDE]) + len(grid)  # scan, then one call
+        assert columns[2].tolist() == [Regime.FULLY_INFORMED.value]
+
+    @pytest.mark.parametrize("cut", ["first_point_bound_0", "quarter_limit"])
+    def test_unproven_cut_takes_the_whole_grid(self, rng, cut):
+        traders = [random_trader(rng, family) for family in ("power", "exp_growth")
+                   for _ in range(10)] + _OPTIMA
+
+        def too_short(population, grid, log_grid):  # a one-point prefix; 0 proves only u_p == W
+            return np.ones(len(population), dtype=int), np.zeros(len(population))
+
+        patch = (mock.patch.object(agent, "_oracle_lengths", too_short)
+                 if cut == "first_point_bound_0" else
+                 mock.patch.object(agent, "ORACLE_CUT_MARGIN", 0.25))
+        with patch:
+            columns, shapes = _oracle_calls(traders, 8.0, 1e-3)
+        fallbacks = sum(len(shape) == 1 for shape in shapes) - len(traders)
+        if cut == "first_point_bound_0":
+            assert fallbacks == len(traders)
+        else:
+            assert fallbacks > len(traders) // 2
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 8.0, 1e-3))
 
 
 class TestProperties:
