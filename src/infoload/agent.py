@@ -11,7 +11,8 @@ trader's root as a float.  A ``Population`` holds many traders as checked
 columns of kernel codes and parameters; the solver, ``constrain`` and
 ``Population.utility`` read the columns directly, a ``Trader`` sequence is
 turned into columns once, and indexing rebuilds a trader's curves with
-``curves.from_kernel_code``.  A brute-force grid search over the same interval
+``curves.from_kernel_code``.  The solver and the sweeps build g only with
+``Population.family_g``.  A brute-force grid search over the same interval
 serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
 ``AgentOutcome`` is one trader's row of them.  It uses nothing of the solver and
@@ -119,6 +120,23 @@ class Population(Sequence):
             for c_code in np.flatnonzero(np.bincount(self.cost_code[success])).tolist():
                 yield s_code, c_code, np.flatnonzero(success & (self.cost_code == c_code))
 
+    def scaled(self, multipliers) -> Population:
+        """The population once per multiplier: row ``r * len(self) + k`` is trader k with its
+        cost scale times ``multipliers[r]``; a scale of 0 or +inf fails the columns' check."""
+        with np.errstate(over="ignore"):
+            c_scale = np.multiply.outer(multipliers, self.cost_scale)
+        tiled = {f.name: np.tile(getattr(self, f.name), len(c_scale)) for f in fields(self)}
+        return Population(**{**tiled, "cost_scale": c_scale.ravel()})
+
+    def family_g(self, s_code: int, c_code: int, agents: np.ndarray):
+        """The marginal utility g of the traders ``agents`` of one family pair, writing into
+        two work arrays.  It runs on contiguous copies of their columns, as numpy's ``power``
+        may round a broadcast operand differently, and a sign at a root must keep its bits."""
+        return kernels.marginal_utility(
+            s_code, self.success_param[agents], c_code, self.cost_scale[agents],
+            self.cost_param[agents], self.gain[agents], self.loss[agents],
+            out=(np.empty(len(agents)), np.empty(len(agents))))
+
     def utility(self, i) -> np.ndarray:
         """Expected utility of trader k at level ``i[k]`` (or at ``i`` for all), by the kernel."""
         i = np.broadcast_to(np.asarray(i, dtype=np.float64), (len(self),))
@@ -180,30 +198,13 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     float g <= 0.  Zero cost gives +inf (g never turns negative) and
     g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
     """
-    return _solve_scaled(Population.from_traders(traders), (1.0,))[0]
-
-
-def _solve_scaled(population: Population, multipliers) -> np.ndarray:
-    """Roots with every cost scale times each multiplier, shape (len(multipliers), n).
-
-    The traders of one curve-family pair, under every multiplier, are one set
-    of parameter columns and one ``_sign_change`` call.
-    """
-    c_scale = np.multiply.outer(np.asarray(multipliers, dtype=np.float64), population.cost_scale)
-    roots = np.full(c_scale.shape, math.inf)  # zero cost: g > 0 everywhere
+    population = Population.from_traders(traders)
+    roots = np.full(len(population), math.inf)  # zero cost: g > 0 everywhere
     for s_code, c_code, agents in population.families():
-        if c_code == kernels.COST_ZERO:
-            continue
-        cols = [c.ravel() for c in np.broadcast_arrays(
-            population.success_param[agents], c_scale[:, agents], population.cost_param[agents],
-            population.gain[agents], population.loss[agents])]
-
-        # g writes into two work arrays; entry p of a column is agents[p % len(agents)]
-        g = kernels.marginal_utility(s_code, cols[0], c_code, *cols[1:],
-                                     out=(np.empty(len(cols[0])), np.empty(len(cols[0]))))
-        # g(0) <= 0: the optimum is the origin
-        family = np.where(g(0.0) > 0.0, _sign_change(g, np.resize(agents, len(cols[0]))), 0.0)
-        roots[:, agents] = family.reshape(-1, len(agents))
+        if c_code != kernels.COST_ZERO:
+            g = population.family_g(s_code, c_code, agents)
+            # g(0) <= 0: the optimum is the origin
+            roots[agents] = np.where(g(0.0) > 0.0, _sign_change(g, agents), 0.0)
     return roots
 
 

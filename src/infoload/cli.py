@@ -382,7 +382,7 @@ def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
 def _cmd_sweep(settings: Settings, out_dir: Path) -> List[Path]:
     population = sample_population(settings.population)
     mults = settings.cost_multiplier_grid
-    # one solve for the requested rows and the unit row, which is the 1-D series
+    # one sweep for the requested rows and the unit row, which is the 1-D series
     diagram = sweep_2d(population, settings.i_max_grid, sorted({1.0, *(mults or [])}),
                        settings.market.theta)
     grid = diagram.i_max_grid

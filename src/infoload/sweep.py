@@ -4,11 +4,11 @@ conjecture 3.
 The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
 so the critical ceiling is an order statistic of the population's optima.
-``sweep_2d``, the one path from roots to a phase series, solves every multiplier's
-roots at once, sorts each row's and counts every ceiling by binary search;
-``sweep_imax`` and ``check_conjecture3`` read its multiplier-1.0 row.  The
-quantile keeps its own code (a plain sort and the smallest k with k / n >= theta)
-as the independent oracle the sweeps are validated against.
+``sweep_2d``, the one path to a phase series, counts each trader's ceilings with
+g > 0 and solves no root; ``sweep_imax`` and ``check_conjecture3`` read its
+multiplier-1.0 row.  The quantile keeps its own code (``solve_roots``, a sort and
+the smallest k with k / n >= theta) as the independent oracle the sweeps are
+validated against.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload.agent import (Population, Trader, _solve_scaled, check_i_max, solve_roots,
-                            utility_on_grid)
+from infoload.agent import Population, Trader, check_i_max, solve_roots, utility_on_grid
+from infoload.curves import check_columns
 from infoload.market import ConjectureVerdict, check_grid, check_theta
-from infoload.errors import ConfigError, NumericRangeError, PreconditionError
+from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 from infoload.kernels import COST_ZERO
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
@@ -101,48 +101,57 @@ def critical_imax_quantile(traders: Sequence[Trader], theta: float) -> Optional[
     return None if value == 0.0 else value
 
 
-def _fractions_at(roots: np.ndarray, i_max_grid: Sequence[float]) -> np.ndarray:
-    """``run_market(...).fraction_informed`` (no participation rule) at every
-    ceiling: count(i_u >= i_max) / n over the population's roots ``i_u``, sorted."""
-    if len(roots) == 0:
-        raise PreconditionError("trader collection must be non-empty")
-    nan = np.flatnonzero(np.isnan(roots))
-    if nan.size:
-        raise NumericRangeError(f"agent {nan[0]}: unconstrained optimum is NaN")
-    n = len(roots)
-    return (n - np.searchsorted(np.sort(roots), i_max_grid, side="left")) / n
-
-
 def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
              multipliers: Sequence[float], theta: float) -> PhaseDiagram:
     """Phase diagram over (information ceiling, cost-scale multiplier).
 
-    Row r is the phase series of the traders with every cost scale times
-    ``multipliers[r]``; all rows' roots come from one solve on scaled columns.
+    Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
+    As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
+    ``count(g(c) > 0)``: exact halvings over each trader's count of such ceilings take
+    ``len(grid).bit_length()`` calls of g per family pair, by ``Population.family_g`` on
+    contiguous columns, so each sign is that of the g ``solve_roots`` bisects.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
-    grid = check_grid("sweep.i_max_grid", i_max_grid)
+    grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
     check_theta(theta)
-
-    fractions = np.array([_fractions_at(roots, grid)
-                          for roots in _solve_scaled(Population.from_traders(traders), mults)])
-    # non-increasing fractions make each row's efficient ceilings a prefix of the grid
-    if not np.all(fractions[:, 1:] <= fractions[:, :-1]):
-        raise NumericRangeError("phase series violates fraction monotonicity")
-    efficient = fractions >= theta
+    population = Population.from_traders(traders)
+    if len(population) == 0:
+        raise PreconditionError("trader collection must be non-empty")
+    with np.errstate(over="ignore"):  # a scale beyond the float range is +inf: rejected
+        for m in mults:
+            try:
+                check_columns(cost_code=population.cost_code, cost_scale=population.cost_scale * m)
+            except ParameterError as error:
+                raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {m!r}, {error}")
+    scaled, n, top = population.scaled(mults), len(population), len(grid)
+    counts = np.full(len(scaled), top)  # zero cost: g > 0 at every ceiling
+    for s_code, c_code, agents in scaled.families():
+        if c_code != COST_ZERO:
+            g, count = scaled.family_g(s_code, c_code, agents), np.zeros(len(agents), dtype=int)
+            for step in reversed(range(top.bit_length())):  # a probe past the grid takes its end
+                above = g(grid[np.minimum(count + (1 << step), top) - 1])
+                if np.isnan(above).any():
+                    raise NumericRangeError(f"agent {agents[np.isnan(above).argmax()] % n}: "
+                                            "marginal utility is NaN at a ceiling")
+                count += (above > 0.0) << step
+            counts[agents] = count
+    # by_count[r, c]: the traders of row r with g > 0 at c ceilings (top: at every one)
+    by_count = np.bincount(np.arange(len(scaled)) // n * (top + 1) + np.minimum(counts, top),
+                           minlength=len(mults) * (top + 1)).reshape(-1, top + 1)
+    fractions = np.cumsum(by_count[:, :0:-1], axis=1)[:, ::-1] / n
+    efficient = fractions >= theta  # a prefix of each row, as the fractions never rise
     return PhaseDiagram(
-        i_max_grid=np.asarray(grid, dtype=float),
+        i_max_grid=grid,
         multipliers=np.asarray(mults, dtype=float),
         fractions=fractions,
         efficient=efficient,
-        critical_per_row=[grid[k - 1] if k else None for k in efficient.sum(axis=1).tolist()],
+        critical_per_row=[grid[k - 1].item() if k else None for k in efficient.sum(1).tolist()],
     )
 
 
 def check_conjecture3(traders: Sequence[Trader], theta: float,
                       i_max_schedule: Sequence[float]) -> ConjectureVerdict:
-    """Unbounded information: everyone overloads and utility diverges to -inf.  The
-    fractions informed are a ``sweep_2d`` row, which raises if they ever rise."""
+    """Unbounded information: everyone overloads and utility diverges to -inf."""
     population = Population.from_traders(traders)
     costless = np.flatnonzero(population.cost_code == COST_ZERO)
     if costless.size:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from infoload import (
     ExpGrowthCost,
@@ -9,6 +12,7 @@ from infoload import (
     Trader,
     ZeroCost,
 )
+from infoload import kernels
 
 
 def random_trader(rng, cost_family=None):
@@ -38,3 +42,23 @@ def reference_trader():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+def log_uniform(lo, hi):
+    """Floats 10**e for e drawn from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def nan_marginal_utility_at(position):
+    """A ``kernels.marginal_utility`` whose g is NaN at entry ``position`` of its values."""
+    build_g = kernels.marginal_utility
+
+    def marginal_utility(*args, **kwargs):
+        g = build_g(*args, **kwargs)
+
+        def nan_at(i):
+            values = g(i)
+            values[position] = math.nan
+            return values
+        return nan_at
+    return marginal_utility

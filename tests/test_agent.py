@@ -20,6 +20,7 @@ from infoload import (
     grid_oracle,
     marginal_utility,
     optimize_information,
+    sweep_imax,
     unconstrained_optimum,
 )
 from infoload import COST_FAMILIES, SUCCESS_FAMILIES, Population, PopulationSpec, agent, curves
@@ -27,7 +28,7 @@ from infoload import kernels, sample_population
 from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
 
-from conftest import random_trader
+from conftest import log_uniform, random_trader
 
 
 class TestTrader:
@@ -285,6 +286,10 @@ def assert_sign_change(trader, root):
     assert g(trader, root) > 0.0 >= g(trader, np.nextafter(root, math.inf)), (trader, root)
 
 
+# g is still positive at 2**996 and at 1e300: the success slope outweighs the cost slope
+ENDLESS = Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5))
+
+
 class TestSolveRoots:
     def test_sign_change_at_every_root(self, rng):
         traders = [random_trader(rng) for _ in range(400)]
@@ -334,11 +339,16 @@ class TestSolveRoots:
                 assert_sign_change(trader, root)
 
     def test_bracket_overflow_names_the_agent(self, reference_trader):
-        # g is still positive at 2**996: the success slope outweighs the cost slope
-        endless = Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5))
-        assert g(endless, 2.0**996) > 0.0
+        assert g(ENDLESS, 2.0**996) > 0.0
         with pytest.raises(NumericRangeError, match="agent 1: bracket expansion overflowed"):
-            solve_roots([reference_trader, endless])
+            solve_roots([reference_trader, ENDLESS])
+
+    def test_sweep_counts_a_root_beyond_the_bracket(self, reference_trader):
+        # a sweep compares signs of g and solves no root: g > 0 at every ceiling counts
+        series = sweep_imax([reference_trader, ENDLESS], [1.0, 2.0, 1e300], theta=0.5)
+        assert [frac for _, frac, _ in series.points] == [1.0, 0.5, 0.5]
+        with pytest.raises(NumericRangeError, match="agent 1: bracket expansion overflowed"):
+            solve_roots([reference_trader, ENDLESS])
 
     def test_batching_cannot_couple_agents(self, rng):
         traders = [random_trader(rng) for _ in range(60)]
@@ -396,7 +406,8 @@ def _reference_sign_change(g, agents):
 
 
 def _solve_counting(population, multipliers):
-    """``_solve_scaled``'s roots as int64 bit patterns, and how often it evaluated g."""
+    """``solve_roots``'s roots of ``population.scaled(multipliers)`` as int64 bit patterns,
+    and how often it evaluated g."""
     calls = []
     build_g = kernels.marginal_utility  # the solve's g for each family pair
 
@@ -409,21 +420,17 @@ def _solve_counting(population, multipliers):
         return counted
 
     with mock.patch.object(kernels, "marginal_utility", counting):
-        roots = agent._solve_scaled(population, multipliers)
+        roots = solve_roots(population.scaled(multipliers))
     assert len(calls) > 0
     return roots.view(np.int64).tolist(), len(calls)
 
 
-def _log_uniform(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
 _COSTLY_TRADERS = st.lists(st.builds(
     Trader, st.floats(0.1, 10.0), st.floats(0.1, 10.0),
-    st.one_of(st.builds(ExpSaturating, _log_uniform(-2, 2)),
-              st.builds(Hyperbolic, _log_uniform(-2, 2))),
-    st.one_of(st.builds(PowerCost, _log_uniform(-3, 3), st.floats(1.1, 3.5)),
-              st.builds(ExpGrowthCost, _log_uniform(-3, 3), _log_uniform(-2, 1)))),
+    st.one_of(st.builds(ExpSaturating, log_uniform(-2, 2)),
+              st.builds(Hyperbolic, log_uniform(-2, 2))),
+    st.one_of(st.builds(PowerCost, log_uniform(-3, 3), st.floats(1.1, 3.5)),
+              st.builds(ExpGrowthCost, log_uniform(-3, 3), log_uniform(-2, 1)))),
     min_size=1, max_size=16)
 
 # one column with g(0) <= 0, whose bisection goes down at every step
@@ -538,13 +545,13 @@ def _oracle_bits(columns):
 
 
 # gains and losses up to the overflow edge, where 2 * (gain + loss) is not finite
-_PAYOFFS = st.one_of(_log_uniform(-2, 2), st.floats(1e307, 8.9e307))
+_PAYOFFS = st.one_of(log_uniform(-2, 2), st.floats(1e307, 8.9e307))
 _ANY_TRADERS = st.lists(st.builds(
     Trader, _PAYOFFS, _PAYOFFS,
-    st.one_of(st.builds(ExpSaturating, _log_uniform(-2, 2)),
-              st.builds(Hyperbolic, _log_uniform(-2, 2))),
-    st.one_of(st.builds(PowerCost, _log_uniform(-6, 3), st.floats(1.05, 4.0)),
-              st.builds(ExpGrowthCost, _log_uniform(-6, 3), _log_uniform(-2, 1)),
+    st.one_of(st.builds(ExpSaturating, log_uniform(-2, 2)),
+              st.builds(Hyperbolic, log_uniform(-2, 2))),
+    st.one_of(st.builds(PowerCost, log_uniform(-6, 3), st.floats(1.05, 4.0)),
+              st.builds(ExpGrowthCost, log_uniform(-6, 3), log_uniform(-2, 1)),
               st.just(ZeroCost()))),
     min_size=1, max_size=12)
 # optima at 0 (_CORNER), interior and at i_max, and a 2 * (W + L) that overflows; the
@@ -610,7 +617,7 @@ class TestGridOracle:
 
 class TestGridOraclePrefix:
     @settings(max_examples=200, deadline=None)
-    @given(traders=_ANY_TRADERS, i_max=_log_uniform(math.log10(0.05), math.log10(400.0)),
+    @given(traders=_ANY_TRADERS, i_max=log_uniform(math.log10(0.05), math.log10(400.0)),
            n_steps=st.one_of(st.integers(1, 300), st.integers(300, 20_000)))
     @example(traders=_OPTIMA, i_max=5.0, n_steps=5000)
     @example(traders=_OPTIMA, i_max=100.0, n_steps=100_000)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import infoload.cli
 import infoload.market
-import infoload.sweep
+from infoload import kernels
 from infoload.agent import Population
 from infoload.cli import (
     AGENT_ORACLE_STEP,
@@ -36,6 +36,8 @@ from infoload.cli import (
 from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError
 from infoload.market import ConjectureVerdict, sample_population
+
+from conftest import nan_marginal_utility_at
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -327,6 +329,8 @@ class TestSweepErrors:
         ({"cost_multiplier_grid": _geometric(start=0)}, "sweep.cost_multiplier_grid"),
         ({"cost_multiplier_grid": [0.5, "x"]}, "sweep.cost_multiplier_grid"),
         ({"cost_multiplier_grid": [-1.0, 1.0]}, "sweep.cost_multiplier_grid"),
+        # agent 3's cost scale times 5e-324 underflows to 0
+        ({"cost_multiplier_grid": [5e-324, 1.0]}, "sweep.cost_multiplier_grid"),
     ])
     def test_malformed_grid_is_a_config_error(self, tmp_path, sweep, field):
         code, message = self._run(tmp_path, sweep)
@@ -403,23 +407,13 @@ class TestSweepErrors:
         assert message.split(":")[0].endswith(exception)
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
-        solve = infoload.sweep._solve_scaled
-
-        def nan_for_agent_3(population, multipliers):
-            roots = solve(population, multipliers)
-            return np.where(np.arange(roots.shape[1]) == 3, math.nan, roots)
-
-        monkeypatch.setattr(infoload.sweep, "_solve_scaled", nan_for_agent_3)
-        code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
+        # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of g's values
+        # is agent 3 of the second row
+        monkeypatch.setattr(kernels, "marginal_utility", nan_marginal_utility_at(5 + 3))
+        code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0],
+                                              "cost_multiplier_grid": [2.0]})
         assert code == EXIT_NUMERIC
-        assert "agent 3" in message
-
-    def test_non_monotone_series_is_a_numeric_error(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(infoload.sweep, "_fractions_at",
-                            lambda roots, grid: np.array([0.2, 0.6]))
-        code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0]})
-        assert code == EXIT_NUMERIC
-        assert "monotonicity" in message
+        assert "agent 3: marginal utility is NaN" in message
 
 
 class TestDeterminism:

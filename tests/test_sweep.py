@@ -3,32 +3,35 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import infoload.sweep
 from infoload import (
     ExpGrowthCost,
     ExpSaturating,
     Hyperbolic,
     MarketConfig,
+    Population,
     PowerCost,
     Trader,
     ZeroCost,
     critical_imax_quantile,
     run_market,
+    solve_roots,
     sweep_2d,
     sweep_imax,
     unconstrained_optimum,
     utility_curve,
 )
+from infoload import kernels
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
-from conftest import random_trader
+from conftest import log_uniform, nan_marginal_utility_at, random_trader
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -103,23 +106,13 @@ class TestSweepImax:
             sweep_2d([reference_trader], grid, [0.5, 1.0], theta=theta)
         assert exc.value.field == field
 
-    def test_nan_root_names_the_agent(self, rng, monkeypatch):
-        traders = [random_trader(rng, cost_family="power") for _ in range(4)]
-        solve = infoload.sweep._solve_scaled
-        monkeypatch.setattr(
-            infoload.sweep, "_solve_scaled",
-            lambda population, mults: np.where(np.arange(4) == 2, math.nan,
-                                               solve(population, mults)))
-        with pytest.raises(NumericRangeError, match="agent 2"):
+    def test_nan_root_names_the_agent(self, monkeypatch):
+        # one family pair, so entry 2 of g's values is agent 2
+        traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(scale, 2.0))
+                   for scale in (0.05, 0.1, 0.2, 0.4)]
+        monkeypatch.setattr(kernels, "marginal_utility", nan_marginal_utility_at(2))
+        with pytest.raises(NumericRangeError, match="agent 2: marginal utility is NaN"):
             sweep_imax(traders, [0.5, 1.0], theta=0.5)
-
-    @pytest.mark.parametrize("fractions", [[0.5, 0.7, 0.1], [0.5, math.nan, 0.1]])
-    def test_non_monotone_fractions_are_numeric_errors(self, reference_trader, monkeypatch,
-                                                       fractions):
-        monkeypatch.setattr(infoload.sweep, "_fractions_at",
-                            lambda roots, grid: np.array(fractions))
-        with pytest.raises(NumericRangeError, match="monotonicity"):
-            sweep_imax([reference_trader], [1.0, 2.0, 3.0], theta=0.5)
 
     def test_monotone_phase_prefix(self, rng):
         for _ in range(10):
@@ -214,9 +207,41 @@ class TestSweep2d:
         with pytest.raises(ConfigError):
             sweep_2d([reference_trader], [1.0, 2.0], [-1.0, 1.0], theta=0.5)
 
+    def test_overflowing_scaled_cost_is_a_config_error(self, reference_trader):
+        # 2 * 1e308 is +inf: named by its multiplier and agent, with no overflow warning
+        costly = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e308, 2.0))
+        with pytest.raises(ConfigError) as exc:
+            sweep_2d([reference_trader, costly], [1.0, 2.0], [1.0, 2.0], theta=0.5)
+        assert exc.value.field == "sweep.cost_multiplier_grid"
+        assert exc.value.message.startswith("multiplier 2.0, agent 1: cost_scale")
+        with pytest.raises(ParameterError, match="agent 3: cost_scale"):
+            Population.from_traders([reference_trader, costly]).scaled([1.0, 2.0])
+
+    @pytest.mark.parametrize("n_grid", [1, 2, 32, 33])
+    def test_g_calls_per_family_pair(self, rng, n_grid):
+        # exact halvings over the count of ceilings: len(grid).bit_length() calls of g
+        traders = [random_trader(rng) for _ in range(80)]
+        calls = []
+        build_g = kernels.marginal_utility
+
+        def counting(*args, **kwargs):
+            g, k = build_g(*args, **kwargs), len(calls)
+            calls.append(0)
+
+            def counted(i):
+                calls[k] += 1
+                return g(i)
+            return counted
+
+        grid = list(np.geomspace(0.05, 30.0, n_grid))
+        with mock.patch.object(kernels, "marginal_utility", counting):
+            sweep_2d(traders, grid, [0.5, 1.0, 2.0], theta=0.5)
+        assert len(calls) == 4  # two success families times two costly cost families
+        assert all(0 < c <= n_grid.bit_length() for c in calls), calls
+
 
 # ---------------------------------------------------------------------------
-# the sorted-root count against the per-ceiling market it replaces
+# the count of ceilings with g > 0 against the per-ceiling market's roots
 
 CORNER_ZERO_TRADER = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))
 
@@ -236,15 +261,27 @@ _thetas = st.one_of(st.just(1.0), st.just(1e-12), st.floats(0.01, 1.0))
 
 @st.composite
 def _populations(draw):
-    """Traders drawn with repeats from a small pool, and ceilings that hit roots."""
+    """Traders drawn with repeats from a small pool, and ceilings that hit roots or the
+    floats next to them."""
     pool = draw(st.lists(_traders, min_size=1, max_size=5))
     traders = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
     roots = [unconstrained_optimum(t) for t in traders]
     on_root = [r for r in roots if 0.0 < r < math.inf]
     ceilings = set(draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=8)))
     if on_root:
-        ceilings |= set(draw(st.lists(st.sampled_from(on_root), max_size=3)))
+        near_root = [math.nextafter(r, bound) for r in on_root for bound in (0.0, math.inf)]
+        ceilings |= set(draw(st.lists(st.sampled_from(on_root + near_root), max_size=4)))
     return traders, sorted(ceilings)
+
+
+# parameters over 4 to 8 decades, every costly family pair
+_WIDE_TRADERS = st.lists(st.builds(
+    Trader, log_uniform(-2, 2), log_uniform(-2, 2),
+    st.one_of(st.builds(ExpSaturating, log_uniform(-3, 3)),
+              st.builds(Hyperbolic, log_uniform(-3, 3))),
+    st.one_of(st.builds(PowerCost, log_uniform(-4, 4), st.floats(1.05, 4.0)),
+              st.builds(ExpGrowthCost, log_uniform(-4, 4), log_uniform(-2, 1)))),
+    min_size=1, max_size=30)
 
 
 def _per_ceiling(traders, grid, theta):
@@ -270,6 +307,11 @@ class TestSortedRootsMatchMarket:
     @settings(max_examples=30, deadline=None)
     @given(population=_populations(), theta=_thetas,
            mults=st.sets(st.floats(0.1, 10.0), max_size=3))
+    # the first ceiling is the root, where g on a broadcast view of the columns once rounded
+    # to a different sign than the solve's contiguous columns
+    @example(population=([Trader(0.625, 0.625, ExpSaturating(2.00001),
+                                 PowerCost(3.6868935384150614, 3.0))],
+                         [0.33879828470014006, 1.0]), theta=1.0, mults=set())
     def test_sweep_2d(self, population, theta, mults):
         traders, grid = population
         mults = sorted(mults | {1.0})
@@ -281,6 +323,21 @@ class TestSortedRootsMatchMarket:
             assert diagram.efficient[r].tolist() == [eff for _, _, eff in expected]
             efficient = [i_max for i_max, _, eff in expected if eff]
             assert diagram.critical_per_row[r] == (efficient[-1] if efficient else None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(traders=_WIDE_TRADERS, mults=st.sets(log_uniform(-2, 2), max_size=3),
+           data=st.data())
+    def test_sign_count_is_the_root_count_on_wide_populations(self, traders, mults, data):
+        # the premise: g(c) > 0 exactly where c <= i_u, at roots and the floats next to them
+        mults = sorted(mults | {1.0})
+        roots = solve_roots(Population.from_traders(traders).scaled(mults))
+        on_root = [r for r in roots.tolist() if 0.0 < r < math.inf]
+        near = {c for r in on_root
+                for c in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf))}
+        picked = data.draw(st.lists(st.sampled_from(sorted(near)), max_size=12)) if near else []
+        grid = sorted(set(picked) | set(data.draw(st.lists(log_uniform(-3, 2), min_size=1))))
+        expected = (roots.reshape(len(mults), -1)[:, :, None] >= np.array(grid)).mean(axis=1)
+        assert sweep_2d(traders, grid, mults, 0.5).fractions.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("theta", [1.0, 0.5, 1e-12])
     def test_ties_infinite_and_zero_roots(self, reference_trader, theta):
