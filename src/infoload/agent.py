@@ -5,13 +5,13 @@ A trader picks the information level maximizing
 utility ``g(i) = lambda'(i) * (W + L) - xi'(i)`` is strictly decreasing for any
 non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
-the roots of a whole population at once, by bracket doubling and bisection on
-numpy arrays down to adjacent floats; ``unconstrained_optimum`` is one
-trader's root as a float.  A ``Population`` holds many traders as checked
-columns of kernel codes and parameters; the solver, ``constrain`` and
-``Population.utility`` read the columns directly, a ``Trader`` sequence is
-turned into columns once, and indexing rebuilds a trader's curves with
-``curves.from_kernel_code``.  The solver and the sweeps build g only with
+the roots of a whole population at once, in numpy arrays, by setting each
+root's float64 bit pattern one bit at a time from the top, 63 calls of g per
+family pair; ``unconstrained_optimum`` is one trader's root as a float.  A
+``Population`` holds many traders as checked columns of kernel codes and
+parameters; the solver, ``constrain`` and ``Population.utility`` read the
+columns directly, a ``Trader`` sequence is turned into columns once, and
+indexing rebuilds a trader's curves with ``curves.from_kernel_code``.  The solver and the sweeps build g only with
 ``Population.family_g``.  A brute-force grid search over the same interval
 serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
@@ -38,7 +38,7 @@ import numpy as np
 from infoload import kernels
 from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, SuccessCurve,
                              check_columns, from_kernel_code)
-from infoload.errors import NumericRangeError, ParameterError
+from infoload.errors import ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
 # grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point for its prefix,
@@ -202,46 +202,26 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     roots = np.full(len(population), math.inf)  # zero cost: g > 0 everywhere
     for s_code, c_code, agents in population.families():
         if c_code != kernels.COST_ZERO:
-            g = population.family_g(s_code, c_code, agents)
-            # g(0) <= 0: the optimum is the origin
-            roots[agents] = np.where(g(0.0) > 0.0, _sign_change(g, agents), 0.0)
+            roots[agents] = _sign_change(population.family_g(s_code, c_code, agents),
+                                         len(agents))
     return roots
 
 
-def _sign_change(g, agents: np.ndarray) -> np.ndarray:
-    """Largest float with g > 0, elementwise, for decreasing g.
+def _sign_change(g, size: int) -> np.ndarray:
+    """Largest float with g > 0, elementwise, for decreasing g; 0 where g(0) <= 0.
 
-    The bracket [lo, hi] starts at [0, 1] and hi doubles while g(hi) > 0, so
-    g(lo) > 0 >= g(hi) wherever g(0) > 0.  Bisection on the float64 bit patterns (ordered
-    like the floats) then moves lo to the midpoint wherever g(mid) > 0, until every bracket
-    is two adjacent floats.  Each bracket is [0, 1] or [2**(k-1), 2**k], whose width in bit
-    patterns is 1023 * 2**52 or 2**52, so the first 52 halvings are exact whatever g says:
-    each adds a per-column half-width that is shifted right once per step.  The [0, 1]
-    brackets then have width 1023 left, and the last steps track each width.  Every probe
-    writes into arrays made once per call.  ``agents`` names each entry in errors.
+    The non-negative float64s are ordered like their bit patterns, all below 2**63, so
+    each root's pattern is set one bit at a time from the top: bit b is kept where g is
+    positive at the pattern found so far with bit b set.  That is 63 calls of g, every
+    one writing into arrays made once per call.  A probe at +inf gives g = -inf, and no
+    probe is a NaN pattern: a probe's bits below the one it sets are still 0.
     """
-    hi, probe, up = np.ones(len(agents)), np.empty(len(agents)), np.empty(len(agents), bool)
-    while np.greater(g(hi), 0.0, out=up).any():
-        hi += np.multiply(hi, up, out=probe)
-        if hi.max() > 1e300:
-            raise NumericRangeError(f"agent {agents[np.argmax(hi)]}: bracket expansion "
-                                    "overflowed while locating the optimum")
-    lo = np.where(hi > 1.0, hi / 2.0, 0.0).view(np.int64)
-    width = hi.view(np.int64) - lo
-    half, step, mid = width >> 1, np.empty_like(lo), probe.view(np.int64)
-    for _ in range(52):
-        np.add(lo, half, out=mid)
+    lo, mid, step = np.zeros((3, size), dtype=np.int64)
+    probe, up = mid.view(np.float64), np.empty(size, dtype=bool)
+    for bit in range(62, -1, -1):
+        np.bitwise_or(lo, 1 << bit, out=mid)
         np.greater(g(probe), 0.0, out=up)
-        lo += np.multiply(half, up, out=step)
-        half >>= 1
-    width >>= 52  # 1, or 1023 for a [0, 1] bracket
-    while width.max() > 1:
-        np.right_shift(width, 1, out=half)
-        np.add(lo, half, out=mid)
-        np.greater(g(probe), 0.0, out=up)
-        lo += np.multiply(half, up, out=step)
-        width &= up  # what is left is half, and the odd unit where lo moved
-        width += half
+        lo |= np.left_shift(up, bit, out=step)
     return lo.view(np.float64)
 
 

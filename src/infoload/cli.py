@@ -239,7 +239,8 @@ def parse_config(path, seed_override: Optional[int] = None) -> Settings:
     data = p.read_bytes()
     try:
         raw = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    # RecursionError: nested too deeply; UnicodeDecodeError: bytes that are not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError("<parse>", str(exc)) from exc
     return _build_settings(raw, data, seed_override)
 

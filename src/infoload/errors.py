@@ -23,4 +23,5 @@ class ConfigError(PreconditionError):
 
 
 class NumericRangeError(ArithmeticError):
-    """A numeric routine left the representable range (e.g. bracket overflow)."""
+    """A numeric result failed its check: a NaN marginal utility, or an optimizer and
+    oracle that disagree."""

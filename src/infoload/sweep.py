@@ -109,7 +109,7 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
     ``count(g(c) > 0)``: exact halvings over each trader's count of such ceilings take
     ``len(grid).bit_length()`` calls of g per family pair, by ``Population.family_g`` on
-    contiguous columns, so each sign is that of the g ``solve_roots`` bisects.
+    contiguous columns, so each sign is that of the g whose root ``solve_roots`` finds.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)

@@ -49,6 +49,17 @@ def log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+# traders with parameters over 4 to 8 decades, every costly family pair: roots below 1,
+# above 2 (where the solve probes 2**513, past exp's overflow) and at 0 (g(0) <= 0)
+WIDE_TRADERS = st.lists(st.builds(
+    Trader, log_uniform(-2, 2), log_uniform(-2, 2),
+    st.one_of(st.builds(ExpSaturating, log_uniform(-3, 3)),
+              st.builds(Hyperbolic, log_uniform(-3, 3))),
+    st.one_of(st.builds(PowerCost, log_uniform(-4, 4), st.floats(1.05, 4.0)),
+              st.builds(ExpGrowthCost, log_uniform(-4, 4), log_uniform(-2, 1)))),
+    min_size=1, max_size=30)
+
+
 def nan_marginal_utility_at(position):
     """A ``kernels.marginal_utility`` whose g is NaN at entry ``position`` of its values."""
     build_g = kernels.marginal_utility

@@ -24,11 +24,12 @@ from infoload import (
     unconstrained_optimum,
 )
 from infoload import COST_FAMILIES, SUCCESS_FAMILIES, Population, PopulationSpec, agent, curves
-from infoload import kernels, sample_population
+from infoload import MarketConfig, kernels, run_market, sample_population
 from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
+from infoload.sweep import critical_imax_quantile
 
-from conftest import log_uniform, random_trader
+from conftest import WIDE_TRADERS, log_uniform, random_trader
 
 
 class TestTrader:
@@ -286,7 +287,7 @@ def assert_sign_change(trader, root):
     assert g(trader, root) > 0.0 >= g(trader, np.nextafter(root, math.inf)), (trader, root)
 
 
-# g is still positive at 2**996 and at 1e300: the success slope outweighs the cost slope
+# g is still positive at 1e300: the success slope outweighs the cost slope up to 5.4e301
 ENDLESS = Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5))
 
 
@@ -338,17 +339,32 @@ class TestSolveRoots:
                 assert 0.0 < root < math.inf
                 assert_sign_change(trader, root)
 
-    def test_bracket_overflow_names_the_agent(self, reference_trader):
-        assert g(ENDLESS, 2.0**996) > 0.0
-        with pytest.raises(NumericRangeError, match="agent 1: bracket expansion overflowed"):
-            solve_roots([reference_trader, ENDLESS])
+    def test_far_root_is_returned(self, reference_trader):
+        # g is 9.9e-24 at the root and -1.1e-149 one float above it
+        root = solve_roots([reference_trader, ENDLESS])[1]
+        assert root == 5.43576912037275e+301
+        assert_sign_change(ENDLESS, root)
 
-    def test_sweep_counts_a_root_beyond_the_bracket(self, reference_trader):
-        # a sweep compares signs of g and solves no root: g > 0 at every ceiling counts
-        series = sweep_imax([reference_trader, ENDLESS], [1.0, 2.0, 1e300], theta=0.5)
+    def test_far_root_is_fully_informed(self, reference_trader):
+        outcome = run_market(MarketConfig(i_max=2.0, theta=0.5), [reference_trader, ENDLESS])
+        assert outcome.regime.tolist() == ["interior", "fully_informed"]
+        assert outcome.fraction_informed == 0.5 and outcome.efficient
+
+    def test_sweep_and_quantile_count_a_far_root(self, reference_trader):
+        traders, grid = [reference_trader, ENDLESS], [1.0, 2.0, 1e300]
+        roots = solve_roots(traders)
+        series = sweep_imax(traders, grid, theta=0.5)
+        assert [frac for _, frac, _ in series.points] == [np.mean(roots >= c) for c in grid]
         assert [frac for _, frac, _ in series.points] == [1.0, 0.5, 0.5]
-        with pytest.raises(NumericRangeError, match="agent 1: bracket expansion overflowed"):
-            solve_roots([reference_trader, ENDLESS])
+        quantile = critical_imax_quantile(traders, 0.5)
+        assert quantile == roots[1]
+        assert [eff for _, _, eff in series.points] == [c <= quantile for c in grid]
+
+    def test_root_at_the_largest_float(self):
+        # g is positive at every finite level and -inf at +inf
+        trader = Trader(1e308, 1e-300, ExpSaturating(1e-310), PowerCost(1e-300, 1.05))
+        assert g(trader, np.finfo(float).max) > 0.0 > g(trader, math.inf)
+        assert solve_roots([trader])[0] == np.finfo(float).max
 
     def test_batching_cannot_couple_agents(self, rng):
         traders = [random_trader(rng) for _ in range(60)]
@@ -444,16 +460,19 @@ _MIXED = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0)),
 
 class TestBisectionEquivalence:
     @settings(max_examples=150, deadline=None)
-    @given(traders=_COSTLY_TRADERS, multipliers=st.sampled_from([(1.0,), (0.01, 1.0, 100.0)]))
+    @given(traders=st.one_of(_COSTLY_TRADERS, WIDE_TRADERS),
+           multipliers=st.sampled_from([(1.0,), (0.01, 1.0, 100.0)]))
     @example(traders=[_CORNER], multipliers=(1.0,))
     @example(traders=[Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0))],
              multipliers=(1.0,))
     @example(traders=_MIXED, multipliers=(0.01, 1.0, 100.0))
-    def test_roots_and_g_calls_equal_the_while_loop(self, traders, multipliers):
+    def test_roots_equal_the_while_loop_in_63_g_calls(self, traders, multipliers):
         population = Population.from_traders(traders)
-        solved = _solve_counting(population, multipliers)
-        with mock.patch.object(agent, "_sign_change", _reference_sign_change):
-            assert solved == _solve_counting(population, multipliers)
+        roots, calls = _solve_counting(population, multipliers)
+        assert calls == 63 * len(list(population.families()))  # one per bit below the sign
+        with mock.patch.object(agent, "_sign_change",
+                               lambda g, size: _reference_sign_change(g, np.arange(size))):
+            assert roots == _solve_counting(population, multipliers)[0]
 
 
 class TestOptimizeInformation:

@@ -101,9 +101,14 @@ class TestParseConfig:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            parse_config(path)
+        for data in (b"{not json", b'{"market": {"theta": 0.5}}\xff'):  # the second: not UTF-8
+            path.write_bytes(data)
+            with pytest.raises(ConfigError) as exc:
+                parse_config(path)
+            assert exc.value.field == "<parse>"
+            out = tmp_path / "out"
+            assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+            assert json.loads((out / "error.json").read_text())["error"].startswith("<parse>: ")
 
     def test_wrong_curve_params_rejected(self, tmp_path):
         cfg = {"population": {"success": {"family": "hyperbolic",
@@ -234,6 +239,18 @@ class TestSubcommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "market"
         assert "market.csv" in manifest["outputs"]
+
+    def test_market_with_a_root_beyond_1e300(self, tmp_path):
+        cfg = {"population": {
+            "n_agents": 2, "gain": 1e300, "loss": 1e300,
+            "success": {"family": "exp_saturating", "params": {"rate": 1e-300}},
+            "cost": {"family": "power", "params": {"scale": 1e-300, "exponent": 1.5}}}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "market.csv")
+        assert [(r["i_u"], r["regime"]) for r in rows] == [("5.43576912037e+301",
+                                                           "fully_informed")] * 2
 
     def test_agent_cross_check(self, tmp_path):
         path = write_config(tmp_path, REFERENCE_CONFIG)

@@ -31,7 +31,7 @@ from infoload import kernels
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
-from conftest import log_uniform, nan_marginal_utility_at, random_trader
+from conftest import WIDE_TRADERS, log_uniform, nan_marginal_utility_at, random_trader
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -274,16 +274,6 @@ def _populations(draw):
     return traders, sorted(ceilings)
 
 
-# parameters over 4 to 8 decades, every costly family pair
-_WIDE_TRADERS = st.lists(st.builds(
-    Trader, log_uniform(-2, 2), log_uniform(-2, 2),
-    st.one_of(st.builds(ExpSaturating, log_uniform(-3, 3)),
-              st.builds(Hyperbolic, log_uniform(-3, 3))),
-    st.one_of(st.builds(PowerCost, log_uniform(-4, 4), st.floats(1.05, 4.0)),
-              st.builds(ExpGrowthCost, log_uniform(-4, 4), log_uniform(-2, 1)))),
-    min_size=1, max_size=30)
-
-
 def _per_ceiling(traders, grid, theta):
     outs = [run_market(MarketConfig(i_max=i_max, theta=theta), traders) for i_max in grid]
     return [(i_max, out.fraction_informed, out.efficient) for i_max, out in zip(grid, outs)]
@@ -325,7 +315,7 @@ class TestSortedRootsMatchMarket:
             assert diagram.critical_per_row[r] == (efficient[-1] if efficient else None)
 
     @settings(max_examples=40, deadline=None)
-    @given(traders=_WIDE_TRADERS, mults=st.sets(log_uniform(-2, 2), max_size=3),
+    @given(traders=WIDE_TRADERS, mults=st.sets(log_uniform(-2, 2), max_size=3),
            data=st.data())
     def test_sign_count_is_the_root_count_on_wide_populations(self, traders, mults, data):
         # the premise: g(c) > 0 exactly where c <= i_u, at roots and the floats next to them
