@@ -431,6 +431,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_PARSER = _Parser(prog="infoload", description="Information-overload market efficiency simulator")
+_PARSER.add_argument("subcommand", choices=_DISPATCH)
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", required=True)
+_PARSER.add_argument("--seed", type=int, default=None)
+
+
 def _write_error(out_dir: Optional[Path], code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     if out_dir is not None and out_dir.is_dir():
@@ -440,15 +447,8 @@ def _write_error(out_dir: Optional[Path], code: int, message: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _Parser(prog="infoload",
-                     description="Information-overload market efficiency simulator")
-    parser.add_argument("subcommand", choices=_DISPATCH)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=None)
-
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
 

@@ -14,9 +14,9 @@ in ``kernels``, and ``from_kernel_code`` turns them back into a curve.
 class: a new family is one formula, one class (with its domain) and one
 registry entry.  Each parameter's domain is one ``BOUNDS`` entry, and every
 curve, ``Trader`` and ``agent.Population`` is checked against them by
-``check_columns``.  A curve's ``value``, ``complement`` and ``deriv`` evaluate
-the kernel function of that name on a one-element array, at a level i that
-must be finite and non-negative.
+``check_columns``, at the extremes of each rule's rows.  A curve's ``value``,
+``complement`` and ``deriv`` evaluate the kernel function of that name on a
+one-element array, at a level i that must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -84,30 +84,23 @@ def _extremes(x):
     return np.minimum.reduce(x, None).item(), np.maximum.reduce(x, None).item()
 
 
-def _extremes_in_domains(columns) -> bool:
-    """Whether each column's extremes lie in its domain, with one family per code
-    column: a sufficient condition for every row to, whatever the number of rows."""
-    extremes = {column: _extremes(x) for column, x in columns.items()}
-    if None in extremes.values():
-        return False
-    names = {"gain": "gain", "loss": "loss"}
-    for families, (code_column, *param_columns) in ((SUCCESS_FAMILIES, _SUCCESS_COLUMNS),
-                                                    (COST_FAMILIES, _COST_COLUMNS)):
-        if code_column in columns:
-            low, high = extremes[code_column]
-            cls = {cls.code: cls for cls in families.values()}.get(low)
-            integer = np.asarray(columns[code_column]).dtype.kind in "iu"
-            if low != high or cls is None or not integer:
-                return False
-            names.update(zip(param_columns, params_of(cls) + (None, None)))
-    for column, name in names.items():
-        if column in extremes:
-            low, high = extremes[column]
-            if not (low == high == 0 if name is None else in_domain(name, low) and high < math.inf):
-                return False
-    # the largest sum bounds every row's; Python floats overflow to inf unwarned
-    return not ("gain" in columns and "loss" in columns) or (
-        extremes["gain"][1] + extremes["loss"][1] < math.inf)
+# each rule's domain as (holds, rule): ``holds`` tests a number, or an array elementwise
+_DOMAINS = {name: (functools.partial(in_domain, name), domain_rule(name)) for name in BOUNDS}
+_FINITE = functools.partial(operator.gt, math.inf), "must be finite"  # inf > x
+
+
+def _registry(families: dict, code_column: str, *param_columns: str) -> tuple:
+    """A code column with its domain (codes 0..N-1), then each family of ``families`` with
+    the (column, label, domain) of each parameter column: 0 past the family's parameters."""
+    def is_code(x):
+        integer = type(x) is int or np.asarray(x).dtype.kind in "iu"
+        return integer & (x >= 0) & (x < len(families))
+    is_zero = functools.partial(operator.eq, 0)
+    params = {cls: [(column, f"{column} ({name})", _DOMAINS[name]) if name
+                    else (column, column, (is_zero, f"must be 0 for {cls.__name__}"))
+                    for column, name in zip(param_columns, params_of(cls) + (None, None))]
+              for cls in families.values()}
+    return code_column, (is_code, f"must be an integer code in {[*range(len(families))]}"), params
 
 
 def check_columns(**columns) -> None:
@@ -115,40 +108,50 @@ def check_columns(**columns) -> None:
 
     ``columns`` are some of a ``Population``'s, as 1-D arrays or as floats (one row,
     naming no agent): ``gain`` and ``loss``, with a finite sum, and a family code with
-    its parameters in the family's domains and 0 past the family's parameters.  The
-    extremes of each column are tested first; per-row masks are built only when they fail.
+    its parameters in the family's domains and 0 past the family's parameters.  Each
+    rule holds on an interval (a ``BOUNDS`` half-line, 0, or a registry's codes 0..N-1),
+    so it holds on all its rows iff it holds at their smallest and largest values; only
+    a rule failing there, or covering one family of a mixed column, is searched row by
+    row.  The error names the smallest failing agent, ties going to the earlier rule:
+    gain, loss, gain + loss, then each code column followed by its family's parameters.
     """
-    if _extremes_in_domains(columns):
-        return
-    found = [(np.logical_not(in_domain(name, columns[name])), name, domain_rule(name),
-              columns[name]) for name in ("gain", "loss") if name in columns]
+    extremes = {column: _extremes(x) for column, x in columns.items()}
+    if None in extremes.values():
+        return  # no rows
+    # (label, domain, values, rows, span): rows True (all) with span their (smallest,
+    # largest) value, or the mask of one family's rows in a mixed column with span None
+    rules = [(name, _DOMAINS[name], columns[name], True, extremes[name])
+             for name in ("gain", "loss") if name in columns]
     if "gain" in columns and "loss" in columns:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, not finite
-            total = columns["gain"] + columns["loss"]
-        found.append((np.logical_not(total < math.inf), "gain + loss", "must be finite", total))
-    for families, (code_column, *param_columns) in ((SUCCESS_FAMILIES, _SUCCESS_COLUMNS),
-                                                    (COST_FAMILIES, _COST_COLUMNS)):
+        # the largest sum bounds every row's, but may overflow where no row's does
+        total = high = extremes["gain"][1] + extremes["loss"][1]  # Python floats overflow unwarned
+        if not high < math.inf:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan, not finite
+                total = columns["gain"] + columns["loss"]
+        rules.append(("gain + loss", _FINITE, total, True, (high, high)))
+    for code_column, code_domain, families in _REGISTRIES:
         if code_column not in columns:
             continue
-        code = columns[code_column]
-        members = {cls: code == cls.code for cls in families.values()}
-        known = functools.reduce(operator.or_, members.values())
-        found.append((np.logical_not(known & (np.asarray(code).dtype.kind in "iu")), code_column,
-                      f"must be an integer code in {sorted(cls.code for cls in members)}", code))
-        for cls, rows in ((cls, rows) for cls, rows in members.items() if np.count_nonzero(rows)):
-            for column, name in zip(param_columns, params_of(cls) + (None, None)):
-                x = columns.get(column)
-                if x is None:
-                    continue
-                if name is None:  # a kernel parameter the family does not have
-                    found.append((rows & (x != 0), column, f"must be 0 for {cls.__name__}", x))
-                else:
-                    found.append((rows & np.logical_not(in_domain(name, x)),
-                                  f"{column} ({name})", domain_rule(name), x))
-    bad = [(np.argmax(out), i) for i, (out, *_) in enumerate(found) if np.count_nonzero(out)]
-    if bad:
-        k, i = min(bad)
-        _, label, rule, values = found[i]
+        code, (low, high) = columns[code_column], extremes[code_column]
+        rules.append((code_column, code_domain, code, True, (low, high)))
+        for cls, params in families.items():
+            # a column of one code has all rows or none of a family; np.equal masks lists too
+            rows = np.equal(code, cls.code) if low != high else cls.code == low
+            if rows is False:
+                continue
+            for column, label, domain in params:
+                if column in columns:
+                    span = extremes[column] if rows is True else None
+                    rules.append((label, domain, columns[column], rows, span))
+    failures = []  # (first failing agent, rule number, label, rule, values)
+    for label, (holds, rule), values, rows, span in rules:
+        if span is not None and holds(span[0]) and holds(span[1]):
+            continue
+        out = rows & np.logical_not(holds(values))
+        if out.any():
+            failures.append((np.argmax(out), len(failures), label, rule, values))
+    if failures:
+        k, _, label, rule, values = min(failures)
         where = f"agent {k}: " if np.ndim(values) else ""
         raise ParameterError(f"{where}{label} {rule}, got {np.atleast_1d(values)[k].item()!r}")
 
@@ -234,6 +237,8 @@ CostCurve = Union[PowerCost, ExpGrowthCost, ZeroCost]
 # config family name -> class
 SUCCESS_FAMILIES = {"exp_saturating": ExpSaturating, "hyperbolic": Hyperbolic}
 COST_FAMILIES = {"power": PowerCost, "exp_growth": ExpGrowthCost, "zero": ZeroCost}
+_REGISTRIES = [_registry(SUCCESS_FAMILIES, *_SUCCESS_COLUMNS),
+               _registry(COST_FAMILIES, *_COST_COLUMNS)]
 
 
 def from_kernel_code(families: dict, code: int, *params: float):

@@ -36,16 +36,6 @@ class UtilityCurve:
     utilities: np.ndarray
     argmax_index: int
 
-    @property
-    def i_argmax(self) -> float:
-        return float(self.grid[self.argmax_index])
-
-    def sign_changes(self) -> int:
-        """Number of sign changes in the first differences (Fig-3 shape check)."""
-        diffs = np.diff(self.utilities)
-        signs = np.sign(diffs[diffs != 0])
-        return int(np.sum(signs[1:] != signs[:-1]))
-
 
 @dataclass
 class PhaseSeries:

@@ -62,11 +62,14 @@ _CELLS = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 0.5, 1.0, math.nextaf
           math.nextafter(1.0, 2.0), 2.0]
 
 
+_CODES = st.tuples(st.integers(0, 1), st.integers(0, 2))  # (success_code, cost_code)
+
+
 @st.composite
-def _rows(draw):
-    """A valid trader's kernel-code row with up to two cells replaced: a code by one of
-    -1..3, any other cell by one of ``_CELLS``."""
-    s_code, c_code = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+def _rows(draw, codes=_CODES):
+    """A valid trader's kernel-code row, of a family pair drawn from ``codes``, with up to
+    two cells replaced: a code by one of -1..3, any other cell by one of ``_CELLS``."""
+    s_code, c_code = draw(codes)
     params = (draw(st.sampled_from([0.5, 2.0])), 2.0) if c_code else (0.0, 0.0)
     row = [draw(st.sampled_from([0.5, 2.0])), 1.0, s_code, 0.5, c_code, *params]
     for j in draw(st.lists(st.integers(0, 6), max_size=2)):
@@ -107,11 +110,24 @@ class TestPopulation:
         # the first bad agent is named, whatever the column order
         ({"gain": np.array([1.0, -1.0]), "cost_param": np.array([0.5, 0.0])},
          r"agent 0: cost_param \(exponent\)"),
+        # on one agent, the earlier column is named
+        ({"cost_scale": np.array([-0.1, 0.0]), "cost_param": np.array([0.5, 0.0])},
+         r"agent 0: cost_scale \(scale\) must be finite and exceed 0, got -0.1"),
+        # each row's sum is finite, though the largest gain plus the largest loss is not
+        ({"gain": np.array([1e308, 1.0]), "loss": np.array([1.0, 1e308])}, None),
+        # columns of one family, whose extremes serve for every row
+        (dict(_two_agents(), success_code=np.zeros(3, int), cost_code=np.ones(3, int),
+              **{name: np.ones(3) for name in ("gain", "loss", "success_param", "cost_scale")},
+              cost_param=np.array([2.0, 2.0, 0.5])),
+         r"agent 2: cost_param \(exponent\) must be finite and exceed 1 \(convexity\), got 0.5"),
     ])
     def test_hand_built_columns_are_checked(self, overrides, message):
         assert len(Population(**_two_agents())) == 2
-        with pytest.raises(ParameterError, match=message):
-            Population(**_two_agents(**overrides))
+        if message is None:
+            assert len(Population(**_two_agents(**overrides))) == 2
+        else:
+            with pytest.raises(ParameterError, match=message):
+                Population(**_two_agents(**overrides))
 
     def test_checked_before_any_solve(self):
         with mock.patch.object(kernels, "marginal_utility") as g:
@@ -129,7 +145,8 @@ class TestPopulation:
         assert len(sample_population(spec)) == 50
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(_rows(), max_size=4))
+    @given(st.lists(_rows(), max_size=12)
+           | _CODES.flatmap(lambda codes: st.lists(_rows(st.just(codes)), max_size=12)))
     def test_accepted_iff_every_row_is_a_trader(self, rows):
         columns = [np.array([row[j] for row in rows], dtype=np.int64 if j in (2, 4) else float)
                    for j in range(7)]  # codes are integer columns

@@ -12,6 +12,7 @@ from infoload import (
     PowerCost,
     ZeroCost,
 )
+from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES
 from infoload.errors import ParameterError
 
 
@@ -189,3 +190,9 @@ class TestCostProperties:
         curve = ExpGrowthCost(scale, rate)
         total = curve.value(i1 + i2)
         assert total >= curve.value(i1) + curve.value(i2) - 1e-9 * max(1.0, total)
+
+
+@pytest.mark.parametrize("families", [SUCCESS_FAMILIES, COST_FAMILIES], ids=["success", "cost"])
+def test_family_codes_are_0_to_n_minus_1(families):
+    # check_columns tests a code column as the interval 0..N-1 at its extremes
+    assert sorted(cls.code for cls in families.values()) == list(range(len(families)))

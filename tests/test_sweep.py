@@ -41,17 +41,17 @@ class TestUtilityCurve:
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())
         curve = utility_curve(trader, 5.0, 501)
         assert np.all(np.diff(curve.utilities) > 0)
-        assert curve.i_argmax == 5.0
-        assert curve.sign_changes() == 0
+        assert curve.grid[curve.argmax_index] == 5.0
 
     def test_reference_rise_then_fall(self, reference_trader):
         curve = utility_curve(reference_trader, 5.0, 501)
-        assert curve.sign_changes() == 1
-        assert curve.i_argmax == pytest.approx(1.7455, abs=0.01)
+        steps = np.diff(curve.utilities)
+        assert np.all(steps[:curve.argmax_index] > 0) and np.all(steps[curve.argmax_index:] < 0)
+        assert curve.grid[curve.argmax_index] == pytest.approx(1.7455, abs=0.01)
 
     def test_two_points(self, reference_trader):
         curve = utility_curve(reference_trader, 2.0, 2)
-        assert curve.i_argmax in (0.0, 2.0)
+        assert curve.grid[curve.argmax_index] in (0.0, 2.0)
 
     def test_n_points_validated(self, reference_trader):
         with pytest.raises(ConfigError):
