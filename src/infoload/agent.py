@@ -20,7 +20,9 @@ skips only grid points that cannot be a first maximizer: a point whose computed
 cost is at least ``W - u`` has utility at most ``u``.  A strided scan gives each
 trader an incumbent utility and a cut where the cost passes it, as in branch and
 bound; the cut is kept only when the best utility ``u`` of the evaluated prefix
-proves it, else the trader gets the whole grid.
+proves it, else the trader gets the whole grid.  The scan builds only its own
+grid points, and the grid with its ``log`` is built only as far as the longest
+prefix, unless some trader needs the whole grid.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class Population(Sequence):
     """Traders as columns: entry k of every array describes trader k.
 
     Codes and parameters are those of ``kernel_code()``, so a zero-cost
-    trader has cost scale and cost param 0.0.  A Population checks its own
-    columns (1-D, of one length, in their domains by ``curves.check_columns``),
-    so indexing (and so iteration) gives each row as a ``Trader`` with Python
-    floats, its curves looked up in the ``curves`` family registries.
+    trader has cost scale and cost param 0.0.  A Population holds its columns
+    as arrays (``np.asarray``, so lists are accepted) and checks them (1-D, of
+    one length, in their domains by ``curves.check_columns``), so indexing (and
+    so iteration) gives each row as a ``Trader`` with Python floats, its curves
+    looked up in the ``curves`` family registries.
     """
 
     gain: np.ndarray
@@ -88,8 +91,10 @@ class Population(Sequence):
     cost_param: np.ndarray
 
     def __post_init__(self):
-        shapes = {name: np.shape(column) for name, column in vars(self).items()}
-        if set(shapes.values()) != {(np.size(self.gain),)}:
+        # a column given as a list becomes an array
+        vars(self).update({name: np.asarray(column) for name, column in vars(self).items()})
+        shapes = {name: column.shape for name, column in vars(self).items()}
+        if set(shapes.values()) != {(self.gain.size,)}:
             raise ParameterError(f"columns must be 1-D arrays of one length, got shapes {shapes}")
         check_columns(**vars(self))
 
@@ -262,39 +267,60 @@ def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
     return kernels.utility_grid(grid, *_kernel_args(trader))
 
 
+def _grid_size(i_max: float, step: float) -> int:
+    """The length of ``information_grid(i_max, step)``, by its rule, building no point:
+    ``n = floor(i_max / step)`` steps, and i_max appended unless ``step * n`` is within
+    rounding of it, where i_max replaces that point."""
+    n = int(math.floor(i_max / step + 1e-9))
+    return n + 2 if step * n < i_max - 1e-12 * max(1.0, i_max) else n + 1
+
+
+def _grid_points(i_max: float, step: float, index: slice) -> np.ndarray:
+    """``information_grid(i_max, step)[index]`` bit for bit, building only those points:
+    point k is ``step * k``, but the last point is i_max."""
+    size = _grid_size(i_max, step)
+    k = range(size)[index]
+    points = step * np.arange(k.start, k.stop, k.step, dtype=np.float64)
+    if size - 1 in k:
+        points[k.index(size - 1)] = i_max
+    return points
+
+
 def information_grid(i_max: float, step: float) -> np.ndarray:
     """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max."""
-    n = int(math.floor(i_max / step + 1e-9))
-    grid = step * np.arange(n + 1, dtype=np.float64)
-    if grid[-1] < i_max - 1e-12 * max(1.0, i_max):
-        grid = np.append(grid, i_max)
-    else:
-        grid[-1] = i_max
-    return grid
+    return _grid_points(i_max, step, slice(None))
 
 
-def _oracle_lengths(population: Population, grid: np.ndarray,
-                    log_grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _grid_and_log(i_max: float, step: float, index: slice) -> Tuple[np.ndarray, np.ndarray]:
+    """``_grid_points`` and their elementwise ``log``."""
+    grid = _grid_points(i_max, step, index)
+    with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
+        return grid, np.log(grid)
+
+
+def _oracle_lengths(population: Population, i_max: float,
+                    step: float) -> Tuple[np.ndarray, np.ndarray]:
     """Each trader's prefix length and the bound that must prove its cut (``grid_oracles``).
 
     One 2-D ``utility_grid`` call per family pair evaluates every ``ORACLE_SCAN_STRIDE``-th
-    grid point of all of its traders, the costs landing in its scratch array.  A trader's
-    prefix ends at the first scan point ``s`` after its first best scan utility ``u_s``
-    whose cost exceeds ``(W - u_s) * ORACLE_CUT_MARGIN``; its bound is that cost, at most
-    the largest float, times ``1 - ORACLE_COST_ERROR``, or 0 where the cost is below
-    ``2**-1000 * (1 + scale)``.  A trader without such a point gets the whole grid and the
-    bound +inf.
+    grid point of all of its traders, the costs landing in its scratch array; only those
+    points and their ``log`` are built.  A trader's prefix ends at the first scan point
+    ``s`` after its first best scan utility ``u_s`` whose cost exceeds
+    ``(W - u_s) * ORACLE_CUT_MARGIN``; its bound is that cost, at most the largest float,
+    times ``1 - ORACLE_COST_ERROR``, or 0 where the cost is below ``2**-1000 * (1 + scale)``.
+    A trader without such a point gets the whole grid and the bound +inf.
     """
-    scan = slice(None, None, ORACLE_SCAN_STRIDE)
-    position = np.arange(len(grid[scan]))
-    lengths, bounds = np.full(len(population), len(grid)), np.full(len(population), math.inf)
+    scan, log_scan = _grid_and_log(i_max, step, slice(None, None, ORACLE_SCAN_STRIDE))
+    position = np.arange(len(scan))
+    lengths = np.full(len(population), _grid_size(i_max, step))
+    bounds = np.full(len(population), math.inf)
     for s_code, c_code, agents in population.families():
         gain, c_scale = population.gain[agents], population.cost_scale[agents]
         util, cost = np.empty((2, len(agents), len(position)))
-        kernels.utility_grid(grid[scan], s_code, population.success_param[agents, None], c_code,
+        kernels.utility_grid(scan, s_code, population.success_param[agents, None], c_code,
                              c_scale[:, None], population.cost_param[agents, None],
                              gain[:, None], population.loss[agents, None], out=(util, cost),
-                             log_grid=log_grid[scan])
+                             log_grid=log_scan)
         rows = np.arange(len(agents))
         b_s = np.argmax(util, axis=1)  # the first maximizer
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite limit is never exceeded
@@ -344,23 +370,32 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     - An overflowing ``W - u_s`` gives an infinite limit that nothing exceeds, and an
       overflowing ``W - u_p`` a comparison that fails: both take the whole grid.
 
-    The regime reads the full grid's last index.  Every trader's utilities go into the
-    same two kernel work arrays, from one ``log`` of the grid.
+    No point is built that no kernel call reads.  The grid's length comes from
+    ``information_grid``'s rule (``_grid_size``), and the regime reads its last index.
+    The scan builds only its own points and their ``log``.  Then the grid, its ``log`` and
+    the two kernel work arrays, which every trader's utilities go into, are built up to
+    the longest prefix, and built whole only at the first trader whose cut is not proved.
+    A trader's values keep their bits however much of the grid is built: ``_grid_points``
+    gives each point the bits of ``information_grid``'s, the kernel's per-point operations
+    are the same, and ``np.log`` works elementwise, so a point's ``log`` does not depend on
+    the array that holds it.  ``tests/test_agent.py`` checks this premise against a loop
+    over the whole grid and one ``log`` of it.
     """
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     population = Population.from_traders(traders)
-    grid = information_grid(i_max, step)
-    with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
-        log_grid = np.log(grid)
-    util, scratch = np.empty_like(grid), np.empty_like(grid)
+    size = _grid_size(i_max, step)
+    lengths, bounds = _oracle_lengths(population, i_max, step)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
-    lengths, bounds = _oracle_lengths(population, grid, log_grid)
+    grid = np.empty(0)
     rows = zip(lengths.tolist(), bounds.tolist(),
                *(getattr(population, f.name).tolist() for f in fields(population)))
     for k, (n, bound, gain, loss, *curves) in enumerate(rows):  # curves: kernel order
-        for n in (n, len(grid)):  # a cut that its bound does not prove takes the whole grid
+        for n in (n, size):  # a cut that its bound does not prove takes the whole grid
+            if n > len(grid):  # first up to the longest cut, then the whole grid if needed
+                grid, log_grid = _grid_and_log(i_max, step, slice(max(n, lengths.max())))
+                util, scratch = np.empty((2, len(grid)))
             prefix = kernels.utility_grid(grid[:n], *curves, gain, loss,
                                           out=(util[:n], scratch[:n]), log_grid=log_grid[:n])
             best[k] = np.argmax(prefix)  # argmax returns the first maximizer
@@ -369,7 +404,7 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
                 break
     # the first grid point is the corner 0, the last (i_max) fully informed
     regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
-        best == len(grid) - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))
+        best == size - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))
     return grid[best], u_star, regime
 
 

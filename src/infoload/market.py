@@ -200,25 +200,25 @@ def _keyed_uniforms(master_seed: int, n: int, n_draws: int) -> np.ndarray:
     """``default_rng(SeedSequence(master_seed, spawn_key=(k,))).random(n_draws)``
     for every k < n at once, as row ``[:, k]`` of an (n_draws, n) array.
 
-    Every step runs on uint32/uint64 arrays, which wrap without warnings.
+    The master seed's pool words do not depend on k: they are Python ints masked to 32
+    bits.  Every step from the spawn word k on runs on uint32/uint64 arrays, which wrap
+    without warnings.
     """
     hash_const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value):  # a Python int below 2**32 or a uint32 array
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
+        value = value * hash_const & _MASK32
         return value ^ (value >> 16)
 
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    def mix(x, y):  # x a Python int below 2**32, masked first so a uint32 y can take it
+        value = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
         return value ^ (value >> 16)
 
     # entropy: the seed's little-endian words zero-padded to the pool size, then k
-    seed_words = [np.array([(master_seed >> 32 * i) & _MASK32], dtype=np.uint32)
-                  for i in range(_POOL_SIZE)]
-    pool = [hashmix(word) for word in seed_words]
+    pool = [hashmix(master_seed >> 32 * i & _MASK32) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:

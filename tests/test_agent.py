@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -128,6 +129,17 @@ class TestPopulation:
         else:
             with pytest.raises(ParameterError, match=message):
                 Population(**_two_agents(**overrides))
+
+    def test_list_columns_are_arrays(self):
+        lists = dict(gain=[1.0, 2.0], loss=[1.0, 1.0], success_code=[0, 0],
+                     success_param=[1.0, 0.5], cost_code=[1, 1], cost_scale=[0.1, 0.1],
+                     cost_param=[2.0, 2.0])
+        assert Population(**lists)[1] == Trader(2.0, 1.0, ExpSaturating(0.5), PowerCost(0.1, 2.0))
+        # mixed codes, and an out-of-domain cell among them
+        mixed = {name: column.tolist() for name, column in _two_agents().items()}
+        assert list(Population(**mixed)) == list(Population(**_two_agents()))
+        with pytest.raises(ParameterError, match="agent 1: gain must be finite"):
+            Population(**{**mixed, "gain": [1.0, -2.0]})
 
     def test_checked_before_any_solve(self):
         with mock.patch.object(kernels, "marginal_utility") as g:
@@ -531,13 +543,25 @@ class TestOptimizeInformation:
             assert out.u_star >= util.max() - 1e-9
 
 
+def _reference_information_grid(i_max, step):
+    """``information_grid`` built whole, then its last point set: the bit-exact reference."""
+    n = int(math.floor(i_max / step + 1e-9))
+    grid = step * np.arange(n + 1, dtype=np.float64)
+    if grid[-1] < i_max - 1e-12 * max(1.0, i_max):
+        grid = np.append(grid, i_max)
+    else:
+        grid[-1] = i_max
+    return grid
+
+
 def _reference_grid_oracles(traders, i_max, step=agent.DEFAULT_ORACLE_STEP):
-    """The full-grid loop of ``grid_oracles``: the bit-exact reference."""
+    """The full-grid loop of ``grid_oracles``, with one ``log`` of the whole grid: the
+    bit-exact reference."""
     agent.check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     population = Population.from_traders(traders)
-    grid = information_grid(i_max, step)
+    grid = _reference_information_grid(i_max, step)
     with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
         log_grid = np.log(grid)
     out = np.empty_like(grid), np.empty_like(grid)
@@ -554,25 +578,37 @@ def _reference_grid_oracles(traders, i_max, step=agent.DEFAULT_ORACLE_STEP):
 
 
 def _oracle_calls(traders, i_max, step):
-    """``grid_oracles``'s columns, and the shape of each of its kernel calls' values."""
-    shapes = []
-    utility_grid = kernels.utility_grid
+    """``grid_oracles``'s columns, the shape of each of its kernel calls' values, and the
+    length of each run of grid points that it builds."""
+    shapes, built = [], []
+    utility_grid, grid_points = kernels.utility_grid, agent._grid_points
 
     def recording(grid, *args, **kwargs):
         util = utility_grid(grid, *args, **kwargs)
         shapes.append(util.shape)
         return util
 
-    with mock.patch.object(kernels, "utility_grid", recording):
+    def building(*args):
+        points = grid_points(*args)
+        built.append(len(points))
+        return points
+
+    with (mock.patch.object(kernels, "utility_grid", recording),
+          mock.patch.object(agent, "_grid_points", building)):
         columns = grid_oracles(traders, i_max, step)
-    return columns, shapes
+    return columns, shapes, built
 
 
 def _oracle_points(traders, i_max, step):
     """``grid_oracles``'s columns, and how many points its kernel calls evaluated: a 2-D
     call counts its grid times its rows."""
-    columns, shapes = _oracle_calls(traders, i_max, step)
+    columns, shapes, _ = _oracle_calls(traders, i_max, step)
     return columns, sum(math.prod(shape) for shape in shapes)
+
+
+def _scan_size(i_max, step):
+    """How many points the oracle's scan evaluates: every ``ORACLE_SCAN_STRIDE``-th."""
+    return len(range(agent._grid_size(i_max, step))[::agent.ORACLE_SCAN_STRIDE])
 
 
 def _oracle_bits(columns):
@@ -651,6 +687,26 @@ class TestGridOracle:
         assert out.regime is Regime.FULLY_INFORMED and out.i_star == i_max
 
 
+class TestGridPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.builds(lambda step, n, past: (step * (n + past), step), log_uniform(-4, 1),
+                          st.integers(1, 5000), st.just(0.0) | st.floats(0.0, 1.0)),
+           index=st.builds(slice, st.none() | st.integers(-6000, 6000),
+                           st.none() | st.integers(-6000, 6000),
+                           st.none() | st.integers(1, 600) | st.integers(-600, -1)))
+    # step * 375 = 0.375 is within rounding of i_max: i_max replaces the last point
+    @example(grid=(0.3750000000000001, 1e-3), index=slice(119, None, 256))
+    @example(grid=(1.0, 0.3), index=slice(None, None, 2))  # 0.9 < 1: i_max is appended
+    def test_equal_the_whole_grid_bitwise(self, grid, index):
+        i_max, step = grid
+        whole = _reference_information_grid(i_max, step)
+        assert agent._grid_size(i_max, step) == len(whole)
+        assert agent._grid_points(i_max, step, index).view(np.int64).tolist() == (
+            whole[index].view(np.int64).tolist())
+        assert information_grid(i_max, step).view(np.int64).tolist() == (
+            whole.view(np.int64).tolist())
+
+
 class TestGridOraclePrefix:
     @settings(max_examples=200, deadline=None)
     @given(traders=_ANY_TRADERS, i_max=log_uniform(math.log10(0.05), math.log10(400.0)),
@@ -689,27 +745,55 @@ class TestGridOraclePrefix:
         Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e-6, 2.0))],
         ids=["zero_cost", "rising_at_i_max"])
     def test_full_grid_when_nothing_follows_the_best_scan_point(self, trader):
-        grid = information_grid(5.0, 1e-3)
-        columns, points = _oracle_points([trader], 5.0, 1e-3)
-        assert points == len(grid[::agent.ORACLE_SCAN_STRIDE]) + len(grid)  # scan, then one call
+        columns, shapes, built = _oracle_calls([trader], 5.0, 1e-3)
+        scan, size = _scan_size(5.0, 1e-3), agent._grid_size(5.0, 1e-3)
+        assert shapes == [(1, scan), (size,)]  # the scan, then one call on the whole grid
+        assert built == [scan, size]  # the whole grid is built once
         assert columns[2].tolist() == [Regime.FULLY_INFORMED.value]
+
+    def test_builds_the_grid_up_to_the_longest_prefix(self, rng):
+        traders = [random_trader(rng, family) for family in ("power", "exp_growth")
+                   for _ in range(10)] + _OPTIMA[:3]
+        columns, shapes, built = _oracle_calls(traders, 100.0, 1e-3)
+        prefixes = [shape[0] for shape in shapes if len(shape) == 1]
+        assert len(prefixes) == len(traders)  # every cut is proved
+        assert built == [_scan_size(100.0, 1e-3), max(prefixes)]
+        assert max(prefixes) < 0.1 * agent._grid_size(100.0, 1e-3)
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 100.0, 1e-3))
+
+    def test_peak_memory_of_an_agent_cli_population(self):
+        # the population of the benchmark's agent_cli workload: the grid has 100,001 points,
+        # 3.2 MB for the grid, its log and the two work arrays; the longest cut is about 14k
+        population = sample_population(PopulationSpec(
+            n_agents=200, gain=(0.5, 2.0), loss=(0.5, 2.0), success_family="exp_saturating",
+            success_param=(0.2, 2.0), cost_family="power", cost_scale=(0.001, 0.1),
+            cost_shape=(1.5, 3.0), master_seed=7))
+        tracemalloc.start()
+        try:
+            grid_oracles(population, 100.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @pytest.mark.parametrize("cut", ["first_point_bound_0", "quarter_limit"])
     def test_unproven_cut_takes_the_whole_grid(self, rng, cut):
         traders = [random_trader(rng, family) for family in ("power", "exp_growth")
                    for _ in range(10)] + _OPTIMA
 
-        def too_short(population, grid, log_grid):  # a one-point prefix; 0 proves only u_p == W
+        def too_short(population, i_max, step):  # a one-point prefix; 0 proves only u_p == W
             return np.ones(len(population), dtype=int), np.zeros(len(population))
 
         patch = (mock.patch.object(agent, "_oracle_lengths", too_short)
                  if cut == "first_point_bound_0" else
                  mock.patch.object(agent, "ORACLE_CUT_MARGIN", 0.25))
         with patch:
-            columns, shapes = _oracle_calls(traders, 8.0, 1e-3)
+            columns, shapes, built = _oracle_calls(traders, 8.0, 1e-3)
         fallbacks = sum(len(shape) == 1 for shape in shapes) - len(traders)
         if cut == "first_point_bound_0":
             assert fallbacks == len(traders)
+            # the one-point prefix, then the whole grid once, on the first fallback
+            assert built == [1, agent._grid_size(8.0, 1e-3)]
         else:
             assert fallbacks > len(traders) // 2
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 8.0, 1e-3))
