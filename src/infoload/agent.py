@@ -11,8 +11,9 @@ family pair; ``unconstrained_optimum`` is one trader's root as a float.  A
 ``Population`` holds many traders as checked columns of kernel codes and
 parameters; the solver, ``constrain`` and ``Population.utility`` read the
 columns directly, a ``Trader`` sequence is turned into columns once, and
-indexing rebuilds a trader's curves with ``curves.from_kernel_code``.  The solver and the sweeps build g only with
-``Population.family_g``.  A brute-force grid search over the same interval
+indexing rebuilds a trader's curves with ``curves.from_kernel_code``.  The
+solver, the sweeps, ``Population.utility`` and the oracle's scan take their kernel
+arguments from ``Population.families``.  A brute-force grid search over the same interval
 serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
 ``AgentOutcome`` is one trader's row of them.  It uses nothing of the solver and
@@ -70,6 +71,10 @@ class Regime(str, enum.Enum):
     FULLY_INFORMED = "fully_informed"
 
 
+# constrain's regime codes: 0 corner, 1 interior, 2 fully informed
+_REGIMES = np.array([regime.value for regime in Regime])
+
+
 @dataclass(frozen=True, eq=False)
 class Population(Sequence):
     """Traders as columns: entry k of every array describes trader k.
@@ -119,11 +124,17 @@ class Population(Sequence):
                       from_kernel_code(COST_FAMILIES, c_code, c_scale, c_param))
 
     def families(self):
-        """(success code, cost code, agent indices) of each family pair present, codes ascending."""
+        """Each family pair present, codes ascending: its agent indices and the kernels'
+        arguments after the levels, ``(s_code, s_param, c_code, c_scale, c_param, gain, loss)``.
+
+        The columns are contiguous copies of those agents' rows, as numpy's ``power`` may
+        round a broadcast operand differently, and a sign at a root must keep its bits."""
         for s_code in np.flatnonzero(np.bincount(self.success_code)).tolist():
             success = self.success_code == s_code
             for c_code in np.flatnonzero(np.bincount(self.cost_code[success])).tolist():
-                yield s_code, c_code, np.flatnonzero(success & (self.cost_code == c_code))
+                agents = np.flatnonzero(success & (self.cost_code == c_code))
+                yield agents, (s_code, self.success_param[agents], c_code, self.cost_scale[agents],
+                               self.cost_param[agents], self.gain[agents], self.loss[agents])
 
     def scaled(self, multipliers) -> Population:
         """The population once per multiplier: row ``r * len(self) + k`` is trader k with its
@@ -133,24 +144,12 @@ class Population(Sequence):
         tiled = {f.name: np.tile(getattr(self, f.name), len(c_scale)) for f in fields(self)}
         return Population(**{**tiled, "cost_scale": c_scale.ravel()})
 
-    def family_g(self, s_code: int, c_code: int, agents: np.ndarray):
-        """The marginal utility g of the traders ``agents`` of one family pair, writing into
-        two work arrays.  It runs on contiguous copies of their columns, as numpy's ``power``
-        may round a broadcast operand differently, and a sign at a root must keep its bits."""
-        return kernels.marginal_utility(
-            s_code, self.success_param[agents], c_code, self.cost_scale[agents],
-            self.cost_param[agents], self.gain[agents], self.loss[agents],
-            out=(np.empty(len(agents)), np.empty(len(agents))))
-
     def utility(self, i) -> np.ndarray:
         """Expected utility of trader k at level ``i[k]`` (or at ``i`` for all), by the kernel."""
         i = np.broadcast_to(np.asarray(i, dtype=np.float64), (len(self),))
         out = np.empty(len(self))
-        for s_code, c_code, agents in self.families():
-            out[agents] = kernels.utility_grid(
-                i[agents], s_code, self.success_param[agents], c_code,
-                self.cost_scale[agents], self.cost_param[agents],
-                self.gain[agents], self.loss[agents])
+        for agents, args in self.families():
+            out[agents] = kernels.utility_grid(i[agents], *args)
         return out
 
 
@@ -205,10 +204,10 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     """
     population = Population.from_traders(traders)
     roots = np.full(len(population), math.inf)  # zero cost: g > 0 everywhere
-    for s_code, c_code, agents in population.families():
-        if c_code != kernels.COST_ZERO:
-            roots[agents] = _sign_change(population.family_g(s_code, c_code, agents),
-                                         len(agents))
+    for agents, args in population.families():
+        if args[2] != kernels.COST_ZERO:  # the cost code; g writes into two work arrays
+            g = kernels.marginal_utility(*args, out=np.empty((2, len(agents))))
+            roots[agents] = _sign_change(g, len(agents))
     return roots
 
 
@@ -248,10 +247,8 @@ def constrain(population: Population, i_max: float,
     included) is fully informed at ``i_max``, a root at or below 0 is the
     corner 0, any other is interior.  Regimes are ``Regime`` values as str.
     """
-    fully, corner = i_u >= i_max, i_u <= 0.0
-    i_star = np.where(fully, i_max, np.where(corner, 0.0, i_u))
-    regime = np.where(fully, Regime.FULLY_INFORMED.value,
-                      np.where(corner, Regime.CORNER_ZERO.value, Regime.INTERIOR.value))
+    i_star = np.minimum(np.maximum(i_u, 0.0), i_max)  # NaN stays NaN, and -0.0 becomes 0.0
+    regime = _REGIMES[1 + (i_star == i_max) - (i_star == 0.0)]  # NaN is interior
     return i_star, population.utility(i_star), regime
 
 
@@ -314,12 +311,10 @@ def _oracle_lengths(population: Population, i_max: float,
     position = np.arange(len(scan))
     lengths = np.full(len(population), _grid_size(i_max, step))
     bounds = np.full(len(population), math.inf)
-    for s_code, c_code, agents in population.families():
-        gain, c_scale = population.gain[agents], population.cost_scale[agents]
+    for agents, (s_code, s_param, c_code, c_scale, c_param, gain, loss) in population.families():
         util, cost = np.empty((2, len(agents), len(position)))
-        kernels.utility_grid(scan, s_code, population.success_param[agents, None], c_code,
-                             c_scale[:, None], population.cost_param[agents, None],
-                             gain[:, None], population.loss[agents, None], out=(util, cost),
+        kernels.utility_grid(scan, s_code, s_param[:, None], c_code, c_scale[:, None],
+                             c_param[:, None], gain[:, None], loss[:, None], out=(util, cost),
                              log_grid=log_scan)
         rows = np.arange(len(agents))
         b_s = np.argmax(util, axis=1)  # the first maximizer

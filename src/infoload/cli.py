@@ -305,13 +305,14 @@ def _agent_columns(population: Population, outcome) -> list:
 def _cmd_agent(settings: Settings, out_dir: Path) -> List[Path]:
     population = sample_population(settings.population)
     outcome = run_market(settings.market, population)
-    oracle, oracle_u, _ = grid_oracles(population, settings.market.i_max, AGENT_ORACLE_STEP)
+    step = min(AGENT_ORACLE_STEP, settings.market.i_max)  # a grid needs step <= i_max
+    oracle, oracle_u, _ = grid_oracles(population, settings.market.i_max, step)
     gap = np.abs(outcome.i_star - oracle)
     # where the utility is flat in float64 (lambda saturated) the oracle's first maximizer
     # starts the flat stretch, so a far location alone is no disagreement
     stake = population.gain + population.loss
     better = oracle_u - outcome.u_star > AGENT_ORACLE_ULPS * np.spacing(stake)
-    far = np.flatnonzero((gap > AGENT_ORACLE_STEP + 1e-6) & better)
+    far = np.flatnonzero((gap > step + 1e-6) & better)
     if far.size:
         raise NumericRangeError(f"agent {far[0]}: optimizer/oracle disagree by {gap[far[0]]:.3g}")
     return [write_csv(out_dir / "agents.csv", AGENT_HEADER + ["oracle_i_star"],

@@ -72,6 +72,7 @@ class PopulationSpec:
                                                and lo <= value <= hi):
                 raise ConfigError(f"population.{name}",
                                   f"must be an integer in [{lo}, {hi}], got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers overflow in the hash
         _check_interval("population.gain", "gain", self.gain)
         _check_interval("population.loss", "loss", self.loss)
         try:

@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from infoload import kernels
 from infoload.agent import Population, Trader, check_i_max, solve_roots, utility_on_grid
 from infoload.curves import check_columns
 from infoload.market import ConjectureVerdict, check_grid, check_theta
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
-from infoload.kernels import COST_ZERO
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
@@ -98,8 +98,8 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
     As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
     ``count(g(c) > 0)``: exact halvings over each trader's count of such ceilings take
-    ``len(grid).bit_length()`` calls of g per family pair, by ``Population.family_g`` on
-    contiguous columns, so each sign is that of the g whose root ``solve_roots`` finds.
+    ``len(grid).bit_length()`` calls of g per family pair, on the contiguous columns of
+    ``Population.families``, so each sign is that of the g whose root ``solve_roots`` finds.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -115,9 +115,10 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
                 raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {m!r}, {error}")
     scaled, n, top = population.scaled(mults), len(population), len(grid)
     counts = np.full(len(scaled), top)  # zero cost: g > 0 at every ceiling
-    for s_code, c_code, agents in scaled.families():
-        if c_code != COST_ZERO:
-            g, count = scaled.family_g(s_code, c_code, agents), np.zeros(len(agents), dtype=int)
+    for agents, args in scaled.families():
+        if args[2] != kernels.COST_ZERO:  # the cost code
+            g = kernels.marginal_utility(*args, out=np.empty((2, len(agents))))
+            count = np.zeros(len(agents), dtype=int)
             for step in reversed(range(top.bit_length())):  # a probe past the grid takes its end
                 above = g(grid[np.minimum(count + (1 << step), top) - 1])
                 if np.isnan(above).any():
@@ -143,7 +144,7 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
                       i_max_schedule: Sequence[float]) -> ConjectureVerdict:
     """Unbounded information: everyone overloads and utility diverges to -inf."""
     population = Population.from_traders(traders)
-    costless = np.flatnonzero(population.cost_code == COST_ZERO)
+    costless = np.flatnonzero(population.cost_code == kernels.COST_ZERO)
     if costless.size:
         raise PreconditionError(f"agent {costless[0]} has a zero cost curve")
     schedule = check_grid("i_max_schedule", i_max_schedule)

@@ -28,7 +28,7 @@ from infoload import COST_FAMILIES, SUCCESS_FAMILIES, Population, PopulationSpec
 from infoload import MarketConfig, kernels, run_market, sample_population
 from infoload.agent import grid_oracles, information_grid, solve_roots, utility_on_grid
 from infoload.errors import NumericRangeError, ParameterError
-from infoload.sweep import critical_imax_quantile
+from infoload.sweep import critical_imax_quantile, sweep_2d
 
 from conftest import WIDE_TRADERS, log_uniform, random_trader
 
@@ -42,11 +42,13 @@ class TestTrader:
 
 
 def _families_by_unique(population):
-    """``Population.families`` as two ``np.unique`` passes: the reference order."""
+    """``Population.families``' agents and codes by two ``np.unique`` passes: the reference
+    order."""
     for s_code in np.unique(population.success_code).tolist():
         success = population.success_code == s_code
         for c_code in np.unique(population.cost_code[success]).tolist():
-            yield s_code, c_code, np.flatnonzero(success & (population.cost_code == c_code))
+            agents = np.flatnonzero(success & (population.cost_code == c_code))
+            yield agents.tolist(), s_code, c_code
 
 
 def _two_agents(**overrides):
@@ -195,11 +197,43 @@ class TestPopulation:
     def test_families_in_np_unique_order(self, rng):
         mixed = Population.from_traders([random_trader(rng) for _ in range(300)])
         for population in (mixed, Population.from_traders([])):
-            families = [(s, c, agents.tolist()) for s, c, agents in population.families()]
-            assert families == [(s, c, agents.tolist())
-                                for s, c, agents in _families_by_unique(population)]
-            assert all(type(s) is int and type(c) is int for s, c, _ in families)
+            families = list(population.families())
+            assert [(agents.tolist(), args[0], args[2]) for agents, args in families] == list(
+                _families_by_unique(population))
+            for agents, args in families:
+                assert type(args[0]) is int and type(args[2]) is int
+                columns = [a for a in args if isinstance(a, np.ndarray)]
+                assert len(columns) == 5 and all(a.flags.c_contiguous for a in columns)
+                # row j of the arguments is agent agents[j]'s kernel arguments
+                rows = zip(*(a.tolist() if isinstance(a, np.ndarray) else [a] * len(agents)
+                             for a in args))
+                assert list(rows) == [agent._kernel_args(population[k]) for k in agents.tolist()]
+        assert not mixed.gain.flags.c_contiguous  # the columns are strided views of one array
         assert len(list(mixed.families())) == 6
+
+    def test_kernels_get_contiguous_arrays(self, rng, monkeypatch):
+        # numpy's power may round a broadcast or strided operand differently, so a kernel
+        # is never handed one of from_traders' strided columns
+        population = Population.from_traders([random_trader(rng) for _ in range(60)])
+        calls = []
+
+        def recording(name, kernel):
+            def call(*args, **kwargs):
+                arrays = [a for arg in (*args, *kwargs.values())
+                          for a in (arg if isinstance(arg, tuple) else (arg,))
+                          if isinstance(a, np.ndarray)]
+                calls.append((name, all(a.flags.c_contiguous for a in arrays)))
+                return kernel(*args, **kwargs)
+            return call
+
+        for name in ("marginal_utility", "utility_grid"):
+            monkeypatch.setattr(kernels, name, recording(name, getattr(kernels, name)))
+        run_market(MarketConfig(i_max=2.0, theta=0.5), population)
+        sweep_2d(population, [0.5, 1.0, 2.0], [0.5, 1.0], 0.5)
+        grid_oracles(population, 2.0, 1e-2)
+        population.utility(0.5)
+        assert {name for name, _ in calls} == {"marginal_utility", "utility_grid"}
+        assert all(contiguous for _, contiguous in calls)
 
 
 class TestExpectedReturn:
@@ -531,6 +565,15 @@ class TestOptimizeInformation:
     def test_bad_i_max(self, reference_trader):
         with pytest.raises(ParameterError):
             optimize_information(reference_trader, 0.0)
+
+    def test_constrain_clamps_each_root(self, reference_trader):
+        i_u = np.array([-1.0, -0.0, 0.5, 2.0, math.inf, math.nan])
+        population = Population.from_traders([reference_trader] * len(i_u))
+        i_star, _, regime = agent.constrain(population, 2.0, i_u)
+        assert i_star[:5].tolist() == [0.0, 0.0, 0.5, 2.0, 2.0] and not np.signbit(i_star[1])
+        assert math.isnan(i_star[5])  # a NaN root stays NaN, and interior
+        assert regime.tolist() == ["corner_zero", "corner_zero", "interior", "fully_informed",
+                                   "fully_informed", "interior"]
 
     def test_dominates_every_grid_point(self, rng):
         for _ in range(50):

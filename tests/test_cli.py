@@ -272,6 +272,14 @@ class TestSubcommands:
         rows = read_csv(out / "agents.csv")
         assert any(abs(float(r["i_star"]) - float(r["oracle_i_star"])) > 1e-3 for r in rows)
 
+    def test_agent_ceiling_below_the_oracle_step(self, tmp_path):
+        # the oracle's step shrinks to i_max, so its grid is {0, i_max}
+        cfg = {"population": {"n_agents": 3}, "market": {"i_max": 0.0005}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["agent", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert {float(r["oracle_i_star"]) for r in read_csv(out / "agents.csv")} <= {0.0, 0.0005}
+
     def test_agent_shifted_optimum_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
         solve = infoload.market.solve_roots
         monkeypatch.setattr(infoload.market, "solve_roots",
@@ -624,7 +632,7 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("subcommand", ["sweep", "market"])
+@pytest.mark.parametrize("subcommand", ["sweep", "market", "agent"])
 def test_runs_without_loading_numpy_random(tmp_path, subcommand):
     # numpy imports numpy.random lazily; its first use costs about 14 ms and 2-6 MB,
     # and sampling reproduces its SeedSequence and PCG64 without it

@@ -92,6 +92,15 @@ class TestPopulationSpec:
     def test_numpy_integers_accepted(self):
         assert make_spec(n_agents=np.int64(5), master_seed=np.uint64(2**64 - 1)).n_agents == 5
 
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), np.uint64(2**64 - 1),
+                                      np.int64(2**40 + 3)])
+    def test_numpy_integer_seed_samples_as_its_int(self, seed):
+        spec = make_spec(n_agents=np.int64(40), master_seed=seed)
+        assert type(spec.master_seed) is int and type(spec.n_agents) is int
+        traders = list(sample_population(spec))
+        assert traders == list(sample_population(make_spec(n_agents=40, master_seed=int(seed))))
+        assert traders == reference_population(spec)
+
     @pytest.mark.parametrize("overrides,field", [
         ({"cost_shape": (1.5, math.inf)}, "population.cost.params.exponent"),
         ({"cost_shape": (math.nan, 2.0)}, "population.cost.params.exponent"),
