@@ -17,13 +17,15 @@ arguments from ``Population.families``.  A brute-force grid search over the same
 serves as an independent verifier: ``grid_oracles`` reads the same columns and
 returns the same ``(i_star, u_star, regime)`` columns as ``constrain``, and an
 ``AgentOutcome`` is one trader's row of them.  It uses nothing of the solver and
-skips only grid points that cannot be a first maximizer: a point whose computed
-cost is at least ``W - u`` has utility at most ``u``.  A strided scan gives each
-trader an incumbent utility and a cut where the cost passes it, as in branch and
-bound; the cut is kept only when the best utility ``u`` of the evaluated prefix
-proves it, else the trader gets the whole grid.  The scan builds only its own
-grid points, and the grid with its ``log`` is built only as far as the longest
-prefix, unless some trader needs the whole grid.
+skips only grid points that cannot be a first maximizer.  The utility is
+``W - (W + L) * (1 - lambda) - xi`` with ``1 - lambda`` non-increasing and ``xi``
+non-decreasing, so a block of points between two scan points loses at least the
+complement term at its end plus the cost at its start.  A strided scan that ends at
+``i_max`` gives each trader an incumbent utility ``u_s`` and a window of the blocks
+whose bounds do not rule them out, as in branch and bound; the window is kept only
+when its own best utility reaches ``u_s``, else the trader gets the whole grid.  The
+scan builds only its own grid points, and the grid with its ``log`` is built only as
+far as the largest window's end, unless some trader needs the whole grid.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import enum
 import math
 import operator
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Tuple
@@ -44,12 +45,11 @@ from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, Success
 from infoload.errors import ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
-# grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point for its prefix,
-# cut where the cost exceeds W less the best scan utility, times ORACLE_CUT_MARGIN
+# grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point and at i_max,
+# and bounds the utility on each block of grid points between two scan points
 ORACLE_SCAN_STRIDE = 256
-ORACLE_CUT_MARGIN = 1.0 + 2.0**-10
-# the relative cost error that a cut's bound allows for, above the kernel's 2**-42
-ORACLE_COST_ERROR = 2.0**-32
+# the relative error of a loss term that a block's bound allows for, above the kernel's 2**-42
+ORACLE_TERM_ERROR = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -288,47 +288,64 @@ def information_grid(i_max: float, step: float) -> np.ndarray:
     return _grid_points(i_max, step, slice(None))
 
 
-def _grid_and_log(i_max: float, step: float, index: slice) -> Tuple[np.ndarray, np.ndarray]:
-    """``_grid_points`` and their elementwise ``log``."""
-    grid = _grid_points(i_max, step, index)
+def _with_log(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Grid points and their elementwise ``log``."""
     with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
-        return grid, np.log(grid)
+        return points, np.log(points)
 
 
-def _oracle_lengths(population: Population, i_max: float,
-                    step: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Each trader's prefix length and the bound that must prove its cut (``grid_oracles``).
+def _oracle_windows(population: Population, i_max: float,
+                    step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trader's window ``grid[start:stop]`` and the utility ``u_s`` that must prove it
+    (``grid_oracles``).
 
-    One 2-D ``utility_grid`` call per family pair evaluates every ``ORACLE_SCAN_STRIDE``-th
-    grid point of all of its traders, the costs landing in its scratch array; only those
-    points and their ``log`` are built.  A trader's prefix ends at the first scan point
-    ``s`` after its first best scan utility ``u_s`` whose cost exceeds
-    ``(W - u_s) * ORACLE_CUT_MARGIN``; its bound is that cost, at most the largest float,
-    times ``1 - ORACLE_COST_ERROR``, or 0 where the cost is below ``2**-1000 * (1 + scale)``.
-    A trader without such a point gets the whole grid and the bound +inf.
+    The scan points are every ``ORACLE_SCAN_STRIDE``-th grid point and the last, i_max;
+    only they and their ``log`` are built.  One 2-D ``utility_grid`` call per family pair
+    evaluates them for all of its traders, the costs landing in its scratch array, and
+    ``u_s`` is a trader's best scan utility.  Then the utility array takes the complement
+    ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the
+    bound of each block of grid points between two consecutive scan points (the first
+    block also holds point 0).  The window starts at the first block whose bound is not
+    below ``u_s`` and ends with the last block whose bound is above it, and it holds the
+    block of the first best scan point.
     """
-    scan, log_scan = _grid_and_log(i_max, step, slice(None, None, ORACLE_SCAN_STRIDE))
-    position = np.arange(len(scan))
-    lengths = np.full(len(population), _grid_size(i_max, step))
-    bounds = np.full(len(population), math.inf)
+    size = _grid_size(i_max, step)
+    position = np.append(np.arange(0, size - 1, ORACLE_SCAN_STRIDE), size - 1)
+    scan, log_scan = _with_log(np.append(
+        _grid_points(i_max, step, slice(0, size - 1, ORACLE_SCAN_STRIDE)), i_max))
+    first_point, end_point = np.append(0, position[1:-1] + 1), position[1:] + 1
+    start, stop = np.empty((2, len(population)), dtype=np.intp)
+    incumbent = np.empty(len(population))
     for agents, (s_code, s_param, c_code, c_scale, c_param, gain, loss) in population.families():
-        util, cost = np.empty((2, len(agents), len(position)))
+        util, cost = np.empty((2, len(agents), len(scan)))
         kernels.utility_grid(scan, s_code, s_param[:, None], c_code, c_scale[:, None],
                              c_param[:, None], gain[:, None], loss[:, None], out=(util, cost),
                              log_grid=log_scan)
         rows = np.arange(len(agents))
-        b_s = np.argmax(util, axis=1)  # the first maximizer
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite limit is never exceeded
-            limit = (gain - util[rows, b_s]) * ORACLE_CUT_MARGIN
-        over = (cost > limit[:, None]) & (position > b_s[:, None])
-        s = np.argmax(over, axis=1)
-        cut = over[rows, s]
-        s, cost_s = s[cut], cost[rows[cut], s[cut]]
-        lengths[agents[cut]] = s * ORACLE_SCAN_STRIDE
-        bounds[agents[cut]] = np.where(
-            cost_s >= 2.0**-1000 * (1.0 + c_scale[cut]),
-            np.minimum(cost_s, sys.float_info.max) * (1.0 - ORACLE_COST_ERROR), 0.0)
-    return lengths, bounds
+        b_s = util.argmax(axis=1)  # the first maximizer
+        u_s = util[rows, b_s][:, None]
+        # lower bounds on the loss terms: T * c at each scan point into util, xi into cost; a
+        # term below its family's threshold or infinite counts as 0, the least it can be
+        stake = gain + loss
+        kernels.success_complement(scan, s_code, s_param[:, None], out=util)
+        util *= (stake * (1.0 - ORACLE_TERM_ERROR))[:, None]
+        np.copyto(util, 0.0, where=util < 2.0**-1000 * (1.0 + stake.max()))
+        np.copyto(cost, 0.0, where=(cost < 2.0**-1000 * (1.0 + c_scale.max())) | (cost == math.inf))
+        cost *= 1.0 - ORACLE_TERM_ERROR
+        # block k ends at scan point k + 1, where its complement term is, and its cost term is
+        # at scan point k: one flat subtraction, whose column 0 is no block's
+        np.subtract(gain[:, None], util, out=util)
+        np.subtract(util.reshape(-1)[1:], cost.reshape(-1)[:-1], out=util.reshape(-1)[1:])
+        bound = util[:, 1:]
+        held = np.maximum(b_s - 1, 0)  # the block of the first best scan point
+        below = bound < u_s
+        first = np.minimum(below.argmin(axis=1), held)  # argmin: the first False
+        np.less_equal(bound, u_s, out=below)
+        last = bound.shape[1] - 1 - below[:, ::-1].argmin(axis=1)
+        last = np.where(below[rows, last], held, np.maximum(last, held))
+        start[agents], stop[agents] = first_point[first], end_point[last]
+        incumbent[agents] = u_s[:, 0]
+    return start, stop, incumbent
 
 
 def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_ORACLE_STEP
@@ -336,66 +353,78 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
     every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``.
 
-    Each trader's kernel call evaluates a prefix of the grid, cut by ``_oracle_lengths``
-    at a scan point ``s`` past which the cost is high, and it is kept only when exact
-    reasoning on the prefix's own values shows that no skipped point beats the prefix's
-    first maximizer ``b`` with utility ``u_p``; otherwise that trader gets the whole grid.
-    The scan's values serve only to place the cut.  The proof:
+    Each trader's kernel call evaluates one window of the grid, set by ``_oracle_windows``
+    from a strided scan that ends at i_max, as in branch and bound, and the window is kept
+    only when the utility ``u_p`` of its own first maximizer has ``u_p >= u_s``, the
+    trader's best scan utility; otherwise that trader gets the whole grid.  Every point
+    before the window lies in a block whose bound is below ``u_s``, so below ``u_p``, and
+    every point after it in a block whose bound is at most ``u_s``, so it can at most tie
+    the window's maximizer, which comes first: the argmax keeps it.  NaN fails the comparison, so it
+    takes the whole grid.  ``u_s`` serves only as the threshold: no bit of the scan's
+    values enters the proof.  The bound of a block of points ``(a, b]`` between two scan
+    points (the first block also holds point 0, which is a):
 
-    - With ``T = fl(W + L)`` and ``c = 1 - lambda >= 0``, the kernel's utility
-      ``fl(fl(W - fl(T * c)) - xi)`` is at most ``fl(W - xi)``, by monotone rounding.  So a
-      point whose computed cost is at least the real ``W - u_p`` has utility at most
-      ``u_p``; it lies after ``b``, so it can at most tie, and the argmax keeps ``b``.
-    - The cut is kept when ``bound >= fl(W - u_p)``.  If ``u_p == W`` that holds for any
-      bound and every utility is at most ``W``.  Otherwise ``fl(W - u_p)`` is positive and
-      at most the bound, which is finite, so the real ``W - u_p`` is at most
-      ``bound * (1 + 2**-53)``.  NaN fails the comparison, so it takes the whole grid.
-    - Every costly family's exact cost is ``scale * e(i)`` with ``e`` increasing in i
-      (``curves.BOUNDS``), so every skipped point's exact cost is at least the one at
-      ``s``.  Where the computed cost at ``s`` is at least ``2**-1000 * (1 + scale)``,
+    - With ``T = fl(W + L)``, the computed complement ``c = 1 - lambda`` and the computed
+      cost ``xi``, all non-negative, the kernel's utility is ``fl(fl(W - fl(T * c)) - xi)``.
+      Rounding is monotone, so if ``0 <= L1 <= fl(T * c)`` and ``0 <= L2 <= xi`` at every
+      point of the block, each of its utilities, in any kernel call, is at most the bound
+      ``fl(fl(W - L1) - L2)``.  So the margins below are relative to the loss terms, not
+      to ``W``, and a trader whose utility rounds to ``W`` keeps its bound ``W``.
+    - The exact complement is non-increasing and the exact cost non-decreasing in i (the
+      domains in ``curves.BOUNDS``), so in the block they are at least their values at b
+      and at a.
+    - The complement: ``exp(-r * i)`` has one rounded argument, so like the cost below it
+      is within ``(|x| + 2) * 2**-52`` relative of the exact value, with ``x = r * i``
+      below 746 where that is normal; ``k / (i + k)`` is two correctly rounded operations,
+      within ``2**-51`` relative where it is normal.  Both are within ``2**-42``.  ``L1``
+      is ``P = fl(fl(T * (1 - 2**-32)) * c(b))``, at most ``T * c(b) * (1 - 2**-33)``.
+      Where P is at least ``2**-1000 * (1 + T)``, the computed and exact ``c(b)`` and P
+      are normal with room to spare, so at each point of the block ``c`` is at least
+      ``c(b) * (1 - 2**-41)`` and ``fl(T * c)`` at least ``T * c(b) * (1 - 2**-40)``.
+      The code tests P against the family pair's largest T, a higher threshold.
+    - The cost: every costly family's exact cost is ``scale * e(i)`` with ``e`` increasing.
+      Where the computed cost at a is finite and at least ``2**-1000 * (1 + scale)``,
       ``e`` and the cost are normal floats with room to spare, there and at every later
       point.  There the kernel's cost is +inf beyond the float range, else within
       ``(|x| + 2) * 2**-52 < 2**-42`` relative of the exact one, where the exponent ``x``
       is ``p ln i`` for a power cost (``kernels``) or ``p i`` for an exponential one,
-      below 746 in size where ``e`` is normal and finite.  The 2-D scan and the trader's
-      own call may differ in their bits, so the cost at a skipped point is at least
-      ``min(cost_s, max float) * (1 - 2**-41)``, which exceeds ``bound * (1 + 2**-53)``
-      since ``ORACLE_COST_ERROR`` is ``2**-32``.  A smaller (zero or subnormal) cost at
-      ``s`` gives the bound 0, which proves only ``u_p == W``.
-    - An overflowing ``W - u_s`` gives an infinite limit that nothing exceeds, and an
-      overflowing ``W - u_p`` a comparison that fails: both take the whole grid.
+      below 746 in size where ``e`` is normal and finite.  So at each point of the block
+      the cost is at least ``xi(a) * (1 - 2**-41)``, above ``L2 = fl(xi(a) * (1 - 2**-32))``
+      (``ORACLE_TERM_ERROR``).  Here too the code takes the family pair's largest scale.
+    - Any other term, zero, subnormal or infinite, counts as 0, the least it can be.  A
+      NaN term gives a NaN bound, which keeps its block.
 
-    No point is built that no kernel call reads.  The grid's length comes from
-    ``information_grid``'s rule (``_grid_size``), and the regime reads its last index.
-    The scan builds only its own points and their ``log``.  Then the grid, its ``log`` and
-    the two kernel work arrays, which every trader's utilities go into, are built up to
-    the longest prefix, and built whole only at the first trader whose cut is not proved.
-    A trader's values keep their bits however much of the grid is built: ``_grid_points``
-    gives each point the bits of ``information_grid``'s, the kernel's per-point operations
-    are the same, and ``np.log`` works elementwise, so a point's ``log`` does not depend on
-    the array that holds it.  ``tests/test_agent.py`` checks this premise against a loop
-    over the whole grid and one ``log`` of it.
+    The grid's length comes from ``information_grid``'s rule (``_grid_size``), and the
+    regime reads its last index.  The scan builds only its own points and their ``log``.
+    Then the grid, its ``log`` and the two kernel work arrays, which every trader's
+    utilities go into, are built from point 0 up to the largest stop, and built whole only
+    at the first trader whose window is not proved.  A trader's values keep their bits
+    whichever part of the grid they are evaluated on: ``_grid_points`` gives each point the
+    bits of ``information_grid``'s, the kernel's per-point operations are the same, and
+    ``np.log`` works elementwise, so a point's ``log`` does not depend on the array that
+    holds it.  ``tests/test_agent.py`` checks this premise against a loop over the whole
+    grid and one ``log`` of it.
     """
     check_i_max(i_max)
     if not (0 < step <= i_max):
         raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
     population = Population.from_traders(traders)
     size = _grid_size(i_max, step)
-    lengths, bounds = _oracle_lengths(population, i_max, step)
+    start, stop, incumbent = _oracle_windows(population, i_max, step)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
     grid = np.empty(0)
-    rows = zip(lengths.tolist(), bounds.tolist(),
+    rows = zip(start.tolist(), stop.tolist(), incumbent.tolist(),
                *(getattr(population, f.name).tolist() for f in fields(population)))
-    for k, (n, bound, gain, loss, *curves) in enumerate(rows):  # curves: kernel order
-        for n in (n, size):  # a cut that its bound does not prove takes the whole grid
-            if n > len(grid):  # first up to the longest cut, then the whole grid if needed
-                grid, log_grid = _grid_and_log(i_max, step, slice(max(n, lengths.max())))
+    for k, (lo, hi, u_s, gain, loss, *curves) in enumerate(rows):  # curves: kernel order
+        for lo, hi in ((lo, hi), (0, size)):  # a window u_p does not prove: the whole grid
+            if hi > len(grid):  # first up to the largest stop, then the whole grid if needed
+                grid, log_grid = _with_log(_grid_points(i_max, step, slice(max(hi, stop.max()))))
                 util, scratch = np.empty((2, len(grid)))
-            prefix = kernels.utility_grid(grid[:n], *curves, gain, loss,
-                                          out=(util[:n], scratch[:n]), log_grid=log_grid[:n])
-            best[k] = np.argmax(prefix)  # argmax returns the first maximizer
-            u_star[k] = prefix[best[k]]
-            if bound >= gain - u_star[k]:
+            window = kernels.utility_grid(grid[lo:hi], *curves, gain, loss, out=(
+                util[:hi - lo], scratch[:hi - lo]), log_grid=log_grid[lo:hi])
+            j = window.argmax()  # the first maximizer
+            best[k], u_star[k] = lo + j, window[j]
+            if window[j] >= u_s:
                 break
     # the first grid point is the corner 0, the last (i_max) fully informed
     regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(

@@ -107,13 +107,18 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     population = Population.from_traders(traders)
     if len(population) == 0:
         raise PreconditionError("trader collection must be non-empty")
-    with np.errstate(over="ignore"):  # a scale beyond the float range is +inf: rejected
-        for m in mults:
-            try:
-                check_columns(cost_code=population.cost_code, cost_scale=population.cost_scale * m)
-            except ParameterError as error:
-                raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {m!r}, {error}")
-    scaled, n, top = population.scaled(mults), len(population), len(grid)
+    try:
+        scaled = population.scaled(mults)
+    except ParameterError:  # name the first multiplier whose scales fail
+        with np.errstate(over="ignore"):  # a scale beyond the float range is +inf: rejected
+            for m in mults:
+                try:
+                    check_columns(cost_code=population.cost_code,
+                                  cost_scale=population.cost_scale * m)
+                except ParameterError as error:
+                    raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {m!r}, {error}")
+        raise
+    n, top = len(population), len(grid)
     counts = np.full(len(scaled), top)  # zero cost: g > 0 at every ceiling
     for agents, args in scaled.families():
         if args[2] != kernels.COST_ZERO:  # the cost code

@@ -650,8 +650,9 @@ def _oracle_points(traders, i_max, step):
 
 
 def _scan_size(i_max, step):
-    """How many points the oracle's scan evaluates: every ``ORACLE_SCAN_STRIDE``-th."""
-    return len(range(agent._grid_size(i_max, step))[::agent.ORACLE_SCAN_STRIDE])
+    """How many points the oracle's scan evaluates: every ``ORACLE_SCAN_STRIDE``-th and the
+    last, i_max, which ``_grid_points`` does not build there."""
+    return len(range(agent._grid_size(i_max, step) - 1)[::agent.ORACLE_SCAN_STRIDE]) + 1
 
 
 def _oracle_bits(columns):
@@ -787,21 +788,24 @@ class TestGridOraclePrefix:
         # the marginal utility 2 * exp(-5) - 2e-6 * 5 is still positive at i_max 5
         Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e-6, 2.0))],
         ids=["zero_cost", "rising_at_i_max"])
-    def test_full_grid_when_nothing_follows_the_best_scan_point(self, trader):
+    def test_last_block_when_nothing_follows_the_best_scan_point(self, trader):
         columns, shapes, built = _oracle_calls([trader], 5.0, 1e-3)
         scan, size = _scan_size(5.0, 1e-3), agent._grid_size(5.0, 1e-3)
-        assert shapes == [(1, scan), (size,)]  # the scan, then one call on the whole grid
-        assert built == [scan, size]  # the whole grid is built once
+        tail = (size - 1) % agent.ORACLE_SCAN_STRIDE  # the points after the last multiple
+        assert shapes == [(1, scan), (tail,)]  # the scan, then the block that i_max ends
+        assert built == [scan - 1, size]  # the grid is built up to the window's stop
         assert columns[2].tolist() == [Regime.FULLY_INFORMED.value]
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles([trader], 5.0, 1e-3))
 
     def test_builds_the_grid_up_to_the_longest_prefix(self, rng):
         traders = [random_trader(rng, family) for family in ("power", "exp_growth")
                    for _ in range(10)] + _OPTIMA[:3]
         columns, shapes, built = _oracle_calls(traders, 100.0, 1e-3)
-        prefixes = [shape[0] for shape in shapes if len(shape) == 1]
-        assert len(prefixes) == len(traders)  # every cut is proved
-        assert built == [_scan_size(100.0, 1e-3), max(prefixes)]
-        assert max(prefixes) < 0.1 * agent._grid_size(100.0, 1e-3)
+        start, stop, _ = agent._oracle_windows(Population.from_traders(traders), 100.0, 1e-3)
+        windows = [shape[0] for shape in shapes if len(shape) == 1]
+        assert windows == (stop - start).tolist()  # every window is proved
+        assert built == [_scan_size(100.0, 1e-3) - 1, stop.max()]
+        assert stop.max() < 0.1 * agent._grid_size(100.0, 1e-3)
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 100.0, 1e-3))
 
     def test_peak_memory_of_an_agent_cli_population(self):
@@ -824,22 +828,62 @@ class TestGridOraclePrefix:
         traders = [random_trader(rng, family) for family in ("power", "exp_growth")
                    for _ in range(10)] + _OPTIMA
 
-        def too_short(population, i_max, step):  # a one-point prefix; 0 proves only u_p == W
-            return np.ones(len(population), dtype=int), np.zeros(len(population))
+        windows = agent._oracle_windows
 
-        patch = (mock.patch.object(agent, "_oracle_lengths", too_short)
-                 if cut == "first_point_bound_0" else
-                 mock.patch.object(agent, "ORACLE_CUT_MARGIN", 0.25))
-        with patch:
+        def one_point(population, i_max, step):  # point 0, with an incumbent nothing reaches
+            n = len(population)
+            return np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp), np.full(n, math.inf)
+
+        def raised(population, i_max, step):  # the incumbent 3/4 of the way up to W
+            start, stop, u_s = windows(population, i_max, step)
+            return start, stop, np.maximum(u_s, 0.75 * population.gain + 0.25 * u_s)
+
+        forced = one_point if cut == "first_point_bound_0" else raised
+        with mock.patch.object(agent, "_oracle_windows", forced):
             columns, shapes, built = _oracle_calls(traders, 8.0, 1e-3)
         fallbacks = sum(len(shape) == 1 for shape in shapes) - len(traders)
         if cut == "first_point_bound_0":
             assert fallbacks == len(traders)
-            # the one-point prefix, then the whole grid once, on the first fallback
+            # the one-point window, then the whole grid once, on the first fallback
             assert built == [1, agent._grid_size(8.0, 1e-3)]
         else:
             assert fallbacks > len(traders) // 2
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 8.0, 1e-3))
+
+    @pytest.mark.parametrize("traders, i_max, step, lo, hi", [
+        # the optimum 99.9 lies after the last stride multiple, 99.84: the scan's last point,
+        # i_max, bounds its block
+        ([Trader(1.0, 1.0, ExpSaturating(0.01), PowerCost(math.exp(-0.999) / 9990, 2.0))],
+         100.0, 1e-3, 99.84, 100.0),
+        # 512 steps: the last grid point is a stride multiple, and no scan point is appended
+        (_OPTIMA, 0.5, 2.0**-10, 0.0, 0.5),
+        # the optimum 0.25 lies before the best scan point, 0.256, in the block that ends there
+        ([Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(4.0 * math.exp(-0.25), 2.0))],
+         5.0, 1e-3, 0.249, 0.251),
+        ([_CORNER], 5.0, 1e-3, 0.0, 0.0)],
+        ids=["maximum_in_the_tail", "no_appended_scan_point", "maximum_before_the_best_scan_point",
+             "corner"])
+    def test_windows_at_the_edges_of_the_blocks(self, traders, i_max, step, lo, hi):
+        columns, shapes, _ = _oracle_calls(traders, i_max, step)
+        assert {shape[1] for shape in shapes if len(shape) == 2} == {_scan_size(i_max, step)}
+        assert all(lo <= i_star <= hi for i_star in columns[0])
+        assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, i_max, step))
+
+    def test_empty_population(self):
+        assert [column.tolist() for column in grid_oracles([], 1.0, 0.1)] == [[], [], []]
+
+    def test_kernel_points_of_an_agent_cli_population(self):
+        # the windows of the agent_cli population at seed 7 hold 239,872 points, where the
+        # prefixes before them held 719,872; the count is exact, so it repeats
+        population = sample_population(PopulationSpec(
+            n_agents=200, gain=(0.5, 2.0), loss=(0.5, 2.0), success_family="exp_saturating",
+            success_param=(0.2, 2.0), cost_family="power", cost_scale=(0.001, 0.1),
+            cost_shape=(1.5, 3.0), master_seed=7))
+        counts = set()
+        for _ in range(2):
+            _, shapes, _ = _oracle_calls(population, 100.0, 1e-3)
+            counts.add(sum(shape[0] for shape in shapes if len(shape) == 1))
+        assert len(counts) == 1 and counts.pop() <= 250_000
 
 
 class TestProperties:
