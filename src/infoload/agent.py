@@ -6,8 +6,9 @@ utility ``g(i) = lambda'(i) * (W + L) - xi'(i)`` is strictly decreasing for any
 non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, in numpy arrays, by setting each
-root's float64 bit pattern one bit at a time from the top, 63 calls of g per
-family pair; ``unconstrained_optimum`` is one trader's root as a float.  A
+root's float64 bit pattern one bit at a time from the top, 63 signs of g per
+family pair, each read in log space from ``kernels.log_marginal_ratio``;
+``unconstrained_optimum`` is one trader's root as a float.  A
 ``Population`` holds many traders as checked columns of kernel codes and
 parameters; the solver, ``constrain`` and ``Population.utility`` read the
 columns directly, a ``Trader`` sequence is turned into columns once, and
@@ -197,34 +198,35 @@ def marginal_utility(trader: Trader, i: float) -> float:
 def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     """Unconstrained optimum ``i_u`` of every trader, as one float64 array.
 
-    ``i_u`` is the largest float at which the marginal utility g (the kernel
-    ``marginal_utility``) is positive; at that float g > 0 and at the next
-    float g <= 0.  Zero cost gives +inf (g never turns negative) and
-    g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
+    ``i_u`` is the largest float at which h (``kernels.log_marginal_ratio``, with the
+    sign of the marginal utility g) is positive; at the next float h <= 0.  Zero cost
+    gives +inf (g never turns negative) and g(0) <= 0 gives 0.  Each trader's root
+    depends only on that trader.
     """
     population = Population.from_traders(traders)
     roots = np.full(len(population), math.inf)  # zero cost: g > 0 everywhere
     for agents, args in population.families():
-        if args[2] != kernels.COST_ZERO:  # the cost code; g writes into two work arrays
-            g = kernels.marginal_utility(*args, out=np.empty((2, len(agents))))
-            roots[agents] = _sign_change(g, len(agents))
+        if args[2] != kernels.COST_ZERO:  # the cost code
+            h_args = kernels.log_marginal_args(*args)
+            roots[agents] = _sign_change(lambda i: kernels.log_marginal_ratio(i, *h_args),
+                                         len(agents))
     return roots
 
 
-def _sign_change(g, size: int) -> np.ndarray:
-    """Largest float with g > 0, elementwise, for decreasing g; 0 where g(0) <= 0.
+def _sign_change(h, size: int) -> np.ndarray:
+    """Largest float with h > 0, elementwise, for decreasing h; 0 where h(0) <= 0.
 
     The non-negative float64s are ordered like their bit patterns, all below 2**63, so
-    each root's pattern is set one bit at a time from the top: bit b is kept where g is
-    positive at the pattern found so far with bit b set.  That is 63 calls of g, every
-    one writing into arrays made once per call.  A probe at +inf gives g = -inf, and no
-    probe is a NaN pattern: a probe's bits below the one it sets are still 0.
+    each root's pattern is set one bit at a time from the top: bit b is kept where h is
+    positive at the pattern found so far with bit b set.  That is 63 calls of h.  A probe
+    at +inf gives h = -inf, and no probe is a NaN pattern: a probe's bits below the one
+    it sets are still 0.
     """
     lo, mid, step = np.zeros((3, size), dtype=np.int64)
     probe, up = mid.view(np.float64), np.empty(size, dtype=bool)
     for bit in range(62, -1, -1):
         np.bitwise_or(lo, 1 << bit, out=mid)
-        np.greater(g(probe), 0.0, out=up)
+        np.greater(h(probe), 0.0, out=up)
         lo |= np.left_shift(up, bit, out=step)
     return lo.view(np.float64)
 

@@ -23,5 +23,5 @@ class ConfigError(PreconditionError):
 
 
 class NumericRangeError(ArithmeticError):
-    """A numeric result failed its check: a NaN marginal utility, or an optimizer and
-    oracle that disagree."""
+    """A numeric result failed its check: a NaN ``kernels.log_marginal_ratio`` (never NaN
+    for accepted parameters), or an optimizer and oracle that disagree."""

@@ -3,11 +3,11 @@
 Each formula is a numpy function of an array of levels ``i`` for the family
 coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
 against ``i``, one per trader.  The scalar curve API evaluates them on
-one-element arrays, so it agrees bit for bit with the solver's columns
-(``marginal_utility``) and the oracle's grids (``utility_grid``).  A cost
-or cost slope beyond the float64 range is +inf, and overflow never warns.
-An ``out=`` argument runs the same ufuncs into arrays the caller owns, so the
-values are bit-identical and a loop over traders allocates no grid per trader.
+one-element arrays, so it agrees bit for bit with the oracle's grids
+(``utility_grid``).  A cost or cost slope beyond the float64 range is +inf,
+and overflow never warns.  An ``out=`` argument runs the same ufuncs into
+arrays the caller owns, so the values are bit-identical and a loop over
+traders allocates no grid per trader.
 ``utility_grid`` is the complement form ``W - (W + L) * (1 - lambda) - xi``,
 with ``1 - lambda`` from ``success_complement``, so it does not cancel as
 lambda -> 1.  A power cost's value is ``scale * exp(p * log i)`` everywhere;
@@ -16,11 +16,9 @@ lambda -> 1.  A power cost's value is ``scale * exp(p * log i)`` everywhere;
 The rounding of ``log i`` reaches the exponent multiplied by ``p``, so the
 value is within ``(|p ln i| + 2) * 2**-52`` relative of the exact cost up to
 its overflow point.  The slope ``cost_deriv`` keeps ``np.power``.
-``marginal_utility`` builds the solver's g for one family pair: it computes the
-factors free of the level once, and given ``out=`` every call of g writes into
-the same two work arrays, so a bisection probe allocates nothing.  The column
-and scalar slopes (``marginal_utility_grid``, ``success_deriv``,
-``cost_deriv``) call the same per-family code, so each formula is written once.
+The marginal utility g (``marginal_utility_grid``) serves the scalar API; the
+solver and the sweep read its sign from ``log_marginal_ratio``, whose terms,
+unlike g's, stay in the float range for all accepted parameters.
 """
 
 import numpy as np
@@ -50,28 +48,13 @@ def success_complement(i, code, param, out=None):
     return np.divide(param, np.add(i, param, out=out), out=out)
 
 
-def _success_deriv(code, param):
-    """lambda' as a function of ``(i, out)``, its level-free factor computed once."""
-    if code == SUCCESS_EXP_SATURATING:  # param * exp(-param * i)
-        neg = -param
-        return lambda i, out: np.multiply(
-            param, np.exp(np.multiply(neg, i, out=out), out=out), out=out)
-    # param / (i + param) ** 2
-    return lambda i, out: np.divide(param, np.square(np.add(i, param, out=out), out=out), out=out)
-
-
 @np.errstate(over="ignore")
 def success_deriv(i, code, param):
-    """First derivative of the success probability."""
-    return _success_deriv(code, param)(i, None)
-
-
-def _zeros(i, out):
-    """Zeros shaped like ``i``, or ``out`` filled with zeros."""
-    if out is None:
-        return np.zeros_like(i)
-    out.fill(0.0)
-    return out
+    """rate * exp(-rate * i) or half_saturation / (i + half_saturation) ** 2, divided
+    twice, as the square overflows: the first derivative of the success probability."""
+    if code == SUCCESS_EXP_SATURATING:
+        return param * np.exp(-param * i)
+    return param / (i + param) / (i + param)
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -79,30 +62,25 @@ def cost_value(i, code, scale, param, out=None, log_i=None):
     """Elaboration cost: 0, scale * exp(exponent * log i) (that is, scale * i**exponent)
     or scale * (exp(rate * i) - 1).  ``log_i``, if given, is ``np.log(i)``."""
     if code == COST_ZERO:
-        return _zeros(i, out)
+        if out is None:
+            return np.zeros_like(i)
+        out.fill(0.0)
+        return out
     if code == COST_POWER:
         log_i = np.log(i, out=out) if log_i is None else log_i
         return np.multiply(scale, np.exp(np.multiply(param, log_i, out=out), out=out), out=out)
     return np.multiply(scale, np.expm1(np.multiply(param, i, out=out), out=out), out=out)
 
 
-def _cost_deriv(code, scale, param):
-    """xi' as a function of ``(i, out)``, its level-free factors computed once."""
-    if code == COST_ZERO:
-        return _zeros
-    factor = scale * param
-    if code == COST_POWER:  # scale * param * i ** (param - 1)
-        exponent = param - 1.0
-        return lambda i, out: np.multiply(factor, np.power(i, exponent, out=out), out=out)
-    # scale * param * exp(param * i)
-    return lambda i, out: np.multiply(
-        factor, np.exp(np.multiply(param, i, out=out), out=out), out=out)
-
-
 @np.errstate(over="ignore")
 def cost_deriv(i, code, scale, param):
-    """First derivative of the elaboration cost."""
-    return _cost_deriv(code, scale, param)(i, None)
+    """0, scale * exponent * i**(exponent - 1) or scale * rate * exp(rate * i): the first
+    derivative of the elaboration cost."""
+    if code == COST_ZERO:
+        return np.zeros_like(i)
+    if code == COST_POWER:
+        return scale * param * np.power(i, param - 1.0)
+    return scale * param * np.exp(param * i)
 
 
 def expected_return(lam, gain, loss):
@@ -123,31 +101,39 @@ def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, ou
     return np.subtract(util, cost, out=util)
 
 
-@np.errstate(over="ignore")
-def marginal_utility(s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None):
-    """The marginal utility g(i) = lambda'(i) * (W + L) - xi'(i), as a function of the
-    levels i; -inf where the cost derivative is +inf.
-
-    The factors free of i are computed once, in the order ``success_deriv`` and
-    ``cost_deriv`` use, so every value of g is theirs bit for bit.  Given ``out``, two
-    float64 arrays shaped like g's values, every call of g runs its ufuncs into them
-    and returns the first, which the next call overwrites.
-    """
-    lam_d, cost_d = _success_deriv(s_code, s_param), _cost_deriv(c_code, c_scale, c_param)
-    total = gain + loss
-    util, scratch = (None, None) if out is None else out
-
-    def g(i):
-        with np.errstate(over="ignore"):
-            return np.subtract(np.multiply(lam_d(i, util), total, out=util),
-                               cost_d(i, scratch), out=util)
-    return g
-
-
 def marginal_utility_grid(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """d/di of expected utility at every level in ``i``, by ``marginal_utility``."""
-    return marginal_utility(s_code, s_param, c_code, c_scale, c_param, gain, loss)(
-        np.asarray(i, dtype=np.float64))
+    """The marginal utility g(i) = lambda'(i) * (W + L) - xi'(i) at every level in ``i``;
+    -inf where the cost derivative is +inf."""
+    i = np.asarray(i, dtype=np.float64)
+    return (success_deriv(i, s_code, s_param) * (gain + loss)
+            - cost_deriv(i, c_code, c_scale, c_param))
+
+
+def log_marginal_args(s_code, s_param, c_code, c_scale, c_param, gain, loss):
+    """``log_marginal_ratio``'s arguments after the levels, from the kernel arguments of a
+    costly family pair: the codes, ``s_param``, ``c_param`` and h's part free of i,
+    ``C = log s_param + log(W + L) - log c_scale - log c_param``, a sum of logs."""
+    return s_code, s_param, c_code, c_param, (
+        np.log(s_param) + np.log(gain + loss) - np.log(c_scale) - np.log(c_param))
+
+
+@np.errstate(over="ignore", divide="ignore")
+def log_marginal_ratio(i, s_code, s_param, c_code, c_param, level):
+    """h(i) = log lambda'(i) + log(W + L) - log xi'(i), which has g's sign, at every level
+    in ``i``: ``C - a(i) - b(i)``, with ``C`` the ``level`` of ``log_marginal_args``, ``a``
+    ``rate * i`` or ``2 log(i + half_saturation)`` and ``b`` ``(exponent - 1) log i`` or
+    ``rate * i``.  For accepted parameters ``C`` is finite, ``a`` is +inf only above i = 1
+    and ``b`` -inf only below it, so h is never NaN; h(0) is +inf for a power cost and
+    h(+inf) is -inf."""
+    if s_code == SUCCESS_EXP_SATURATING:
+        a = s_param * i
+    else:
+        a = 2.0 * np.log(i + s_param)
+    if c_code == COST_POWER:
+        b = (c_param - 1.0) * np.log(i)
+    else:
+        b = c_param * i
+    return level - a - b
 
 
 # an alias, kept because perfbench/workloads.py checks utility_grid against it

@@ -5,10 +5,10 @@ The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
 so the critical ceiling is an order statistic of the population's optima.
 ``sweep_2d``, the one path to a phase series, counts each trader's ceilings with
-g > 0 and solves no root; ``sweep_imax`` and ``check_conjecture3`` read its
-multiplier-1.0 row.  The quantile keeps its own code (``solve_roots``, a sort and
-the smallest k with k / n >= theta) as the independent oracle the sweeps are
-validated against.
+g > 0 (by ``kernels.log_marginal_ratio``) and solves no root; ``sweep_imax`` and
+``check_conjecture3`` read its multiplier-1.0 row.  The quantile keeps its own code
+(``solve_roots``, a sort and the smallest k with k / n >= theta) as the independent
+oracle the sweeps are validated against.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
     As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
     ``count(g(c) > 0)``: exact halvings over each trader's count of such ceilings take
-    ``len(grid).bit_length()`` calls of g per family pair, on the contiguous columns of
-    ``Population.families``, so each sign is that of the g whose root ``solve_roots`` finds.
+    ``len(grid).bit_length()`` signs per family pair, of the h (``kernels.log_marginal_ratio``,
+    on the contiguous columns of ``Population.families``) whose root ``solve_roots`` finds.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -122,10 +122,10 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     counts = np.full(len(scaled), top)  # zero cost: g > 0 at every ceiling
     for agents, args in scaled.families():
         if args[2] != kernels.COST_ZERO:  # the cost code
-            g = kernels.marginal_utility(*args, out=np.empty((2, len(agents))))
-            count = np.zeros(len(agents), dtype=int)
+            h_args, count = kernels.log_marginal_args(*args), np.zeros(len(agents), dtype=int)
             for step in reversed(range(top.bit_length())):  # a probe past the grid takes its end
-                above = g(grid[np.minimum(count + (1 << step), top) - 1])
+                above = kernels.log_marginal_ratio(grid[np.minimum(count + (1 << step), top) - 1],
+                                                   *h_args)
                 if np.isnan(above).any():
                     raise NumericRangeError(f"agent {agents[np.isnan(above).argmax()] % n}: "
                                             "marginal utility is NaN at a ceiling")

@@ -60,16 +60,12 @@ WIDE_TRADERS = st.lists(st.builds(
     min_size=1, max_size=30)
 
 
-def nan_marginal_utility_at(position):
-    """A ``kernels.marginal_utility`` whose g is NaN at entry ``position`` of its values."""
-    build_g = kernels.marginal_utility
+def nan_log_marginal_ratio_at(position):
+    """A ``kernels.log_marginal_ratio`` whose h is NaN at entry ``position`` of its values."""
+    log_marginal_ratio = kernels.log_marginal_ratio
 
-    def marginal_utility(*args, **kwargs):
-        g = build_g(*args, **kwargs)
-
-        def nan_at(i):
-            values = g(i)
-            values[position] = math.nan
-            return values
-        return nan_at
-    return marginal_utility
+    def nan_at(*args):
+        values = log_marginal_ratio(*args)
+        values[position] = math.nan
+        return values
+    return nan_at

@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -144,10 +145,10 @@ class TestPopulation:
             Population(**{**mixed, "gain": [1.0, -2.0]})
 
     def test_checked_before_any_solve(self):
-        with mock.patch.object(kernels, "marginal_utility") as g:
+        with mock.patch.object(kernels, "log_marginal_args") as h_args:
             with pytest.raises(ParameterError, match="agent 1: gain"):
                 solve_roots(Population(**_two_agents(gain=np.array([1.0, math.nan]))))
-        g.assert_not_called()
+        h_args.assert_not_called()
 
     @pytest.mark.parametrize("success", sorted(SUCCESS_FAMILIES))
     @pytest.mark.parametrize("cost", sorted(COST_FAMILIES))
@@ -226,13 +227,14 @@ class TestPopulation:
                 return kernel(*args, **kwargs)
             return call
 
-        for name in ("marginal_utility", "utility_grid"):
+        names = {"log_marginal_args", "log_marginal_ratio", "utility_grid"}
+        for name in names:
             monkeypatch.setattr(kernels, name, recording(name, getattr(kernels, name)))
         run_market(MarketConfig(i_max=2.0, theta=0.5), population)
         sweep_2d(population, [0.5, 1.0, 2.0], [0.5, 1.0], 0.5)
         grid_oracles(population, 2.0, 1e-2)
         population.utility(0.5)
-        assert {name for name, _ in calls} == {"marginal_utility", "utility_grid"}
+        assert {name for name, _ in calls} == names
         assert all(contiguous for _, contiguous in calls)
 
 
@@ -309,6 +311,13 @@ class TestMarginalUtility:
                 assert signs[0] > 0 and signs[first_neg] < 0
 
 
+    def test_hyperbolic_slope_past_the_square_root_of_the_float_range(self):
+        # (i + k) ** 2 overflows for k above about 1.34e154, and its inverse read 0, so
+        # g was -xi' here; the exact g is about 5e-209 (its root is 1.12e184)
+        trader = Trader(1.0, 1.0, Hyperbolic(1e160), PowerCost(1e-300, 1.5))
+        assert 0.0 < marginal_utility(trader, 1e184) < math.inf
+
+
 class TestUnconstrainedOptimum:
     def test_reference_trader(self, reference_trader):
         # oracle: dense grid search at step 1e-4
@@ -339,18 +348,24 @@ class TestUnconstrainedOptimum:
 
 
 def g(trader, i):
-    """The marginal utility the solver uses: the vectorized kernel at one point."""
-    return float(kernels.marginal_utility_grid(i, *trader.success.kernel_code(),
-                                               *trader.cost.kernel_code(),
-                                               trader.gain, trader.loss))
+    """The marginal utility: the vectorized kernel at one point."""
+    return float(kernels.marginal_utility_grid(i, *agent._kernel_args(trader)))
+
+
+def h(trader, i):
+    """The sign the solver reads, ``kernels.log_marginal_ratio``, at one point, on the
+    one-element columns a one-trader solve passes."""
+    ((_, args),) = Population.from_traders([trader]).families()
+    return kernels.log_marginal_ratio(np.array([i]), *kernels.log_marginal_args(*args)).item()
 
 
 def assert_sign_change(trader, root):
-    """The defining property of a root: g > 0 at it and g <= 0 one float above."""
-    assert g(trader, root) > 0.0 >= g(trader, np.nextafter(root, math.inf)), (trader, root)
+    """The defining property of a root: h > 0 at it and h <= 0 one float above."""
+    assert h(trader, root) > 0.0 >= h(trader, np.nextafter(root, math.inf)), (trader, root)
 
 
-# g is still positive at 1e300: the success slope outweighs the cost slope up to 5.4e301
+# g is still positive at 1e300: the success slope outweighs the cost slope up to 3.4e302,
+# where the float success slope underflows to 0 (from about 5.4e301 on)
 ENDLESS = Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5))
 
 
@@ -362,7 +377,7 @@ class TestSolveRoots:
         for trader, root in zip(traders, roots):
             if isinstance(trader.cost, ZeroCost):
                 assert root == math.inf
-            elif g(trader, 0.0) <= 0.0:
+            elif h(trader, 0.0) <= 0.0:
                 assert root == 0.0
             else:
                 assert_sign_change(trader, root)
@@ -380,15 +395,17 @@ class TestSolveRoots:
     def test_exp_growth_cost_near_exp_overflow(self):
         # root near i = 709.5, just below where float64 exp overflows (about 709.78)
         near = Trader(1e300, 1e300, ExpSaturating(1e-3), ExpGrowthCost(7.3e-12, 1.0))
-        # g stays positive until the cost derivative overflows to +inf
+        # root past it, where the float cost slope is +inf and g reads -inf: h, linear in
+        # i for an exponential pair, keeps its terms, and its root is C / (1e-3 + 1.0)
         beyond = Trader(1e300, 1e300, ExpSaturating(1e-3), ExpGrowthCost(1e-20, 1.0))
         root_near, root_beyond = solve_roots([near, beyond])
         assert 709.0 < root_near < 709.78
         assert_sign_change(near, root_near)
         assert_sign_change(beyond, root_beyond)
-        with np.errstate(over="ignore"):
-            assert np.isfinite(np.exp(root_beyond))
-            assert np.isinf(np.exp(np.nextafter(root_beyond, math.inf)))
+        with mpmath.workdps(40):
+            exact = mpmath.log(mpmath.mpf(1e-3) * 2e300 / mpmath.mpf(1e-20)) / (1 + 1e-3)
+        assert root_beyond == pytest.approx(float(exact), rel=1e-14)
+        assert 729.0 < root_beyond and g(beyond, root_beyond) == -math.inf
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     @pytest.mark.parametrize("success", [ExpSaturating(1.0), Hyperbolic(1.0)])
@@ -396,16 +413,16 @@ class TestSolveRoots:
         traders = [Trader(1.0, 1.0, success, PowerCost(scale, 2.0)),
                    Trader(1.0, 1.0, success, ExpGrowthCost(scale, 1.0))]
         for trader, root in zip(traders, solve_roots(traders)):
-            if g(trader, 0.0) <= 0.0:
+            if h(trader, 0.0) <= 0.0:
                 assert root == 0.0
             else:
                 assert 0.0 < root < math.inf
                 assert_sign_change(trader, root)
 
     def test_far_root_is_returned(self, reference_trader):
-        # g is 9.9e-24 at the root and -1.1e-149 one float above it
+        # the exact root (mpmath, 80 digits), where the float g reads -2.8e-149
         root = solve_roots([reference_trader, ENDLESS])[1]
-        assert root == 5.43576912037275e+301
+        assert root == 3.4275693524537867e+302
         assert_sign_change(ENDLESS, root)
 
     def test_far_root_is_fully_informed(self, reference_trader):
@@ -448,27 +465,103 @@ class TestSolveRoots:
                 == solve_roots(list(population)).view(np.int64).tolist())
 
     def test_scalar_api_agrees_with_the_solver_bitwise(self, rng):
-        # the scalar marginal_utility must confirm every root the solver found,
-        # and expected_utility must be the grid kernel's value at that point
+        # a one-trader h must confirm every root the solver found, the scalar
+        # marginal_utility must be near 0 there (h's root is a few ulps from the exact
+        # one, where g's sign may differ), and expected_utility must be the grid
+        # kernel's value at that point
         traders = [random_trader(rng, rng.choice(["power", "exp_growth"])) for _ in range(2000)]
         checked = 0
         for trader, root in zip(traders, solve_roots(traders).tolist()):
             if not 0.0 < root < math.inf:
                 continue
             above = math.nextafter(root, math.inf)
-            assert marginal_utility(trader, root) > 0.0 >= marginal_utility(trader, above), (
-                trader, root)
+            assert_sign_change(trader, root)
+            terms = (trader.success.deriv(root) * (trader.gain + trader.loss)
+                     + trader.cost.deriv(root))
+            assert marginal_utility(trader, root) > -1e-13 * terms, (trader, root)
+            assert marginal_utility(trader, above) < 1e-13 * terms, (trader, root)
             for i in (root, above, 2.0 * root):
                 assert expected_utility(trader, i) == utility_on_grid(trader, [i])[0], (trader, i)
             checked += 1
         assert checked > 1900
 
 
-def _reference_sign_change(g, agents):
+FLOAT_MAX = np.finfo(float).max
+
+
+@mpmath.workprec(1200)  # holds W + L exactly when gain and loss lie within 1e±150 of 1
+def _exact_h(trader, i):
+    """log(lambda'(i) * (W + L)) - log xi'(i) at level ``i`` (a float or an mpf) in mpmath:
+    a number with the sign of the exact marginal utility g."""
+    x, success, cost = mpmath.mpf(i), trader.success, trader.cost
+    if isinstance(success, ExpSaturating):
+        log_lam_d = mpmath.log(success.rate) - success.rate * x
+    else:
+        log_lam_d = mpmath.log(success.half_saturation) - 2 * mpmath.log(x + success.half_saturation)
+    if isinstance(cost, PowerCost):
+        log_cost_d = mpmath.log(cost.exponent) + (mpmath.mpf(cost.exponent) - 1) * mpmath.log(x)
+    else:
+        log_cost_d = mpmath.log(cost.rate) + cost.rate * x
+    return (log_lam_d + mpmath.log(mpmath.mpf(trader.gain) + trader.loss)
+            - mpmath.log(cost.scale) - log_cost_d)
+
+
+def _h_slope(trader, i):
+    """-dh/di at level i: ``rate`` or ``2 / (i + half_saturation)``, plus
+    ``(exponent - 1) / i`` or ``rate``."""
+    success, cost = trader.success, trader.cost
+    a = success.rate if isinstance(success, ExpSaturating) else 2.0 / (i + success.half_saturation)
+    if isinstance(cost, PowerCost):
+        return a + ((cost.exponent - 1.0) / i if i else math.inf)
+    return a + cost.rate
+
+
+# parameters log-uniform over 300 decades of the accepted domain, exponents up to 1e10
+DOMAIN_TRADERS = st.builds(
+    Trader, log_uniform(-150, 150), log_uniform(-150, 150),
+    st.one_of(st.builds(ExpSaturating, log_uniform(-150, 150)),
+              st.builds(Hyperbolic, log_uniform(-150, 150))),
+    st.one_of(st.builds(PowerCost, log_uniform(-150, 150),
+                        log_uniform(-6, 10).map(lambda e: 1.0 + e)),
+              st.builds(ExpGrowthCost, log_uniform(-150, 150), log_uniform(-150, 150))))
+
+
+class TestRootsOverTheAcceptedDomain:
+    @settings(max_examples=200, deadline=None)
+    @given(trader=DOMAIN_TRADERS)
+    # the float hyperbolic slope overflowed in (i + k) ** 2: root 0.0, exact 1.12e184
+    @example(trader=Trader(1.0, 1.0, Hyperbolic(1e160), PowerCost(1e-300, 1.5)))
+    # both float terms of g underflowed to 0: root 3.12e-7, exact 1.30e-6
+    @example(trader=Trader(928812537562608.5, 2.8004041573052327e27,
+                           ExpSaturating(2384572823.5708094),
+                           PowerCost(6.393308899820878e-35, 217.65628483354897)))
+    # scale * rate underflowed to 0: root 745.13, exact about 497
+    @example(trader=Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(5e-324, 0.5)))
+    # scale * exponent overflowed to +inf, and inf * 0 = NaN: root 0, exact 0.99999993
+    @example(trader=Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e300, 1e10)))
+    @example(trader=ENDLESS)
+    def test_roots_match_mpmath(self, trader):
+        # the exact root is the largest float where the exact g is positive; it must lie
+        # within 1e-12 relative of the solver's.  h's rounding error is a few ulps of its
+        # terms.  Those that grow with i move the root by a relative few ulps of log i;
+        # the level-free logs and 2 log(i + k), each at most about 1,420 on this domain,
+        # by at most 2e-12 over |dh/di|, which is more where h is flat.  A subnormal root
+        # may be two floats off
+        root = solve_roots([trader]).item()
+        if _exact_h(trader, 5e-324) <= 0:  # the exact root is 0
+            assert root == 0.0
+            return
+        tol = max(1e-12 * root, 2e-12 / _h_slope(trader, root), 2.0 * math.ulp(root))
+        lo, hi = mpmath.mpf(root) - tol, mpmath.mpf(root) + tol
+        assert _exact_h(trader, max(lo, 0)) > 0, (trader, root)
+        assert hi >= FLOAT_MAX or _exact_h(trader, hi) <= 0, (trader, root)
+
+
+def _reference_sign_change(h, agents):
     """The ``while``/``np.where`` bisection loop of ``_sign_change``: the bit-exact reference."""
     hi = np.ones(len(agents))
     while True:
-        up = g(hi) > 0.0
+        up = h(hi) > 0.0
         if not up.any():
             break
         hi[up] *= 2.0
@@ -479,26 +572,22 @@ def _reference_sign_change(g, agents):
     hi = hi.view(np.int64)
     while (hi - lo > 1).any():
         mid = lo + (hi - lo) // 2
-        up = g(mid.view(np.float64)) > 0.0
+        up = h(mid.view(np.float64)) > 0.0
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
     return lo.view(np.float64)
 
 
 def _solve_counting(population, multipliers):
     """``solve_roots``'s roots of ``population.scaled(multipliers)`` as int64 bit patterns,
-    and how often it evaluated g."""
+    and how often it evaluated h."""
     calls = []
-    build_g = kernels.marginal_utility  # the solve's g for each family pair
+    log_marginal_ratio = kernels.log_marginal_ratio
 
-    def counting(*args, **kwargs):
-        g = build_g(*args, **kwargs)
+    def counting(*args):
+        calls.append(None)
+        return log_marginal_ratio(*args)
 
-        def counted(i):
-            calls.append(None)
-            return g(i)
-        return counted
-
-    with mock.patch.object(kernels, "marginal_utility", counting):
+    with mock.patch.object(kernels, "log_marginal_ratio", counting):
         roots = solve_roots(population.scaled(multipliers))
     assert len(calls) > 0
     return roots.view(np.int64).tolist(), len(calls)
@@ -534,7 +623,7 @@ class TestBisectionEquivalence:
         roots, calls = _solve_counting(population, multipliers)
         assert calls == 63 * len(list(population.families()))  # one per bit below the sign
         with mock.patch.object(agent, "_sign_change",
-                               lambda g, size: _reference_sign_change(g, np.arange(size))):
+                               lambda h, size: _reference_sign_change(h, np.arange(size))):
             assert roots == _solve_counting(population, multipliers)[0]
 
 

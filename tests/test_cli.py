@@ -37,7 +37,7 @@ from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError
 from infoload.market import ConjectureVerdict, sample_population
 
-from conftest import nan_marginal_utility_at
+from conftest import nan_log_marginal_ratio_at
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -249,7 +249,8 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_OK
         rows = read_csv(out / "market.csv")
-        assert [(r["i_u"], r["regime"]) for r in rows] == [("5.43576912037e+301",
+        # the exact root, 3.4275693524537867e+302 (mpmath, 80 digits)
+        assert [(r["i_u"], r["regime"]) for r in rows] == [("3.42756935245e+302",
                                                            "fully_informed")] * 2
 
     def test_agent_cross_check(self, tmp_path):
@@ -432,9 +433,9 @@ class TestSweepErrors:
         assert message.split(":")[0].endswith(exception)
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
-        # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of g's values
+        # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of h's values
         # is agent 3 of the second row
-        monkeypatch.setattr(kernels, "marginal_utility", nan_marginal_utility_at(5 + 3))
+        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(5 + 3))
         code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0],
                                               "cost_multiplier_grid": [2.0]})
         assert code == EXIT_NUMERIC
@@ -478,7 +479,9 @@ class TestDeterminism:
 # golden digests of market.csv, market_summary.csv and agents.csv; the summaries
 # were recorded with one SeedSequence and Generator per agent and Brent roots,
 # the per-agent files with the bisection roots (adjacent floats at the sign change)
-# and the utility in complement form, W - (W + L) * (1 - lambda) - xi
+# and the utility in complement form, W - (W + L) * (1 - lambda) - xi; the roots
+# are those of h = log lambda' + log(W + L) - log xi', which moved one u_star cell
+# of reference 0 and one of market_2000 2**64 - 1 in its last printed digit
 
 MARKET_2000 = {
     "population": {"n_agents": 2000, "gain": [0.5, 2.0], "loss": [0.5, 2.0],
@@ -490,9 +493,9 @@ MARKET_2000 = {
 
 GOLDEN_SHA256 = {
     ("reference", 0): (
-        "1dbcd83216572da3160ca9937394327dc9850ef9fba6949a089a3f7a45cb648f",
+        "24681f0ecb61c6f180fda4fcf801ce5b2464a0eb43da2d785087a4effa4683cf",
         "09f3e95cf7d7ebbc2fd3ed8c8645b87261255dc8252a034bfbc60fd06131a0cf",
-        "ab8ee6db0f59090b9c1e5fedaf040117ba54d1517460751c0604e416bc6ac461",
+        "0cfd069eb15d825a1773e1e6e60805a5e98347ccc92569194b2afc7fd6d7dcaf",
     ),
     ("reference", 7): (
         "577d0567da532b9481058d3124dc465c12ce96b03a0a62568740774647713384",
@@ -515,9 +518,9 @@ GOLDEN_SHA256 = {
         "ce011543c77862db53cc498804b34d5ddcd105b25f91f1c893d8fd7b4c8e03a9",
     ),
     ("market_2000", 2**64 - 1): (
-        "c98be1d0eec895e6d5c48a0e24267a24d06d078d20712d101e0a11ce8693caeb",
+        "fc1a6adb3266dc66221fdd9ac39370d0053b6bbed8b85f5d897e3f0d852c0705",
         "5e3d9c2a0c409b9212fbb144be9944c895b4b17c08bcc9c5892784f59ea32f08",
-        "1ec0525a1ad1f8b155502f7307a2121e2dc835e50612c05919b2f397fc14c871",
+        "6d1850ac0a565d78a6c8a93347e664327b27a07dc5833115240f64e9f6ebf62f",
     ),
 }
 

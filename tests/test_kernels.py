@@ -156,18 +156,17 @@ def test_power_cost_is_within_its_log_bound_up_to_overflow(rng):
             assert abs(mpmath.mpf(value) - exact) <= bound * exact, (scale, p, i)
 
 
-def _marginal_utility_written_out(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """The marginal utility as one expression per family, factors recomputed at every call."""
-    with np.errstate(over="ignore"):
-        if s_code == kernels.SUCCESS_EXP_SATURATING:
-            lam_d = s_param * np.exp(-s_param * i)
-        else:
-            lam_d = s_param / (i + s_param) ** 2
+def _h_written_out(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
+    """h = log lambda' + log(W + L) - log xi' as one expression per family pair."""
+    level = np.log(s_param) + np.log(gain + loss) - np.log(c_scale) - np.log(c_param)
+    with np.errstate(over="ignore", divide="ignore"):
+        if (s_code, c_code) == (kernels.SUCCESS_EXP_SATURATING, kernels.COST_POWER):
+            return level - s_param * i - (c_param - 1.0) * np.log(i)
+        if (s_code, c_code) == (kernels.SUCCESS_EXP_SATURATING, kernels.COST_EXP_GROWTH):
+            return level - s_param * i - c_param * i
         if c_code == kernels.COST_POWER:
-            cost_d = c_scale * c_param * np.power(i, c_param - 1.0)
-        else:
-            cost_d = c_scale * c_param * np.exp(c_param * i)
-        return lam_d * (gain + loss) - cost_d
+            return level - 2.0 * np.log(i + s_param) - (c_param - 1.0) * np.log(i)
+        return level - 2.0 * np.log(i + s_param) - c_param * i
 
 
 def _decades(lo, hi):
@@ -180,24 +179,51 @@ def _decades(lo, hi):
 @given(rows=st.lists(st.tuples(
     _decades(-3, 3), _decades(-4, 4), _decades(-3, 1), _decades(-2, 2), _decades(-2, 2),
     _decades(-6, 3), _decades(-6, 3)), min_size=1, max_size=12))
-def test_work_array_g_is_the_grid_kernel_bit_for_bit(s_code, c_code, rows):
+def test_h_is_its_formula_written_out_bit_for_bit(s_code, c_code, rows):
     # columns: success param, cost scale, cost param (1 + it for a power), gain, loss,
     # and two sets of levels
     s_param, c_scale, c_param, gain, loss, levels, other_levels = map(np.array, zip(*rows))
     if c_code == kernels.COST_POWER:
         c_param = 1.0 + c_param
     args = (s_code, s_param, c_code, c_scale, c_param, gain, loss)
+    h_args = kernels.log_marginal_args(*args)
     n = len(rows)
-    out = np.full(n, np.nan), np.full(n, np.nan)
-    g = kernels.marginal_utility(*args, out=out)
-    overflow = np.full(n, 1e300)  # the cost slope may be +inf there, so g is -inf, unwarned
-    for i in (0.0, levels, overflow, other_levels, 0.0, levels):
-        value = g(i)
-        assert value is out[0]
-        fresh = kernels.marginal_utility(*args)(i)
-        for expected in (fresh, kernels.marginal_utility_grid(i, *args),
-                         _marginal_utility_written_out(i, *args)):
-            assert value.view(np.int64).tolist() == expected.view(np.int64).tolist(), i
-    # exp(rate * 1e300) overflows; scale * param * 1e300 ** (param - 1) does past param 2.05
-    overflows = c_param > (2.05 if c_code == kernels.COST_POWER else 0.0)
-    assert g(overflow)[overflows].tolist() == [-np.inf] * np.count_nonzero(overflows)
+    for i in (0.0, levels, np.full(n, 1e300), other_levels, np.full(n, math.inf)):
+        value = kernels.log_marginal_ratio(i, *h_args)
+        expected = _h_written_out(i, *args)
+        assert value.view(np.int64).tolist() == expected.view(np.int64).tolist(), i
+        # h has the sign of g wherever g's two float terms are normal and not within a
+        # relative 1e-12 of each other
+        with np.errstate(over="ignore"):
+            gain_d = kernels.success_deriv(i, s_code, s_param) * (gain + loss)
+            cost_d = kernels.cost_deriv(i, c_code, c_scale, c_param)
+        clear = ((np.minimum(gain_d, cost_d) > sys.float_info.min) & np.isfinite(cost_d)
+                 & (abs(gain_d - cost_d) > 1e-12 * np.maximum(gain_d, cost_d)))
+        assert np.array_equal(np.sign(value[clear]), np.sign(gain_d - cost_d)[clear]), i
+
+
+# the accepted domain's edges: the smallest subnormal and the largest float, an exponent
+# one float above 1, and gain and loss of a finite sum
+TINY, HUGE = 5e-324, sys.float_info.max
+EDGE_LEVELS = np.array([0.0, TINY, 1.0, HUGE, math.inf])
+
+
+@pytest.mark.parametrize("s_code", [kernels.SUCCESS_EXP_SATURATING, kernels.SUCCESS_HYPERBOLIC])
+@pytest.mark.parametrize("c_code", [kernels.COST_POWER, kernels.COST_EXP_GROWTH])
+def test_h_at_the_edges_of_the_levels_and_the_domain(s_code, c_code):
+    c_params = (math.nextafter(1.0, 2.0), HUGE) if c_code == kernels.COST_POWER else (TINY, HUGE)
+    rows = np.array([(s_param, c_scale, c_param, gain, loss)
+                     for s_param in (TINY, HUGE) for c_scale in (TINY, HUGE)
+                     for c_param in c_params
+                     for gain, loss in ((TINY, TINY), (HUGE / 2, HUGE / 2), (1.0, TINY))])
+    s_param, c_scale, c_param, gain, loss = (np.ascontiguousarray(column) for column in rows.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log 0 and overflow must not warn
+        h_args = kernels.log_marginal_args(s_code, s_param, c_code, c_scale, c_param, gain, loss)
+        values = np.array([kernels.log_marginal_ratio(np.full(len(rows), i), *h_args)
+                           for i in EDGE_LEVELS])
+    assert not np.isnan(values).any()
+    assert np.isfinite(h_args[-1]).all()  # the level-free part
+    if c_code == kernels.COST_POWER:
+        assert (values[0] == math.inf).all()
+    assert (values[-1] == -math.inf).all()

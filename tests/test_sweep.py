@@ -31,7 +31,7 @@ from infoload import kernels
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
-from conftest import WIDE_TRADERS, log_uniform, nan_marginal_utility_at, random_trader
+from conftest import WIDE_TRADERS, log_uniform, nan_log_marginal_ratio_at, random_trader
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -107,10 +107,10 @@ class TestSweepImax:
         assert exc.value.field == field
 
     def test_nan_root_names_the_agent(self, monkeypatch):
-        # one family pair, so entry 2 of g's values is agent 2
+        # one family pair, so entry 2 of h's values is agent 2
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(scale, 2.0))
                    for scale in (0.05, 0.1, 0.2, 0.4)]
-        monkeypatch.setattr(kernels, "marginal_utility", nan_marginal_utility_at(2))
+        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(2))
         with pytest.raises(NumericRangeError, match="agent 2: marginal utility is NaN"):
             sweep_imax(traders, [0.5, 1.0], theta=0.5)
 
@@ -219,25 +219,21 @@ class TestSweep2d:
 
     @pytest.mark.parametrize("n_grid", [1, 2, 32, 33])
     def test_g_calls_per_family_pair(self, rng, n_grid):
-        # exact halvings over the count of ceilings: len(grid).bit_length() calls of g
+        # exact halvings over the count of ceilings: len(grid).bit_length() signs of g,
+        # each read from h, per family pair
         traders = [random_trader(rng) for _ in range(80)]
-        calls = []
-        build_g = kernels.marginal_utility
+        calls = {}
+        log_marginal_ratio = kernels.log_marginal_ratio
 
-        def counting(*args, **kwargs):
-            g, k = build_g(*args, **kwargs), len(calls)
-            calls.append(0)
-
-            def counted(i):
-                calls[k] += 1
-                return g(i)
-            return counted
+        def counting(i, s_code, s_param, c_code, *args):
+            calls[s_code, c_code] = calls.get((s_code, c_code), 0) + 1
+            return log_marginal_ratio(i, s_code, s_param, c_code, *args)
 
         grid = list(np.geomspace(0.05, 30.0, n_grid))
-        with mock.patch.object(kernels, "marginal_utility", counting):
+        with mock.patch.object(kernels, "log_marginal_ratio", counting):
             sweep_2d(traders, grid, [0.5, 1.0, 2.0], theta=0.5)
         assert len(calls) == 4  # two success families times two costly cost families
-        assert all(0 < c <= n_grid.bit_length() for c in calls), calls
+        assert all(0 < c <= n_grid.bit_length() for c in calls.values()), calls
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +314,7 @@ class TestSortedRootsMatchMarket:
     @given(traders=WIDE_TRADERS, mults=st.sets(log_uniform(-2, 2), max_size=3),
            data=st.data())
     def test_sign_count_is_the_root_count_on_wide_populations(self, traders, mults, data):
-        # the premise: g(c) > 0 exactly where c <= i_u, at roots and the floats next to them
+        # the premise: h(c) > 0 exactly where c <= i_u, at roots and the floats next to them
         mults = sorted(mults | {1.0})
         roots = solve_roots(Population.from_traders(traders).scaled(mults))
         on_root = [r for r in roots.tolist() if 0.0 < r < math.inf]
