@@ -7,7 +7,7 @@ non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, in numpy arrays, by setting each
 root's float64 bit pattern one bit at a time from the top, 63 signs of g per
-family pair, each read in log space from ``kernels.log_marginal_ratio``;
+family pair read in log space (``kernels.log_marginal_ratio``) by ``sign_walk``;
 ``unconstrained_optimum`` is one trader's root as a float.  A
 ``Population`` holds many traders as checked columns of kernel codes and
 parameters; the solver, ``constrain`` and ``Population.utility`` read the
@@ -43,7 +43,7 @@ import numpy as np
 from infoload import kernels
 from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, SuccessCurve,
                              check_columns, from_kernel_code)
-from infoload.errors import ParameterError
+from infoload.errors import NumericRangeError, ParameterError
 
 DEFAULT_ORACLE_STEP = 1e-4
 # grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point and at i_max,
@@ -72,7 +72,7 @@ class Regime(str, enum.Enum):
     FULLY_INFORMED = "fully_informed"
 
 
-# constrain's regime codes: 0 corner, 1 interior, 2 fully informed
+# the regime codes of constrain and grid_oracles: 0 corner, 1 interior, 2 fully informed
 _REGIMES = np.array([regime.value for regime in Regime])
 
 
@@ -177,7 +177,7 @@ def expected_return(lambda_value: float, gain: float, loss: float) -> float:
     """Expected dollar return of the two-outcome bet at success probability lambda."""
     if not 0.0 <= lambda_value <= 1.0:
         raise ParameterError(f"success probability must lie in [0, 1], got {lambda_value!r}")
-    return float(kernels.expected_return(lambda_value, gain, loss))
+    return float(lambda_value * gain - (1.0 - lambda_value) * loss)
 
 
 def _kernel_args(trader: Trader) -> tuple:
@@ -195,40 +195,48 @@ def marginal_utility(trader: Trader, i: float) -> float:
     return kernels.marginal_utility_grid([i], *_kernel_args(trader)).item()
 
 
+def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarray:
+    """Each trader's largest int64 ``k < 2**bits`` with h (``kernels.log_marginal_ratio``,
+    with g's sign) positive at ``levels(k)``, levels non-decreasing in k; 0 where there is
+    none, and the bits of +inf for zero cost.  The solve and the sweep share it.
+
+    Bit b is kept where h is positive at the index found so far with bit b set, from the
+    top: ``bits`` calls of h per costly family pair.  A NaN h raises ``NumericRangeError``
+    after the pair's walk, naming its first such row as agent ``row % n`` (row ``r * n + k``
+    of ``Population.scaled`` is trader k; ``n`` 0 names the row).
+    """
+    found = np.full(len(population), math.inf).view(np.int64)  # zero cost: g > 0 everywhere
+    for agents, args in population.families():
+        if args[2] == kernels.COST_ZERO:  # the cost code
+            continue
+        h_args = kernels.log_marginal_args(*args)
+        lo, mid, step = np.zeros((3, len(agents)), dtype=np.int64)
+        up, least = np.empty(len(agents), dtype=bool), np.zeros(len(agents))
+        for bit in reversed(range(bits)):
+            np.bitwise_or(lo, 1 << bit, out=mid)
+            h = kernels.log_marginal_ratio(levels(mid), *h_args)
+            np.minimum(least, h, out=least)  # NaN from h's first NaN on
+            lo |= np.left_shift(np.greater(h, 0.0, out=up), bit, out=step)
+        nan = np.flatnonzero(np.isnan(least))
+        if nan.size:
+            raise NumericRangeError(f"agent {agents[nan[0]] % (n or len(found))}: "
+                                    "marginal utility is NaN")
+        found[agents] = lo
+    return found
+
+
 def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     """Unconstrained optimum ``i_u`` of every trader, as one float64 array.
 
     ``i_u`` is the largest float at which h (``kernels.log_marginal_ratio``, with the
     sign of the marginal utility g) is positive; at the next float h <= 0.  Zero cost
     gives +inf (g never turns negative) and g(0) <= 0 gives 0.  Each trader's root
-    depends only on that trader.
+    depends only on that trader.  The non-negative float64s are ordered like their bit
+    patterns, all below 2**63, so ``sign_walk`` sets each root's 63 bits; a probe at +inf
+    gives h = -inf, and none is a NaN pattern, as its bits below the one it sets are 0.
     """
-    population = Population.from_traders(traders)
-    roots = np.full(len(population), math.inf)  # zero cost: g > 0 everywhere
-    for agents, args in population.families():
-        if args[2] != kernels.COST_ZERO:  # the cost code
-            h_args = kernels.log_marginal_args(*args)
-            roots[agents] = _sign_change(lambda i: kernels.log_marginal_ratio(i, *h_args),
-                                         len(agents))
-    return roots
-
-
-def _sign_change(h, size: int) -> np.ndarray:
-    """Largest float with h > 0, elementwise, for decreasing h; 0 where h(0) <= 0.
-
-    The non-negative float64s are ordered like their bit patterns, all below 2**63, so
-    each root's pattern is set one bit at a time from the top: bit b is kept where h is
-    positive at the pattern found so far with bit b set.  That is 63 calls of h.  A probe
-    at +inf gives h = -inf, and no probe is a NaN pattern: a probe's bits below the one
-    it sets are still 0.
-    """
-    lo, mid, step = np.zeros((3, size), dtype=np.int64)
-    probe, up = mid.view(np.float64), np.empty(size, dtype=bool)
-    for bit in range(62, -1, -1):
-        np.bitwise_or(lo, 1 << bit, out=mid)
-        np.greater(h(probe), 0.0, out=up)
-        lo |= np.left_shift(up, bit, out=step)
-    return lo.view(np.float64)
+    return sign_walk(Population.from_traders(traders), lambda k: k.view(np.float64),
+                     63).view(np.float64)
 
 
 def unconstrained_optimum(trader: Trader) -> float:
@@ -428,10 +436,8 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
             best[k], u_star[k] = lo + j, window[j]
             if window[j] >= u_s:
                 break
-    # the first grid point is the corner 0, the last (i_max) fully informed
-    regime = np.where(best == 0, Regime.CORNER_ZERO.value, np.where(
-        best == size - 1, Regime.FULLY_INFORMED.value, Regime.INTERIOR.value))
-    return grid[best], u_star, regime
+    # the first grid point (of at least 2) is the corner 0, the last (i_max) fully informed
+    return grid[best], u_star, _REGIMES[1 + (best == size - 1) - (best == 0)]
 
 
 def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:

@@ -113,7 +113,8 @@ def check_columns(**columns) -> None:
     so it holds on all its rows iff it holds at their smallest and largest values; only
     a rule failing there, or covering one family of a mixed column, is searched row by
     row.  The error names the smallest failing agent, ties going to the earlier rule:
-    gain, loss, gain + loss, then each code column followed by its family's parameters.
+    gain, loss, gain + loss, then each code column followed by its family's parameters;
+    the error's ``agent`` is that row, None when every column is a float.
     """
     extremes = {column: _extremes(x) for column, x in columns.items()}
     if None in extremes.values():
@@ -152,8 +153,8 @@ def check_columns(**columns) -> None:
             failures.append((np.argmax(out), len(failures), label, rule, values))
     if failures:
         k, _, label, rule, values = min(failures)
-        where = f"agent {k}: " if np.ndim(values) else ""
-        raise ParameterError(f"{where}{label} {rule}, got {np.atleast_1d(values)[k].item()!r}")
+        raise ParameterError(f"{label} {rule}, got {np.atleast_1d(values)[k].item()!r}",
+                             int(k) if np.ndim(values) else None)
 
 
 def _checked(columns: tuple):

@@ -2,7 +2,15 @@
 
 
 class ParameterError(ValueError):
-    """A curve or trader parameter is outside its admissible domain."""
+    """A curve or trader parameter is outside its admissible domain.
+
+    ``agent`` is the failing row of columns checked by ``curves.check_columns``, None
+    for one row (a curve or a ``Trader``); ``message`` is the text after ``agent k: ``.
+    """
+
+    def __init__(self, message, agent=None):
+        super().__init__(message if agent is None else f"agent {agent}: {message}")
+        self.agent, self.message = agent, message
 
 
 class PreconditionError(ValueError):
@@ -23,5 +31,5 @@ class ConfigError(PreconditionError):
 
 
 class NumericRangeError(ArithmeticError):
-    """A numeric result failed its check: a NaN ``kernels.log_marginal_ratio`` (never NaN
-    for accepted parameters), or an optimizer and oracle that disagree."""
+    """A numeric result failed its check: a NaN h in ``agent.sign_walk`` (the solve and the
+    sweep; never NaN for accepted parameters), or an optimizer and oracle that disagree."""

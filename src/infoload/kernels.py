@@ -83,11 +83,6 @@ def cost_deriv(i, code, scale, param):
     return scale * param * np.exp(param * i)
 
 
-def expected_return(lam, gain, loss):
-    """Expected dollar return of the two-outcome bet at success probability lam."""
-    return lam * gain - (1.0 - lam) * loss
-
-
 def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None,
                  log_grid=None):
     """Expected utility ``W - (W + L) * (1 - lambda) - xi`` at every grid point; -inf

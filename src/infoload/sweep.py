@@ -5,7 +5,8 @@ The phase boundary has a closed form: the market is efficient iff at least a
 theta-fraction of agents have an unconstrained optimum at or above the ceiling,
 so the critical ceiling is an order statistic of the population's optima.
 ``sweep_2d``, the one path to a phase series, counts each trader's ceilings with
-g > 0 (by ``kernels.log_marginal_ratio``) and solves no root; ``sweep_imax`` and
+g > 0 by ``agent.sign_walk``, the solver's sign search, and keeps only the phase
+arithmetic; ``sweep_imax`` and
 ``check_conjecture3`` read its multiplier-1.0 row.  The quantile keeps its own code
 (``solve_roots``, a sort and the smallest k with k / n >= theta) as the independent
 oracle the sweeps are validated against.
@@ -20,10 +21,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from infoload import kernels
-from infoload.agent import Population, Trader, check_i_max, solve_roots, utility_on_grid
-from infoload.curves import check_columns
+from infoload.agent import (Population, Trader, check_i_max, sign_walk, solve_roots,
+                            utility_on_grid)
 from infoload.market import ConjectureVerdict, check_grid, check_theta
-from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
+from infoload.errors import ConfigError, ParameterError, PreconditionError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
@@ -97,9 +98,10 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
 
     Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
     As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
-    ``count(g(c) > 0)``: exact halvings over each trader's count of such ceilings take
-    ``len(grid).bit_length()`` signs per family pair, of the h (``kernels.log_marginal_ratio``,
-    on the contiguous columns of ``Population.families``) whose root ``solve_roots`` finds.
+    ``count(g(c) > 0)``: ``agent.sign_walk`` sets each tiled trader's count of such
+    ceilings in ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount``
+    turns the counts into each row's fractions.  A multiplier that takes a cost scale out
+    of its domain is a ``ConfigError`` naming it and the agent.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -107,30 +109,14 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     population = Population.from_traders(traders)
     if len(population) == 0:
         raise PreconditionError("trader collection must be non-empty")
+    n, top = len(population), len(grid)
     try:
         scaled = population.scaled(mults)
-    except ParameterError:  # name the first multiplier whose scales fail
-        with np.errstate(over="ignore"):  # a scale beyond the float range is +inf: rejected
-            for m in mults:
-                try:
-                    check_columns(cost_code=population.cost_code,
-                                  cost_scale=population.cost_scale * m)
-                except ParameterError as error:
-                    raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {m!r}, {error}")
-        raise
-    n, top = len(population), len(grid)
-    counts = np.full(len(scaled), top)  # zero cost: g > 0 at every ceiling
-    for agents, args in scaled.families():
-        if args[2] != kernels.COST_ZERO:  # the cost code
-            h_args, count = kernels.log_marginal_args(*args), np.zeros(len(agents), dtype=int)
-            for step in reversed(range(top.bit_length())):  # a probe past the grid takes its end
-                above = kernels.log_marginal_ratio(grid[np.minimum(count + (1 << step), top) - 1],
-                                                   *h_args)
-                if np.isnan(above).any():
-                    raise NumericRangeError(f"agent {agents[np.isnan(above).argmax()] % n}: "
-                                            "marginal utility is NaN at a ceiling")
-                count += (above > 0.0) << step
-            counts[agents] = count
+    except ParameterError as error:  # row r * n + k is agent k under multiplier r
+        raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {mults[error.agent // n]!r}, "
+                          f"agent {error.agent % n}: {error.message}")
+    # a count past the grid probes its end, and a zero-cost trader's +inf bits clamp to top
+    counts = sign_walk(scaled, lambda k: grid[np.minimum(k, top) - 1], top.bit_length(), n)
     # by_count[r, c]: the traders of row r with g > 0 at c ceilings (top: at every one)
     by_count = np.bincount(np.arange(len(scaled)) // n * (top + 1) + np.minimum(counts, top),
                            minlength=len(mults) * (top + 1)).reshape(-1, top + 1)

@@ -31,7 +31,7 @@ from infoload.agent import grid_oracles, information_grid, solve_roots, utility_
 from infoload.errors import NumericRangeError, ParameterError
 from infoload.sweep import critical_imax_quantile, sweep_2d
 
-from conftest import WIDE_TRADERS, log_uniform, random_trader
+from conftest import WIDE_TRADERS, log_uniform, nan_log_marginal_ratio_at, random_trader
 
 
 class TestTrader:
@@ -419,6 +419,16 @@ class TestSolveRoots:
                 assert 0.0 < root < math.inf
                 assert_sign_change(trader, root)
 
+    def test_nan_h_names_the_agent(self, monkeypatch):
+        # family pairs go codes ascending, so the first call of h is on agents 1, 3 and 4
+        # (exponential saturation) and its entry 2 is agent 4
+        power = PowerCost(0.1, 2.0)
+        traders = [Trader(1.0, 1.0, Hyperbolic(1.0), power) if k in (0, 2, 5)
+                   else Trader(1.0, 1.0, ExpSaturating(1.0), power) for k in range(6)]
+        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(2))
+        with pytest.raises(NumericRangeError, match="^agent 4: marginal utility is NaN"):
+            solve_roots(traders)
+
     def test_far_root_is_returned(self, reference_trader):
         # the exact root (mpmath, 80 digits), where the float g reads -2.8e-149
         root = solve_roots([reference_trader, ENDLESS])[1]
@@ -558,7 +568,8 @@ class TestRootsOverTheAcceptedDomain:
 
 
 def _reference_sign_change(h, agents):
-    """The ``while``/``np.where`` bisection loop of ``_sign_change``: the bit-exact reference."""
+    """The largest float with ``h > 0`` for the traders ``agents``, by a ``while``/``np.where``
+    bisection loop: the bit-exact reference of ``solve_roots``'s walk."""
     hi = np.ones(len(agents))
     while True:
         up = h(hi) > 0.0
@@ -577,9 +588,9 @@ def _reference_sign_change(h, agents):
     return lo.view(np.float64)
 
 
-def _solve_counting(population, multipliers):
-    """``solve_roots``'s roots of ``population.scaled(multipliers)`` as int64 bit patterns,
-    and how often it evaluated h."""
+def _solve_counting(population):
+    """``solve_roots``'s roots of ``population`` as int64 bit patterns, and how often it
+    evaluated h."""
     calls = []
     log_marginal_ratio = kernels.log_marginal_ratio
 
@@ -588,7 +599,7 @@ def _solve_counting(population, multipliers):
         return log_marginal_ratio(*args)
 
     with mock.patch.object(kernels, "log_marginal_ratio", counting):
-        roots = solve_roots(population.scaled(multipliers))
+        roots = solve_roots(population)
     assert len(calls) > 0
     return roots.view(np.int64).tolist(), len(calls)
 
@@ -619,12 +630,15 @@ class TestBisectionEquivalence:
              multipliers=(1.0,))
     @example(traders=_MIXED, multipliers=(0.01, 1.0, 100.0))
     def test_roots_equal_the_while_loop_in_63_g_calls(self, traders, multipliers):
-        population = Population.from_traders(traders)
-        roots, calls = _solve_counting(population, multipliers)
+        population = Population.from_traders(traders).scaled(multipliers)
+        roots, calls = _solve_counting(population)
         assert calls == 63 * len(list(population.families()))  # one per bit below the sign
-        with mock.patch.object(agent, "_sign_change",
-                               lambda h, size: _reference_sign_change(h, np.arange(size))):
-            assert roots == _solve_counting(population, multipliers)[0]
+        reference = np.empty(len(population))
+        for agents, args in population.families():  # every trader here is costly
+            h_args = kernels.log_marginal_args(*args)
+            reference[agents] = _reference_sign_change(
+                lambda i: kernels.log_marginal_ratio(i, *h_args), agents)
+        assert roots == reference.view(np.int64).tolist()
 
 
 class TestOptimizeInformation:

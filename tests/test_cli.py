@@ -441,6 +441,15 @@ class TestSweepErrors:
         assert code == EXIT_NUMERIC
         assert "agent 3: marginal utility is NaN" in message
 
+    def test_nan_root_in_the_market_is_a_numeric_error(self, tmp_path, monkeypatch):
+        # 5 agents of one family pair: entry 3 of h's values is agent 3
+        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(3))
+        config = {**REFERENCE_CONFIG, "population": {**REFERENCE_CONFIG["population"],
+                                                     "n_agents": 5}}
+        code, message = self._run(tmp_path, None, "market", config)
+        assert code == EXIT_NUMERIC
+        assert message.startswith("NumericRangeError: agent 3: marginal utility is NaN")
+
 
 class TestDeterminism:
     def _run_twice(self, tmp_path, subcommand, cfg):

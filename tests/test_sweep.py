@@ -217,6 +217,30 @@ class TestSweep2d:
         with pytest.raises(ParameterError, match="agent 3: cost_scale"):
             Population.from_traders([reference_trader, costly]).scaled([1.0, 2.0])
 
+    def test_first_failing_multiplier_and_its_smallest_agent_are_named(self, reference_trader):
+        # 1e-300 takes agents 2 and 3's scales below the smallest float, to 0, and 1e300
+        # takes agent 1's past the largest, to +inf
+        traders = [reference_trader] + [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(scale, 2.0))
+                                        for scale in (1e10, 1e-30, 1e-40)]
+        with pytest.raises(ConfigError) as exc:
+            sweep_2d(traders, [1.0, 2.0], [1e-300, 1.0, 1e300], theta=0.5)
+        assert exc.value.field == "sweep.cost_multiplier_grid"
+        assert exc.value.message == ("multiplier 1e-300, agent 2: cost_scale (scale) must be "
+                                     "finite and exceed 0, got 0.0")
+
+    def test_parameter_error_carries_the_failing_row(self, reference_trader):
+        costly = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e308, 2.0))
+        with pytest.raises(ParameterError) as exc:
+            Population.from_traders([reference_trader, costly]).scaled([1.0, 2.0])
+        assert exc.value.agent == 3
+        assert str(exc.value) == "agent 3: " + exc.value.message
+        assert exc.value.message == "cost_scale (scale) must be finite and exceed 0, got inf"
+        with pytest.raises(ParameterError) as exc:
+            PowerCost(math.inf, 2.0)  # one row: no agent
+        assert exc.value.agent is None
+        assert str(exc.value) == exc.value.message == (
+            "cost_scale (scale) must be finite and exceed 0, got inf")
+
     @pytest.mark.parametrize("n_grid", [1, 2, 32, 33])
     def test_g_calls_per_family_pair(self, rng, n_grid):
         # exact halvings over the count of ceilings: len(grid).bit_length() signs of g,
