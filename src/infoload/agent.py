@@ -128,8 +128,8 @@ class Population(Sequence):
         """Each family pair present, codes ascending: its agent indices and the kernels'
         arguments after the levels, ``(s_code, s_param, c_code, c_scale, c_param, gain, loss)``.
 
-        The columns are contiguous copies of those agents' rows, as numpy's ``power`` may
-        round a broadcast operand differently, and a sign at a root must keep its bits."""
+        Fancy indexing selects those agents' rows as contiguous copies, which
+        ``test_kernels_get_contiguous_arrays`` keeps so."""
         for s_code in np.flatnonzero(np.bincount(self.success_code)).tolist():
             success = self.success_code == s_code
             for c_code in np.flatnonzero(np.bincount(self.cost_code[success])).tolist():

@@ -1,6 +1,8 @@
 """Population sampling, market-level efficiency classification and two
 conjecture checks: costless information (1) and overload beside efficiency (2).
 Conjecture 3, over rising ceilings, is a phase series and lives in ``sweep``.
+Each check lists its problems and returns ``ConjectureVerdict.from_problems``, so a
+failed check's ``detail`` is its problems joined by ``; ``.
 
 Efficiency is structural: a market is efficient when the fraction of traders
 whose constrained optimum sits at the information ceiling reaches the
@@ -155,10 +157,21 @@ class ReturnSample:
 
 @dataclass
 class ConjectureVerdict:
+    """A conjecture check's ``name``, whether it ``passed``, its ``detail`` text and the
+    index of a ``counterexample`` agent, if any; every check builds it by ``from_problems``."""
+
     name: str
     passed: bool
     detail: str
     counterexample: Optional[int] = None
+
+    @classmethod
+    def from_problems(cls, name: str, problems: Sequence[str], detail: str,
+                      counterexample: Optional[int] = None) -> ConjectureVerdict:
+        """Failed with the problems joined by ``; ``, if any; else passed with ``detail``."""
+        if problems:
+            return cls(name, False, "; ".join(problems), counterexample)
+        return cls(name, True, detail)
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 constants
@@ -311,23 +324,14 @@ def check_conjecture1(traders: Sequence[Trader], i_max: float, theta: float) -> 
     if costly.size:
         raise PreconditionError(f"agent {costly[0]} has a non-zero cost curve")
     outcome = run_market(MarketConfig(i_max=i_max, theta=theta), population)
-    short = np.flatnonzero(outcome.i_star != i_max)
-    if short.size:
-        idx = int(short[0])
-        return ConjectureVerdict(
-            name="conjecture1", passed=False,
-            detail=f"agent {idx} chose i_star={outcome.i_star[idx].item()} != i_max={i_max}",
-            counterexample=idx,
-        )
-    if not outcome.efficient or outcome.fraction_informed != 1.0:
-        return ConjectureVerdict(
-            name="conjecture1", passed=False,
-            detail=f"market not efficient: fraction_informed={outcome.fraction_informed}",
-        )
-    return ConjectureVerdict(
-        name="conjecture1", passed=True,
-        detail=f"all {len(population)} agents fully informed at i_max={i_max}",
-    )
+    # the only failure: if every i_star == i_max > 0, every agent is fully informed and, with
+    # no participation rule, fraction_informed is 1.0 >= theta, so the market is efficient
+    short = np.flatnonzero(outcome.i_star != i_max)[:1].tolist()
+    return ConjectureVerdict.from_problems(
+        "conjecture1",
+        [f"agent {k} chose i_star={outcome.i_star[k].item()} != i_max={i_max}" for k in short],
+        f"all {len(population)} agents fully informed at i_max={i_max}",
+        counterexample=short[0] if short else None)
 
 
 def check_conjecture2(efficient_leg: Tuple[MarketConfig, Sequence[Trader]],
@@ -347,13 +351,10 @@ def check_conjecture2(efficient_leg: Tuple[MarketConfig, Sequence[Trader]],
         problems.append("efficient leg has no interior (overloaded) agent")
     if out_b.efficient:
         problems.append(f"inefficient leg failed (fraction={out_b.fraction_informed})")
-    if problems:
-        return ConjectureVerdict(name="conjecture2", passed=False, detail="; ".join(problems))
-    return ConjectureVerdict(
-        name="conjecture2", passed=True,
-        detail=(f"efficient at theta={cfg_a.theta} with {interior_a} interior agents; "
-                f"inefficient at theta={cfg_b.theta}"),
-    )
+    return ConjectureVerdict.from_problems(
+        "conjecture2", problems,
+        f"efficient at theta={cfg_a.theta} with {interior_a} interior agents; "
+        f"inefficient at theta={cfg_b.theta}")
 
 
 def simulate_muthian_returns(model: ReturnModel, n: int, seed: int) -> ReturnSample:

@@ -153,10 +153,7 @@ def check_conjecture3(traders: Sequence[Trader], theta: float,
         problems.append("ceiling utility not eventually decreasing")
     if not ceiling_utils[-1] < DIVERGENCE_BOUND:
         problems.append(f"ceiling utility {ceiling_utils[-1]} not below {DIVERGENCE_BOUND}")
-    if problems:
-        return ConjectureVerdict(name="conjecture3", passed=False, detail="; ".join(problems))
-    return ConjectureVerdict(
-        name="conjecture3", passed=True,
-        detail=(f"fraction_informed falls to 0 and ceiling utility reaches "
-                f"{ceiling_utils[-1]:.4g} over {len(schedule)} ceilings"),
-    )
+    return ConjectureVerdict.from_problems(
+        "conjecture3", problems,
+        f"fraction_informed falls to 0 and ceiling utility reaches "
+        f"{ceiling_utils[-1]:.4g} over {len(schedule)} ceilings")

@@ -213,8 +213,8 @@ class TestPopulation:
         assert len(list(mixed.families())) == 6
 
     def test_kernels_get_contiguous_arrays(self, rng, monkeypatch):
-        # numpy's power may round a broadcast or strided operand differently, so a kernel
-        # is never handed one of from_traders' strided columns
+        # a kernel is handed fancy-indexed copies of the columns, never one of
+        # from_traders' strided columns
         population = Population.from_traders([random_trader(rng) for _ in range(60)])
         calls = []
 

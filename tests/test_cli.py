@@ -110,6 +110,13 @@ class TestParseConfig:
             assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
             assert json.loads((out / "error.json").read_text())["error"].startswith("<parse>: ")
 
+    def test_non_object_top_level_is_a_config_error(self, tmp_path):
+        path = write_config(tmp_path, [])
+        out = tmp_path / "out"
+        assert main(["market", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert json.loads((out / "error.json").read_text()) == {
+            "exit_code": EXIT_CONFIG, "error": "<root>: top level must be a JSON object"}
+
     def test_wrong_curve_params_rejected(self, tmp_path):
         cfg = {"population": {"success": {"family": "hyperbolic",
                                           "params": {"rate": 1.0}}}}
@@ -393,6 +400,7 @@ class TestSweepErrors:
                                             "params": {"scale": 1.0, "rate": [2, 1]}}}},
          "population.cost.params.rate"),
         ("market", {"population": {"cost": {"family": ["power"]}}}, "population.cost.family"),
+        ("market", {"market": {"i_max": 0}}, "market.i_max"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, subcommand, config, field):
         code, message = self._run(tmp_path, None, subcommand, config)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -28,7 +29,7 @@ from infoload import (
 )
 from infoload.errors import ConfigError, ParameterError, PreconditionError
 from infoload.agent import solve_roots
-from infoload.market import MAX_AGENTS, _keyed_uniforms
+from infoload.market import MAX_AGENTS, ConjectureVerdict, _keyed_uniforms
 
 from conftest import random_trader
 
@@ -115,6 +116,11 @@ class TestPopulationSpec:
 
     def test_zero_cost_ignores_cost_intervals(self):
         assert make_spec(cost_family="zero", cost_shape=(0.5, 1.0)).cost_family == "zero"
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ConfigError) as exc:
+            make_spec(success_family="nope")
+        assert str(exc.value) == "population.success.family: unknown family 'nope'"
 
     def test_n_agents_fits_one_spawn_word(self):
         # only the spec is built: nothing is sampled or allocated
@@ -326,6 +332,14 @@ class TestClassification:
         assert out.fraction_informed == 1.0 and out.mean_utility == 0.0
 
 
+class TestConjectureVerdict:
+    def test_from_problems(self):
+        verdict = ConjectureVerdict.from_problems
+        assert verdict("c", [], "ok", counterexample=3) == ConjectureVerdict("c", True, "ok", None)
+        assert verdict("c", ["a", "b"], "ok", 3) == ConjectureVerdict("c", False, "a; b", 3)
+        assert verdict("c", ["a"], "ok") == ConjectureVerdict("c", False, "a", None)
+
+
 class TestConjecture1:
     def test_muthian_population_passes(self):
         traders = sample_population(make_spec(cost_family="zero"))
@@ -370,6 +384,25 @@ class TestConjecture2:
         assert not verdict.passed
         assert "inefficient leg" in verdict.detail
 
+    # every trader interior (fraction 0), every trader fully informed (fraction 1), and
+    # every trader at the corner (g(0) < 0)
+    high = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(10.0, 2.0))] * 20
+    low = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.001, 2.0))] * 20
+    corner = [Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 1.0))] * 20
+
+    @pytest.mark.parametrize("efficient, inefficient, detail", [
+        (high, high, "efficient leg failed (fraction=0.0)"),
+        (low, low, "efficient leg has no interior (overloaded) agent; "
+                   "inefficient leg failed (fraction=1.0)"),
+        (corner, low, "efficient leg failed (fraction=0.0); "
+                      "efficient leg has no interior (overloaded) agent; "
+                      "inefficient leg failed (fraction=1.0)"),
+    ], ids=["not_efficient", "no_interior_and_efficient", "all_three"])
+    def test_failure_lists_its_problems_in_order(self, efficient, inefficient, detail):
+        verdict = check_conjecture2((MarketConfig(i_max=2.0, theta=0.4), efficient),
+                                    (MarketConfig(i_max=2.0, theta=0.6), inefficient))
+        assert verdict == ConjectureVerdict("conjecture2", False, detail, None)
+
     def test_mismatched_i_max_guard(self):
         traders = mixed_population(10)
         with pytest.raises(PreconditionError):
@@ -383,6 +416,19 @@ class TestConjecture3:
         schedule = [2.0**k for k in range(15)]
         verdict = check_conjecture3(traders, theta=0.5, i_max_schedule=schedule)
         assert verdict.passed
+
+    def test_failure_lists_its_problems_in_order(self):
+        # information this cheap and this useless: everyone stays fully informed, and the
+        # ceiling utility rises from -1 without turning down
+        traders = [Trader(1.0, 1.0, ExpSaturating(1e-6), PowerCost(1e-12, 2.0))] * 5
+        verdict = check_conjecture3(traders, theta=0.5,
+                                    i_max_schedule=[2.0**k for k in range(15)])
+        assert not verdict.passed and verdict.counterexample is None
+        final, decreasing, bound = verdict.detail.split("; ")
+        assert final == "fraction_informed at final ceiling is 1.0, not 0"
+        assert decreasing == "ceiling utility not eventually decreasing"
+        utility = re.fullmatch(r"ceiling utility (\S+) not below -1000000\.0", bound).group(1)
+        assert float(utility) == pytest.approx(-0.9677674108816728, rel=1e-12)
 
     def test_zero_cost_guard(self):
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), ZeroCost())] * 5

@@ -179,6 +179,10 @@ class TestCriticalQuantile:
 
 
 class TestSweep2d:
+    def test_empty_population_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match="^trader collection must be non-empty$"):
+            sweep_2d([], [1.0], [1.0], 0.5)
+
     def test_identity_multiplier_matches_1d(self, rng):
         traders = [random_trader(rng, cost_family="power") for _ in range(20)]
         grid = list(np.geomspace(0.1, 10.0, 12))
