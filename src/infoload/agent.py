@@ -42,10 +42,9 @@ import numpy as np
 
 from infoload import kernels
 from infoload.curves import (COST_FAMILIES, SUCCESS_FAMILIES, CostCurve, SuccessCurve,
-                             check_columns, from_kernel_code)
+                             check_columns, check_level, from_kernel_code)
 from infoload.errors import NumericRangeError, ParameterError
 
-DEFAULT_ORACLE_STEP = 1e-4
 # grid_oracles scans each trader at every ORACLE_SCAN_STRIDE-th grid point and at i_max,
 # and bounds the utility on each block of grid points between two scan points
 ORACLE_SCAN_STRIDE = 256
@@ -186,12 +185,16 @@ def _kernel_args(trader: Trader) -> tuple:
 
 
 def expected_utility(trader: Trader, i: float) -> float:
-    """Expected utility at information level i: expected return net of elaboration cost."""
+    """Expected utility at information level i: expected return net of elaboration cost.
+    Like a curve's ``value``, it needs a finite, non-negative i."""
+    check_level(i)
     return utility_on_grid(trader, [i]).item()
 
 
 def marginal_utility(trader: Trader, i: float) -> float:
-    """d/di of expected utility; strictly decreasing for non-zero cost curves."""
+    """d/di of expected utility; strictly decreasing for non-zero cost curves.  Like a
+    curve's ``deriv``, it needs a finite, non-negative i."""
+    check_level(i)
     return kernels.marginal_utility_grid([i], *_kernel_args(trader)).item()
 
 
@@ -277,25 +280,26 @@ def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
 def _grid_size(i_max: float, step: float) -> int:
     """The length of ``information_grid(i_max, step)``, by its rule, building no point:
     ``n = floor(i_max / step)`` steps, and i_max appended unless ``step * n`` is within
-    rounding of it, where i_max replaces that point."""
+    rounding of it, where i_max replaces that point.  Checks i_max and step first."""
+    check_i_max(i_max)
+    if not (0 < step <= i_max and math.isfinite(i_max / step)):
+        raise ParameterError(f"step must satisfy 0 < step <= i_max with a finite i_max / step, "
+                             f"got step {step!r} for i_max {i_max!r}")
     n = int(math.floor(i_max / step + 1e-9))
     return n + 2 if step * n < i_max - 1e-12 * max(1.0, i_max) else n + 1
 
 
-def _grid_points(i_max: float, step: float, index: slice) -> np.ndarray:
-    """``information_grid(i_max, step)[index]`` bit for bit, building only those points:
-    point k is ``step * k``, but the last point is i_max."""
-    size = _grid_size(i_max, step)
-    k = range(size)[index]
-    points = step * np.arange(k.start, k.stop, k.step, dtype=np.float64)
-    if size - 1 in k:
-        points[k.index(size - 1)] = i_max
-    return points
+def _grid_points(i_max: float, step: float, k: np.ndarray) -> np.ndarray:
+    """``information_grid(i_max, step)[k]`` bit for bit, for an integer-valued index array
+    ``k``, building only those points: point k is ``step * k``, but the last point is i_max."""
+    return np.where(k == _grid_size(i_max, step) - 1, i_max, step * k)
 
 
 def information_grid(i_max: float, step: float) -> np.ndarray:
-    """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max."""
-    return _grid_points(i_max, step, slice(None))
+    """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max.  It
+    needs a finite ``i_max > 0`` and ``0 < step <= i_max`` with ``i_max / step`` finite,
+    else it raises ``ParameterError``."""
+    return _grid_points(i_max, step, np.arange(_grid_size(i_max, step), dtype=np.float64))
 
 
 def _with_log(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -310,9 +314,10 @@ def _oracle_windows(population: Population, i_max: float,
     (``grid_oracles``).
 
     The scan points are every ``ORACLE_SCAN_STRIDE``-th grid point and the last, i_max;
-    only they and their ``log`` are built.  One 2-D ``utility_grid`` call per family pair
-    evaluates them for all of its traders, the costs landing in its scratch array, and
-    ``u_s`` is a trader's best scan utility.  Then the utility array takes the complement
+    only they and their ``log`` are built, by ``_grid_points`` from the positions that also
+    give the blocks' edges.  One 2-D ``utility_grid`` call per family pair evaluates them
+    for all of its traders, the costs landing in its scratch array, and ``u_s`` is a
+    trader's best scan utility.  Then the utility array takes the complement
     ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the
     bound of each block of grid points between two consecutive scan points (the first
     block also holds point 0).  The window starts at the first block whose bound is not
@@ -321,8 +326,7 @@ def _oracle_windows(population: Population, i_max: float,
     """
     size = _grid_size(i_max, step)
     position = np.append(np.arange(0, size - 1, ORACLE_SCAN_STRIDE), size - 1)
-    scan, log_scan = _with_log(np.append(
-        _grid_points(i_max, step, slice(0, size - 1, ORACLE_SCAN_STRIDE)), i_max))
+    scan, log_scan = _with_log(_grid_points(i_max, step, position))
     first_point, end_point = np.append(0, position[1:-1] + 1), position[1:] + 1
     start, stop = np.empty((2, len(population)), dtype=np.intp)
     incumbent = np.empty(len(population))
@@ -358,8 +362,8 @@ def _oracle_windows(population: Population, i_max: float,
     return start, stop, incumbent
 
 
-def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_ORACLE_STEP
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_oracles(traders: Sequence[Trader], i_max: float,
+                 step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
     every trader, as ``constrain``'s columns ``(i_star, u_star, regime)``.
 
@@ -404,22 +408,19 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     - Any other term, zero, subnormal or infinite, counts as 0, the least it can be.  A
       NaN term gives a NaN bound, which keeps its block.
 
-    The grid's length comes from ``information_grid``'s rule (``_grid_size``), and the
-    regime reads its last index.  The scan builds only its own points and their ``log``.
-    Then the grid, its ``log`` and the two kernel work arrays, which every trader's
-    utilities go into, are built from point 0 up to the largest stop, and built whole only
-    at the first trader whose window is not proved.  A trader's values keep their bits
-    whichever part of the grid they are evaluated on: ``_grid_points`` gives each point the
-    bits of ``information_grid``'s, the kernel's per-point operations are the same, and
+    ``_grid_size`` checks i_max and step before any trader is read and gives the grid's
+    length, whose last index the regime reads.  The scan and the grid take their points
+    from ``_grid_points``.  The grid, its ``log`` and the two kernel work arrays, which every
+    trader's utilities go into, are built from point 0 up to the largest stop, and built
+    whole only at the first trader whose window is not proved.  A trader's values keep their
+    bits whichever part of the grid they are evaluated on: ``_grid_points`` gives each point
+    the bits of ``information_grid``'s, the kernel's per-point operations are the same, and
     ``np.log`` works elementwise, so a point's ``log`` does not depend on the array that
     holds it.  ``tests/test_agent.py`` checks this premise against a loop over the whole
     grid and one ``log`` of it.
     """
-    check_i_max(i_max)
-    if not (0 < step <= i_max):
-        raise ParameterError(f"step must satisfy 0 < step <= i_max, got {step!r}")
-    population = Population.from_traders(traders)
     size = _grid_size(i_max, step)
+    population = Population.from_traders(traders)
     start, stop, incumbent = _oracle_windows(population, i_max, step)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
     grid = np.empty(0)
@@ -428,7 +429,8 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     for k, (lo, hi, u_s, gain, loss, *curves) in enumerate(rows):  # curves: kernel order
         for lo, hi in ((lo, hi), (0, size)):  # a window u_p does not prove: the whole grid
             if hi > len(grid):  # first up to the largest stop, then the whole grid if needed
-                grid, log_grid = _with_log(_grid_points(i_max, step, slice(max(hi, stop.max()))))
+                built = np.arange(max(hi, stop.max()), dtype=np.float64)
+                grid, log_grid = _with_log(_grid_points(i_max, step, built))
                 util, scratch = np.empty((2, len(grid)))
             window = kernels.utility_grid(grid[lo:hi], *curves, gain, loss, out=(
                 util[:hi - lo], scratch[:hi - lo]), log_grid=log_grid[lo:hi])
@@ -440,6 +442,6 @@ def grid_oracles(traders: Sequence[Trader], i_max: float, step: float = DEFAULT_
     return grid[best], u_star, _REGIMES[1 + (best == size - 1) - (best == 0)]
 
 
-def grid_oracle(trader: Trader, i_max: float, step: float = DEFAULT_ORACLE_STEP) -> AgentOutcome:
+def grid_oracle(trader: Trader, i_max: float, step: float) -> AgentOutcome:
     """``grid_oracles`` of one trader."""
     return _first_row(grid_oracles([trader], i_max, step))

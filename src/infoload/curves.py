@@ -33,11 +33,15 @@ from infoload import kernels
 from infoload.errors import ParameterError
 
 
+def check_level(i: float) -> None:
+    if not (math.isfinite(i) and i >= 0):
+        raise ParameterError(f"information level must be a finite non-negative real, got {i!r}")
+
+
 def _at_one_level(formula):
     """A method evaluating the kernel ``formula`` at one level i, with the curve's codes."""
     def method(self, i: float) -> float:
-        if not (math.isfinite(i) and i >= 0):
-            raise ParameterError(f"information level must be a finite non-negative real, got {i!r}")
+        check_level(i)
         return formula(np.array([i], dtype=np.float64), *self.kernel_code()).item()
     return method
 

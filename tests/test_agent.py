@@ -282,6 +282,16 @@ class TestExpectedUtility:
                                       rel=0.0, abs=4 * 2.0**-52 * (t.gain + t.loss))
 
 
+class TestOneLevel:
+    # the level check of a curve's value and deriv, as t.cost.value(-1.0) raises it
+    @pytest.mark.parametrize("function", [expected_utility, marginal_utility])
+    @pytest.mark.parametrize("i", [-1.0, -5e-324, math.inf, -math.inf, math.nan])
+    def test_level_must_be_finite_and_non_negative(self, reference_trader, function, i):
+        with pytest.raises(ParameterError, match="information level must be a finite "
+                                                 "non-negative real"):
+            function(reference_trader, i)
+
+
 class TestMarginalUtility:
     def test_zero_cost_always_positive(self, rng):
         for _ in range(50):
@@ -700,7 +710,7 @@ def _reference_information_grid(i_max, step):
     return grid
 
 
-def _reference_grid_oracles(traders, i_max, step=agent.DEFAULT_ORACLE_STEP):
+def _reference_grid_oracles(traders, i_max, step):
     """The full-grid loop of ``grid_oracles``, with one ``log`` of the whole grid: the
     bit-exact reference."""
     agent.check_i_max(i_max)
@@ -754,7 +764,7 @@ def _oracle_points(traders, i_max, step):
 
 def _scan_size(i_max, step):
     """How many points the oracle's scan evaluates: every ``ORACLE_SCAN_STRIDE``-th and the
-    last, i_max, which ``_grid_points`` does not build there."""
+    last, i_max, all built by one ``_grid_points`` call."""
     return len(range(agent._grid_size(i_max, step) - 1)[::agent.ORACLE_SCAN_STRIDE]) + 1
 
 
@@ -809,6 +819,20 @@ class TestGridOracle:
         with pytest.raises(ParameterError):
             grid_oracle(reference_trader, 1.0, 0.0)
 
+    @pytest.mark.parametrize("i_max, step, field", [
+        (1.0, -0.5, "step"), (-1.0, 0.1, "i_max"), (1.0, 0.0, "step"), (math.nan, 0.1, "i_max"),
+        (1.0, 2.0, "step"), (1e308, 1e-3, "step"), (1.0, math.nan, "step")])
+    def test_information_grid_checks_its_arguments(self, i_max, step, field):
+        with pytest.raises(ParameterError, match=f"^{field} must"):
+            information_grid(i_max, step)
+
+    def test_grid_is_checked_before_any_trader_is_read(self, reference_trader):
+        # 1e308 / 1e-3 overflows: the grid's length would be infinite
+        with pytest.raises(ParameterError, match="finite i_max / step"):
+            grid_oracles([reference_trader], 1e308, 1e-3)
+        with pytest.raises(ParameterError, match="step must"):
+            grid_oracles(["not a trader"], 1.0, 2.0)
+
     def test_population_form_is_each_traders_argmax(self, rng):
         traders = [random_trader(rng, family) for family in ("power", "exp_growth", "zero")
                    for _ in range(10)]
@@ -848,7 +872,8 @@ class TestGridPoints:
         i_max, step = grid
         whole = _reference_information_grid(i_max, step)
         assert agent._grid_size(i_max, step) == len(whole)
-        assert agent._grid_points(i_max, step, index).view(np.int64).tolist() == (
+        k = np.arange(len(whole))[index]
+        assert agent._grid_points(i_max, step, k).view(np.int64).tolist() == (
             whole[index].view(np.int64).tolist())
         assert information_grid(i_max, step).view(np.int64).tolist() == (
             whole.view(np.int64).tolist())
@@ -896,7 +921,7 @@ class TestGridOraclePrefix:
         scan, size = _scan_size(5.0, 1e-3), agent._grid_size(5.0, 1e-3)
         tail = (size - 1) % agent.ORACLE_SCAN_STRIDE  # the points after the last multiple
         assert shapes == [(1, scan), (tail,)]  # the scan, then the block that i_max ends
-        assert built == [scan - 1, size]  # the grid is built up to the window's stop
+        assert built == [scan, size]  # the grid is built up to the window's stop
         assert columns[2].tolist() == [Regime.FULLY_INFORMED.value]
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles([trader], 5.0, 1e-3))
 
@@ -907,13 +932,14 @@ class TestGridOraclePrefix:
         start, stop, _ = agent._oracle_windows(Population.from_traders(traders), 100.0, 1e-3)
         windows = [shape[0] for shape in shapes if len(shape) == 1]
         assert windows == (stop - start).tolist()  # every window is proved
-        assert built == [_scan_size(100.0, 1e-3) - 1, stop.max()]
+        assert built == [_scan_size(100.0, 1e-3), stop.max()]
         assert stop.max() < 0.1 * agent._grid_size(100.0, 1e-3)
         assert _oracle_bits(columns) == _oracle_bits(_reference_grid_oracles(traders, 100.0, 1e-3))
 
     def test_peak_memory_of_an_agent_cli_population(self):
         # the population of the benchmark's agent_cli workload: the grid has 100,001 points,
-        # 3.2 MB for the grid, its log and the two work arrays; the longest cut is about 14k
+        # but only the prefix up to the largest window's end is built, 11,521 points at seed
+        # 7, and the peak read 1.53 MB
         population = sample_population(PopulationSpec(
             n_agents=200, gain=(0.5, 2.0), loss=(0.5, 2.0), success_family="exp_saturating",
             success_param=(0.2, 2.0), cost_family="power", cost_scale=(0.001, 0.1),

@@ -288,6 +288,15 @@ class TestSubcommands:
         assert main(["agent", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert {float(r["oracle_i_star"]) for r in read_csv(out / "agents.csv")} <= {0.0, 0.0005}
 
+    def test_agent_ceiling_too_far_for_the_oracle_grid(self, tmp_path):
+        # 1e308 / 1e-3 overflows: the oracle's grid would have no finite length
+        path = write_config(tmp_path, {"market": {"i_max": 1e308}})
+        out = tmp_path / "out"
+        assert main(["agent", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        message = json.loads((out / "error.json").read_text())["error"]
+        assert message.startswith("ParameterError: step must") and "i_max 1e+308" in message
+        assert not (out / "agents.csv").exists()
+
     def test_agent_shifted_optimum_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
         solve = infoload.market.solve_roots
         monkeypatch.setattr(infoload.market, "solve_roots",
