@@ -50,6 +50,9 @@ from infoload.errors import NumericRangeError, ParameterError
 ORACLE_SCAN_STRIDE = 256
 # the relative error of a loss term that a block's bound allows for, above the kernel's 2**-42
 ORACLE_TERM_ERROR = 2.0**-32
+# the most points a grid may have (``_grid_size``): the oracle's grid, its log and its two
+# work arrays take 32 B a point, so at most 320 MB; 100,001 at i_max 100 and step 1e-3
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -280,13 +283,17 @@ def utility_on_grid(trader: Trader, grid: np.ndarray) -> np.ndarray:
 def _grid_size(i_max: float, step: float) -> int:
     """The length of ``information_grid(i_max, step)``, by its rule, building no point:
     ``n = floor(i_max / step)`` steps, and i_max appended unless ``step * n`` is within
-    rounding of it, where i_max replaces that point.  Checks i_max and step first."""
+    rounding of it, where i_max replaces that point.  Checks i_max, then step and that the
+    length is at most ``MAX_GRID_POINTS``."""
     check_i_max(i_max)
-    if not (0 < step <= i_max and math.isfinite(i_max / step)):
-        raise ParameterError(f"step must satisfy 0 < step <= i_max with a finite i_max / step, "
-                             f"got step {step!r} for i_max {i_max!r}")
-    n = int(math.floor(i_max / step + 1e-9))
-    return n + 2 if step * n < i_max - 1e-12 * max(1.0, i_max) else n + 1
+    if 0 < step <= i_max and math.isfinite(i_max / step):
+        n = int(math.floor(i_max / step + 1e-9))
+        size = n + 2 if step * n < i_max - 1e-12 * max(1.0, i_max) else n + 1
+        if size <= MAX_GRID_POINTS:
+            return size
+    raise ParameterError(f"step must satisfy 0 < step <= i_max with a finite i_max / step and "
+                         f"at most {MAX_GRID_POINTS} grid points, got step {step!r} for i_max "
+                         f"{i_max!r}")
 
 
 def _grid_points(i_max: float, step: float, k: np.ndarray) -> np.ndarray:
@@ -297,17 +304,12 @@ def _grid_points(i_max: float, step: float, k: np.ndarray) -> np.ndarray:
 
 def information_grid(i_max: float, step: float) -> np.ndarray:
     """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max.  It
-    needs a finite ``i_max > 0`` and ``0 < step <= i_max`` with ``i_max / step`` finite,
-    else it raises ``ParameterError``."""
+    needs a finite ``i_max > 0`` and ``0 < step <= i_max`` with ``i_max / step`` finite and
+    at most ``MAX_GRID_POINTS`` points, else it raises ``ParameterError``."""
     return _grid_points(i_max, step, np.arange(_grid_size(i_max, step), dtype=np.float64))
 
 
-def _with_log(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Grid points and their elementwise ``log``."""
-    with np.errstate(divide="ignore"):  # log 0 is -inf, where a power cost is 0
-        return points, np.log(points)
-
-
+@np.errstate(over="ignore", divide="ignore")  # log 0 is -inf, where a power cost is 0
 def _oracle_windows(population: Population, i_max: float,
                     step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each trader's window ``grid[start:stop]`` and the utility ``u_s`` that must prove it
@@ -316,7 +318,7 @@ def _oracle_windows(population: Population, i_max: float,
     The scan points are every ``ORACLE_SCAN_STRIDE``-th grid point and the last, i_max;
     only they and their ``log`` are built, by ``_grid_points`` from the positions that also
     give the blocks' edges.  One 2-D ``utility_grid`` call per family pair evaluates them
-    for all of its traders, the costs landing in its scratch array, and ``u_s`` is a
+    for all of its traders, the costs landing in its second array, and ``u_s`` is a
     trader's best scan utility.  Then the utility array takes the complement
     ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the
     bound of each block of grid points between two consecutive scan points (the first
@@ -326,7 +328,7 @@ def _oracle_windows(population: Population, i_max: float,
     """
     size = _grid_size(i_max, step)
     position = np.append(np.arange(0, size - 1, ORACLE_SCAN_STRIDE), size - 1)
-    scan, log_scan = _with_log(_grid_points(i_max, step, position))
+    log_scan = np.log(scan := _grid_points(i_max, step, position))
     first_point, end_point = np.append(0, position[1:-1] + 1), position[1:] + 1
     start, stop = np.empty((2, len(population)), dtype=np.intp)
     incumbent = np.empty(len(population))
@@ -362,6 +364,7 @@ def _oracle_windows(population: Population, i_max: float,
     return start, stop, incumbent
 
 
+@np.errstate(over="ignore", divide="ignore")  # log 0 is -inf, where a power cost is 0
 def grid_oracles(traders: Sequence[Trader], i_max: float,
                  step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force argmax of expected utility on a uniform grid (ties: smallest i) of
@@ -430,7 +433,7 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
         for lo, hi in ((lo, hi), (0, size)):  # a window u_p does not prove: the whole grid
             if hi > len(grid):  # first up to the largest stop, then the whole grid if needed
                 built = np.arange(max(hi, stop.max()), dtype=np.float64)
-                grid, log_grid = _with_log(_grid_points(i_max, step, built))
+                log_grid = np.log(grid := _grid_points(i_max, step, built))
                 util, scratch = np.empty((2, len(grid)))
             window = kernels.utility_grid(grid[lo:hi], *curves, gain, loss, out=(
                 util[:hi - lo], scratch[:hi - lo]), log_grid=log_grid[lo:hi])

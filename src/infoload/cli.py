@@ -50,6 +50,11 @@ AGENT_ORACLE_STEP = 1e-3
 # the oracle's utility must beat the optimizer's by more than this many ulps of W + L
 AGENT_ORACLE_ULPS = 4
 CSV_CHUNK_ROWS = 1024  # rows per write, so no buffer holds a whole large table
+# the largest count each config field accepts, checked before anything is built: a draw
+# or a curve point is one CSV row (returns.n_draws, sweep.n_points), and a sweep grid's
+# num is one axis of phase2d.csv
+MAX_ROWS = 10**6
+MAX_GRID_NUM = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +74,15 @@ def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-def _number(kind: type, minimum: float = -math.inf):
-    """Parser of an ``int``, or of a finite number as a ``float``, at least ``minimum``."""
+def _number(kind: type, minimum: float = -math.inf, maximum: float = math.inf):
+    """Parser of an ``int``, or of a finite number as a ``float``, from ``minimum`` to
+    ``maximum``."""
     valid, rule = (_is_integer, "an integer") if kind is int else (_is_finite, "a finite number")
     rule += f" >= {minimum}" if minimum > -math.inf else ""
+    rule += f" and <= {maximum}" if maximum < math.inf else ""
 
     def parse(field: str, value):
-        if not (valid(value) and value >= minimum):
+        if not (valid(value) and minimum <= value <= maximum):
             raise ConfigError(field, f"must be {rule}, got {reprlib.repr(value)}")
         return kind(value)
     return parse
@@ -129,6 +136,8 @@ def _grid(field: str, value) -> List[float]:
             and float(num).is_integer()):
         raise ConfigError(field, "start and stop must be finite numbers, num a positive "
                           f"integer: {reprlib.repr(value)}")
+    if num > MAX_GRID_NUM:
+        raise ConfigError(f"{field}.num", f"must be at most {MAX_GRID_NUM}, got {num!r}")
     if kind == "geometric" and not (start > 0 and stop > 0):
         raise ConfigError(field, "a geometric grid needs positive start and stop")
     spacing = np.geomspace if kind == "geometric" else np.linspace
@@ -156,10 +165,10 @@ FIELDS = {
     "market.participation_rule": (False, _flag),
     "sweep.i_max_grid": ({"kind": "geometric", "start": 0.0625, "stop": 16.0, "num": 33}, _grid),
     "sweep.cost_multiplier_grid": (None, _optional(_grid)),
-    "sweep.n_points": (501, _number(int, 2)),
+    "sweep.n_points": (501, _number(int, 2, MAX_ROWS)),
     "returns.r_of": (0.05, _number(float)),
     "returns.noise_sd": (0.2, _number(float, 0)),
-    "returns.n_draws": (10000, _number(int, 1)),
+    "returns.n_draws": (10000, _number(int, 1, MAX_ROWS)),
 }
 
 

@@ -39,7 +39,8 @@ def check_level(i: float) -> None:
 
 
 def _at_one_level(formula):
-    """A method evaluating the kernel ``formula`` at one level i, with the curve's codes."""
+    """A method, an entry to the kernel, evaluating ``formula`` at one level i."""
+    @np.errstate(over="ignore", divide="ignore")
     def method(self, i: float) -> float:
         check_level(i)
         return formula(np.array([i], dtype=np.float64), *self.kernel_code()).item()

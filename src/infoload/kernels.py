@@ -4,8 +4,10 @@ Each formula is a numpy function of an array of levels ``i`` for the family
 coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
 against ``i``, one per trader.  The scalar curve API evaluates them on
 one-element arrays, so it agrees bit for bit with the oracle's grids
-(``utility_grid``).  A cost or cost slope beyond the float64 range is +inf,
-and overflow never warns.  An ``out=`` argument runs the same ufuncs into
+(``utility_grid``).  A cost or cost slope beyond the float64 range is +inf.  No formula
+sets numpy's error state: ``utility_grid``, ``marginal_utility_grid``, ``log_marginal_ratio``,
+the curve methods and ``agent``'s oracle, which enter the kernel, each set it once per call
+to ``over="ignore", divide="ignore"``.  An ``out=`` argument runs the same ufuncs into
 arrays the caller owns, so the values are bit-identical and a loop over
 traders allocates no grid per trader.
 ``utility_grid`` is the complement form ``W - (W + L) * (1 - lambda) - xi``,
@@ -38,17 +40,29 @@ def success_value(i, code, param):
     """Success probability: 1 - exp(-rate * i) or i / (i + half_saturation)."""
     if code == SUCCESS_EXP_SATURATING:
         return -np.expm1(-param * i)
-    return i / (i + param)
+    return _over_sum(i, i, param)
 
 
 def success_complement(i, code, param, out=None):
     """1 - success probability, computed without cancellation; positive for finite i."""
     if code == SUCCESS_EXP_SATURATING:
         return np.exp(np.multiply(-param, i, out=out), out=out)
-    return np.divide(param, np.add(i, param, out=out), out=out)
+    return _over_sum(param, i, param, out)
 
 
-@np.errstate(over="ignore")
+def _over_sum(top, i, param, out=None):
+    """``top / (i + param)`` for the hyperbolic family, ``top`` being i or param.  Where
+    ``i + param`` overflows, both addends are at least 2**970, so their halves are exact,
+    and there it is ``(top / 2) / (i / 2 + param / 2)``: the same two roundings, in range."""
+    total = np.add(i, param, out=out)
+    wide = total == np.inf if np.maximum.reduce(total, axis=None) == np.inf else None
+    ratio = np.divide(top, total, out=out)
+    if wide is not None:
+        half = np.multiply(i, 0.5) + np.multiply(param, 0.5)
+        np.divide(np.multiply(top, 0.5), half, out=ratio, where=wide)
+    return ratio
+
+
 def success_deriv(i, code, param):
     """rate * exp(-rate * i) or half_saturation / (i + half_saturation) ** 2, divided
     twice, as the square overflows: the first derivative of the success probability."""
@@ -57,7 +71,6 @@ def success_deriv(i, code, param):
     return param / (i + param) / (i + param)
 
 
-@np.errstate(over="ignore", divide="ignore")
 def cost_value(i, code, scale, param, out=None, log_i=None):
     """Elaboration cost: 0, scale * exp(exponent * log i) (that is, scale * i**exponent)
     or scale * (exp(rate * i) - 1).  ``log_i``, if given, is ``np.log(i)``."""
@@ -72,7 +85,6 @@ def cost_value(i, code, scale, param, out=None, log_i=None):
     return np.multiply(scale, np.expm1(np.multiply(param, i, out=out), out=out), out=out)
 
 
-@np.errstate(over="ignore")
 def cost_deriv(i, code, scale, param):
     """0, scale * exponent * i**(exponent - 1) or scale * rate * exp(rate * i): the first
     derivative of the elaboration cost."""
@@ -83,19 +95,22 @@ def cost_deriv(i, code, scale, param):
     return scale * param * np.exp(param * i)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None,
                  log_grid=None):
     """Expected utility ``W - (W + L) * (1 - lambda) - xi`` at every grid point; -inf
-    where the cost is +inf.  ``out``, two float64 arrays shaped like ``grid``, takes the
-    result (first) and scratch; ``log_grid``, if given, is ``np.log(grid)``."""
+    where the cost is +inf.  ``out``, two float64 arrays shaped like the result, takes
+    the result (first) and the cost ``xi``, which ``cost_value`` gives at every point;
+    ``log_grid``, if given, is ``np.log(grid)``."""
     i = np.asarray(grid, dtype=np.float64)
-    util, scratch = (None, None) if out is None else out
+    util, cost = (None, None) if out is None else out
     util = success_complement(i, s_code, s_param, out=util)
     util = np.subtract(gain, np.multiply(gain + loss, util, out=util), out=util)
-    cost = cost_value(i, c_code, c_scale, c_param, out=scratch, log_i=log_grid)
+    cost = cost_value(i, c_code, c_scale, c_param, out=cost, log_i=log_grid)
     return np.subtract(util, cost, out=util)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def marginal_utility_grid(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
     """The marginal utility g(i) = lambda'(i) * (W + L) - xi'(i) at every level in ``i``;
     -inf where the cost derivative is +inf."""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 from unittest import mock
 
@@ -290,6 +291,34 @@ class TestOneLevel:
         with pytest.raises(ParameterError, match="information level must be a finite "
                                                  "non-negative real"):
             function(reference_trader, i)
+
+
+_EDGE_TRADER = Trader(1.0, 1.0, ExpSaturating(1e200), PowerCost(1.0, 2.0))
+
+
+class TestErrorState:
+    # each entry to the kernel sets numpy's error state, so overflow at the edge of the
+    # float range warns in none of these calls: (call, its result)
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: [ExpSaturating(1e200).value(1e200), ExpSaturating(1e200).complement(1e200),
+                  ExpSaturating(1e200).deriv(1e200)], [1.0, 0.0, 0.0]),
+        (lambda: [Hyperbolic(1e308).value(1.5e308), Hyperbolic(1e308).complement(1.5e308),
+                  Hyperbolic(1e308).deriv(1.5e308)], [pytest.approx(0.6, rel=1e-15),
+                                                      pytest.approx(0.4, rel=1e-15), 0.0]),
+        (lambda: [expected_utility(_EDGE_TRADER, 1e200), marginal_utility(_EDGE_TRADER, 1e200),
+                  *utility_on_grid(_EDGE_TRADER, [1e200]).tolist()],
+         [-math.inf, -2e200, -math.inf]),
+        (lambda: [column.tolist() for column in grid_oracles(
+            [Trader(1.0, 1.0, ExpSaturating(1e307), PowerCost(1.0, 2.0))], 100.0, 1e-3)],
+         [[1e-3], [pytest.approx(1.0 - 1e-6, rel=1e-12)], ["interior"]]),
+        (lambda: run_market(MarketConfig(i_max=1.5e308, theta=0.5),
+                            [Trader(1.0, 1.0, Hyperbolic(1e308), ZeroCost())]).u_star.tolist(),
+         [pytest.approx(0.2, rel=1e-14)]),
+    ], ids=["exp_saturating", "hyperbolic", "utility", "grid_oracles", "run_market"])
+    def test_the_kernels_entries_do_not_warn(self, call, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call() == expected
 
 
 class TestMarginalUtility:
@@ -832,6 +861,21 @@ class TestGridOracle:
             grid_oracles([reference_trader], 1e308, 1e-3)
         with pytest.raises(ParameterError, match="step must"):
             grid_oracles(["not a trader"], 1.0, 2.0)
+
+    def test_grid_has_a_point_budget(self, reference_trader):
+        # 9999.999 / 1e-3 steps give MAX_GRID_POINTS points and 1e4 / 1e-3 one more, counted
+        # without building any
+        assert agent._grid_size(9999.999, 1e-3) == agent.MAX_GRID_POINTS
+        for call in (information_grid, lambda *grid: grid_oracles([reference_trader], *grid)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParameterError, match=r"^step must .* at most 10000000 grid "
+                                   r"points, got step 0\.001 for i_max 10000\.0$"):
+                    call(1e4, 1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     def test_population_form_is_each_traders_argmax(self, rng):
         traders = [random_trader(rng, family) for family in ("power", "exp_growth", "zero")

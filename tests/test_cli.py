@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from infoload.cli import (
     EXIT_OK,
     EXIT_USAGE,
     FIELDS,
+    MAX_GRID_NUM,
+    MAX_ROWS,
     main,
     parse_config,
     write_csv,
@@ -297,6 +300,33 @@ class TestSubcommands:
         assert message.startswith("ParameterError: step must") and "i_max 1e+308" in message
         assert not (out / "agents.csv").exists()
 
+    def test_market_hyperbolic_where_the_level_and_half_saturation_overflow(self, tmp_path):
+        # i_max + k overflows; lambda is 0.6, so u_star is 0.6 - 0.4, not 1
+        cfg = {"population": {"n_agents": 2, "success": {"family": "hyperbolic",
+                                                         "params": {"half_saturation": 1e308}},
+                              "cost": {"family": "zero"}},
+               "market": {"i_max": 1.5e308}}
+        out = tmp_path / "out"
+        assert main(["market", "--config", str(write_config(tmp_path, cfg)), "--out",
+                     str(out)]) == EXIT_OK
+        assert [float(row["u_star"]) for row in read_csv(out / "market.csv")] == [0.2, 0.2]
+
+    @pytest.mark.parametrize("i_max", [1e4, 1e300])
+    def test_agent_oracle_grid_past_its_point_budget(self, tmp_path, i_max):
+        # 1e4 / 1e-3 steps and i_max are one point past MAX_GRID_POINTS; nothing is built
+        path = write_config(tmp_path, {"population": {"n_agents": 3}, "market": {"i_max": i_max}})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["agent", "--config", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NUMERIC and peak < 1e6
+        message = json.loads((out / "error.json").read_text())["error"]
+        assert message.startswith("ParameterError: step must") and f"i_max {i_max!r}" in message
+        assert "at most 10000000 grid points" in message
+
     def test_agent_shifted_optimum_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
         solve = infoload.market.solve_roots
         monkeypatch.setattr(infoload.market, "solve_roots",
@@ -416,6 +446,38 @@ class TestSweepErrors:
         assert code == EXIT_CONFIG
         assert message.startswith(field + ":")
 
+    @pytest.mark.parametrize("subcommand,config,field", [
+        ("returns", {"returns": {"n_draws": MAX_ROWS + 1}}, "returns.n_draws"),
+        ("returns", {"returns": {"n_draws": 10**15}}, "returns.n_draws"),
+        ("figure3", {"sweep": {"n_points": MAX_ROWS + 1}}, "sweep.n_points"),
+        ("figure3", {"sweep": {"n_points": 10**15}}, "sweep.n_points"),
+        ("sweep", {"sweep": {"i_max_grid": _geometric(num=MAX_GRID_NUM + 1)}},
+         "sweep.i_max_grid.num"),
+        ("market", {"sweep": {"i_max_grid": _geometric(num=1e15)}}, "sweep.i_max_grid.num"),
+        ("sweep", {"sweep": {"cost_multiplier_grid": _geometric(num=MAX_GRID_NUM + 1)}},
+         "sweep.cost_multiplier_grid.num"),
+        ("sweep", {"sweep": {"cost_multiplier_grid": _geometric(num=10**15)}},
+         "sweep.cost_multiplier_grid.num"),
+    ])
+    def test_count_past_its_ceiling_is_a_config_error(self, tmp_path, subcommand, config, field):
+        # checked at parse time, before anything of that size is built
+        tracemalloc.start()
+        try:
+            code, message = self._run(tmp_path, None, subcommand, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG and peak < 1e6
+        assert message.startswith(field + ":")
+
+    def test_counts_at_their_ceilings_are_accepted(self, tmp_path):
+        settings = parse_config(write_config(tmp_path, {
+            "returns": {"n_draws": MAX_ROWS},
+            "sweep": {"n_points": MAX_ROWS, "i_max_grid": _geometric(num=MAX_GRID_NUM),
+                      "cost_multiplier_grid": _geometric(num=MAX_GRID_NUM)}}))
+        assert (settings.n_draws, settings.n_points) == (MAX_ROWS, MAX_ROWS)
+        assert len(settings.i_max_grid) == len(settings.cost_multiplier_grid) == MAX_GRID_NUM
+
     def test_deeply_nested_config_is_a_config_error(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -442,12 +504,13 @@ class TestSweepErrors:
         assert message.endswith(error)
         assert len(message) < 200
 
-    @pytest.mark.parametrize("num,exception", [(2**58, "MemoryError"), (1e308, "ValueError")])
-    def test_grid_too_large_to_allocate_is_an_internal_failure(self, tmp_path, num, exception):
-        # both sizes fail at once: beyond the address space, or numpy's maximum size
+    @pytest.mark.parametrize("num", [2**58, 1e308])
+    def test_grid_too_large_to_allocate_is_a_config_error(self, tmp_path, num):
+        # beyond the address space, or numpy's maximum size: past MAX_GRID_NUM, so no
+        # allocation is tried
         code, message = self._run(tmp_path, {"i_max_grid": _geometric(num=num)})
-        assert code == EXIT_NUMERIC
-        assert message.split(":")[0].endswith(exception)
+        assert code == EXIT_CONFIG
+        assert message.startswith(f"sweep.i_max_grid.num: must be at most {MAX_GRID_NUM}, got ")
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
         # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of h's values

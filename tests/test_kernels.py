@@ -227,3 +227,71 @@ def test_h_at_the_edges_of_the_levels_and_the_domain(s_code, c_code):
     if c_code == kernels.COST_POWER:
         assert (values[0] == math.inf).all()
     assert (values[-1] == -math.inf).all()
+
+
+@pytest.mark.parametrize("s_code", [kernels.SUCCESS_EXP_SATURATING, kernels.SUCCESS_HYPERBOLIC])
+@pytest.mark.parametrize("c_code", [kernels.COST_ZERO, kernels.COST_POWER, kernels.COST_EXP_GROWTH])
+def test_utility_grids_second_array_holds_the_cost(rng, s_code, c_code):
+    # the oracle's scan reads out[1] as xi at its points, so it must hold cost_value's
+    # bits, with one row per trader as the scan calls it and for one trader, past the
+    # overflow edges and at log 0 too
+    grid = np.concatenate([np.linspace(0.0, 30.0, 301), [354.89, 354.9, 1e6, 1e103, 1e300]])
+    n = 8
+    s_param, gain, loss = rng.uniform(0.3, 3.0, (3, n))
+    c_scale, c_param = (np.zeros((2, n)) if c_code == kernels.COST_ZERO
+                        else (rng.uniform(0.01, 5.0, n), rng.uniform(1.5, 3.0, n)))
+    with np.errstate(over="ignore", divide="ignore"):
+        log_grid = np.log(grid)
+        costs = np.broadcast_to(kernels.cost_value(grid, c_code, c_scale[:, None],
+                                                   c_param[:, None]), (n, len(grid)))
+    out = np.full((2, n, len(grid)), np.nan)
+    kernels.utility_grid(grid, s_code, s_param[:, None], c_code, c_scale[:, None],
+                         c_param[:, None], gain[:, None], loss[:, None], out=out,
+                         log_grid=log_grid)
+    assert out[1].view(np.int64).tolist() == costs.view(np.int64).tolist()
+    for k in range(n):
+        row = np.full((2, len(grid)), np.nan)
+        kernels.utility_grid(grid, s_code, s_param[k], c_code, c_scale[k], c_param[k],
+                             gain[k], loss[k], out=row)
+        assert row[1].view(np.int64).tolist() == costs[k].view(np.int64).tolist()
+
+
+@mpmath.workprec(200)
+def test_hyperbolic_value_and_complement_where_the_sum_overflows(rng):
+    # where i + k overflows, both are at least 2**970 and the halved form stays in range,
+    # where i / (i + k) and k / (i + k) would read 0
+    levels = np.concatenate([[1.5e308, HUGE, HUGE, 2.0**970, 2.0**969],
+                             rng.uniform(0.5, 1.0, 40) * HUGE])
+    params = np.concatenate([[1e308, HUGE, 2.0**970, HUGE, HUGE],
+                             rng.uniform(0.5, 1.0, 40) * HUGE])
+    with np.errstate(over="ignore"):
+        total = levels + params
+        value = kernels.success_value(levels, kernels.SUCCESS_HYPERBOLIC, params)
+        complement = kernels.success_complement(levels, kernels.SUCCESS_HYPERBOLIC, params)
+    wide = total == math.inf
+    assert wide.tolist() == [True] * 4 + [False] + [True] * 40
+    for i, k, v, c in zip(levels.tolist(), params.tolist(), value.tolist(), complement.tolist()):
+        exact = mpmath.mpf(i) / (mpmath.mpf(i) + mpmath.mpf(k))
+        assert abs(v - exact) <= 2 * math.ulp(float(exact)), (i, k)
+        assert abs(c - (1 - exact)) <= 2 * math.ulp(float(1 - exact)), (i, k)
+    # the curve methods agree: Hyperbolic(1e308) at 1.5e308 is 0.6 and 0.4, not 0 and 0
+    curve = Hyperbolic(1e308)
+    assert (curve.value(1.5e308), curve.complement(1.5e308)) == (value[0], complement[0])
+    assert math.isclose(value[0], 0.6, rel_tol=1e-15)
+    assert math.isclose(complement[0], 0.4, rel_tol=1e-15)
+
+
+def test_hyperbolic_value_and_complement_keep_their_bits_where_the_sum_is_finite():
+    # one row per half-saturation, some with and some without an overflowing sum: only the
+    # overflowing elements take the halved form
+    levels = np.array([0.0, 5e-324, 1.0, 1e300, 2.0**969, 1.5e308, HUGE])
+    params = np.array([[5e-324], [1.0], [1e300], [1e308], [HUGE]])
+    with np.errstate(over="ignore"):
+        finite = levels + params < math.inf
+        plain = (levels / (levels + params), params / (levels + params))
+        kernel = (kernels.success_value(levels, kernels.SUCCESS_HYPERBOLIC, params),
+                  kernels.success_complement(levels, kernels.SUCCESS_HYPERBOLIC, params))
+    assert finite.sum() == 29
+    for expected, value in zip(plain, kernel):
+        assert value[finite].view(np.int64).tolist() == expected[finite].view(np.int64).tolist()
+        assert (value[~finite] > 0.0).all()
