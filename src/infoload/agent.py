@@ -51,7 +51,8 @@ ORACLE_SCAN_STRIDE = 256
 # the relative error of a loss term that a block's bound allows for, above the kernel's 2**-42
 ORACLE_TERM_ERROR = 2.0**-32
 # the most points a grid may have (``_grid_size``): the oracle's grid, its log and its two
-# work arrays take 32 B a point, so at most 320 MB; 100,001 at i_max 100 and step 1e-3
+# work arrays take 32 B a point, so at most 320 MB; 100,001 at i_max 100 and step 1e-3.
+# The oracle's scan over all traders is held to it too, at 16 B a point in its two arrays
 MAX_GRID_POINTS = 10**7
 
 
@@ -195,10 +196,10 @@ def expected_utility(trader: Trader, i: float) -> float:
 
 
 def marginal_utility(trader: Trader, i: float) -> float:
-    """d/di of expected utility; strictly decreasing for non-zero cost curves.  Like a
-    curve's ``deriv``, it needs a finite, non-negative i."""
+    """d/di of expected utility from the curves' slopes; strictly decreasing for non-zero
+    cost curves.  Like a curve's ``deriv``, it needs a finite, non-negative i."""
     check_level(i)
-    return kernels.marginal_utility_grid([i], *_kernel_args(trader)).item()
+    return trader.success.deriv(i) * float(trader.gain + trader.loss) - trader.cost.deriv(i)
 
 
 def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarray:
@@ -412,17 +413,23 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
       NaN term gives a NaN bound, which keeps its block.
 
     ``_grid_size`` checks i_max and step before any trader is read and gives the grid's
-    length, whose last index the regime reads.  The scan and the grid take their points
-    from ``_grid_points``.  The grid, its ``log`` and the two kernel work arrays, which every
-    trader's utilities go into, are built from point 0 up to the largest stop, and built
-    whole only at the first trader whose window is not proved.  A trader's values keep their
-    bits whichever part of the grid they are evaluated on: ``_grid_points`` gives each point
-    the bits of ``information_grid``'s, the kernel's per-point operations are the same, and
-    ``np.log`` works elementwise, so a point's ``log`` does not depend on the array that
-    holds it.  ``tests/test_agent.py`` checks this premise against a loop over the whole
-    grid and one ``log`` of it.
+    length, whose last index the regime reads; then the scan's points over all traders, in
+    one 2-D array per family pair, are held to ``MAX_GRID_POINTS``.  The scan and the grid
+    take their points from ``_grid_points``.  The grid, its ``log`` and the two kernel work
+    arrays, which every trader's utilities go into, are built from point 0 up to the largest
+    stop, and built whole only at the first trader whose window is not proved.  A trader's
+    values keep their bits whichever part of the grid they are evaluated on:
+    ``_grid_points`` gives each point the bits of ``information_grid``'s, the kernel's
+    per-point operations are the same, and ``np.log`` works elementwise, so a point's
+    ``log`` does not depend on the array that holds it.  ``tests/test_agent.py`` checks
+    this premise against a loop over the whole grid and one ``log`` of it.
     """
     size = _grid_size(i_max, step)
+    scan = (size - 2) // ORACLE_SCAN_STRIDE + 2  # every stride-th point of the grid, and i_max
+    if len(traders) * scan > MAX_GRID_POINTS:
+        raise ParameterError(f"the oracle's scan of {len(traders)} agents at {scan} points each "
+                             f"must have at most {MAX_GRID_POINTS} points, got step {step!r} "
+                             f"for i_max {i_max!r}")
     population = Population.from_traders(traders)
     start, stop, incumbent = _oracle_windows(population, i_max, step)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))

@@ -50,9 +50,9 @@ AGENT_ORACLE_STEP = 1e-3
 # the oracle's utility must beat the optimizer's by more than this many ulps of W + L
 AGENT_ORACLE_ULPS = 4
 CSV_CHUNK_ROWS = 1024  # rows per write, so no buffer holds a whole large table
-# the largest count each config field accepts, checked before anything is built: a draw
-# or a curve point is one CSV row (returns.n_draws, sweep.n_points), and a sweep grid's
-# num is one axis of phase2d.csv
+# the largest count each config field accepts, checked before anything is built: an
+# agent, a draw or a curve point is one CSV row (population.n_agents, returns.n_draws,
+# sweep.n_points), and a sweep grid's values are one axis of phase2d.csv
 MAX_ROWS = 10**6
 MAX_GRID_NUM = 10**4
 
@@ -123,6 +123,8 @@ def _curve(families: dict):
 
 
 def _grid(field: str, value) -> List[float]:
+    if isinstance(value, list) and len(value) > MAX_GRID_NUM:
+        raise ConfigError(field, f"must have at most {MAX_GRID_NUM} values, got {len(value)}")
     if isinstance(value, list) and all(map(_is_number, value)):
         return check_grid(field, [float(v) for v in value])
     if not (isinstance(value, dict) and set(value) == {"kind", "start", "stop", "num"}):
@@ -152,7 +154,7 @@ def _optional(parse):
 # Ranges that PopulationSpec, MarketConfig or ReturnModel check under the field's
 # name are left to them.
 FIELDS = {
-    "population.n_agents": (100, _number(int)),
+    "population.n_agents": (100, _number(int, 1, MAX_ROWS)),
     "population.gain": (1.0, _interval),
     "population.loss": (1.0, _interval),
     "population.success": ({"family": "exp_saturating", "params": {"rate": 1.0}},

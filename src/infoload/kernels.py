@@ -5,9 +5,9 @@ coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
 against ``i``, one per trader.  The scalar curve API evaluates them on
 one-element arrays, so it agrees bit for bit with the oracle's grids
 (``utility_grid``).  A cost or cost slope beyond the float64 range is +inf.  No formula
-sets numpy's error state: ``utility_grid``, ``marginal_utility_grid``, ``log_marginal_ratio``,
-the curve methods and ``agent``'s oracle, which enter the kernel, each set it once per call
-to ``over="ignore", divide="ignore"``.  An ``out=`` argument runs the same ufuncs into
+sets numpy's error state: ``utility_grid``, ``log_marginal_ratio``, the curve methods and
+``agent``'s oracle, which enter the kernel, each set it once per call to
+``over="ignore", divide="ignore"``.  An ``out=`` argument runs the same ufuncs into
 arrays the caller owns, so the values are bit-identical and a loop over
 traders allocates no grid per trader.
 ``utility_grid`` is the complement form ``W - (W + L) * (1 - lambda) - xi``,
@@ -18,9 +18,9 @@ lambda -> 1.  A power cost's value is ``scale * exp(p * log i)`` everywhere;
 The rounding of ``log i`` reaches the exponent multiplied by ``p``, so the
 value is within ``(|p ln i| + 2) * 2**-52`` relative of the exact cost up to
 its overflow point.  The slope ``cost_deriv`` keeps ``np.power``.
-The marginal utility g (``marginal_utility_grid``) serves the scalar API; the
-solver and the sweep read its sign from ``log_marginal_ratio``, whose terms,
-unlike g's, stay in the float range for all accepted parameters.
+The marginal utility g is ``success_deriv * (W + L) - cost_deriv``; the solver and
+the sweep read its sign from ``log_marginal_ratio``, whose terms, unlike g's, stay
+in the float range for all accepted parameters.
 """
 
 import numpy as np
@@ -110,35 +110,34 @@ def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, ou
     return np.subtract(util, cost, out=util)
 
 
-@np.errstate(over="ignore", divide="ignore")
-def marginal_utility_grid(i, s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """The marginal utility g(i) = lambda'(i) * (W + L) - xi'(i) at every level in ``i``;
-    -inf where the cost derivative is +inf."""
-    i = np.asarray(i, dtype=np.float64)
-    return (success_deriv(i, s_code, s_param) * (gain + loss)
-            - cost_deriv(i, c_code, c_scale, c_param))
-
-
 def log_marginal_args(s_code, s_param, c_code, c_scale, c_param, gain, loss):
     """``log_marginal_ratio``'s arguments after the levels, from the kernel arguments of a
-    costly family pair: the codes, ``s_param``, ``c_param`` and h's part free of i,
-    ``C = log s_param + log(W + L) - log c_scale - log c_param``, a sum of logs."""
+    costly family pair: the codes, ``s_param``, ``c_param``, h's part free of i,
+    ``C = log s_param + log(W + L) - log c_scale - log c_param``, a sum of logs, and
+    ``wide``, whether a finite level can overflow ``i + half_saturation``: only where the
+    half-saturation is at least 2**970, half an ulp of the largest float."""
+    wide = s_code == SUCCESS_HYPERBOLIC and np.maximum.reduce(s_param, axis=None) >= 2.0**970
     return s_code, s_param, c_code, c_param, (
-        np.log(s_param) + np.log(gain + loss) - np.log(c_scale) - np.log(c_param))
+        np.log(s_param) + np.log(gain + loss) - np.log(c_scale) - np.log(c_param)), wide
 
 
 @np.errstate(over="ignore", divide="ignore")
-def log_marginal_ratio(i, s_code, s_param, c_code, c_param, level):
+def log_marginal_ratio(i, s_code, s_param, c_code, c_param, level, wide):
     """h(i) = log lambda'(i) + log(W + L) - log xi'(i), which has g's sign, at every level
     in ``i``: ``C - a(i) - b(i)``, with ``C`` the ``level`` of ``log_marginal_args``, ``a``
     ``rate * i`` or ``2 log(i + half_saturation)`` and ``b`` ``(exponent - 1) log i`` or
     ``rate * i``.  For accepted parameters ``C`` is finite, ``a`` is +inf only above i = 1
     and ``b`` -inf only below it, so h is never NaN; h(0) is +inf for a power cost and
-    h(+inf) is -inf."""
+    h(+inf) is -inf.  Where ``wide`` and ``i + half_saturation`` overflows at a finite
+    level, both addends are at least 2**970, so their halves are exact, and there
+    ``log(i + half_saturation)`` is ``log(i / 2 + half_saturation / 2) + log 2``."""
     if s_code == SUCCESS_EXP_SATURATING:
         a = s_param * i
     else:
         a = 2.0 * np.log(i + s_param)
+        if wide:
+            halves = 2.0 * (np.log(np.multiply(i, 0.5) + np.multiply(s_param, 0.5)) + np.log(2.0))
+            a = np.where(a == np.inf, halves, a)
     if c_code == COST_POWER:
         b = (c_param - 1.0) * np.log(i)
     else:

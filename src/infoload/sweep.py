@@ -28,6 +28,9 @@ from infoload.errors import ConfigError, ParameterError, PreconditionError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
+# the most rows sweep_2d tiles (agents times multipliers): a row's columns, their family
+# copies and the sign walk's work arrays take about 200 B, so at most about 200 MB
+MAX_SCALED_ROWS = 10**6
 
 
 @dataclass
@@ -101,7 +104,8 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     ``count(g(c) > 0)``: ``agent.sign_walk`` sets each tiled trader's count of such
     ceilings in ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount``
     turns the counts into each row's fractions.  A multiplier that takes a cost scale out
-    of its domain is a ``ConfigError`` naming it and the agent.
+    of its domain is a ``ConfigError`` naming it and the agent, and so is a tiling of more
+    than ``MAX_SCALED_ROWS`` rows, checked before any is built.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -110,6 +114,9 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     if len(population) == 0:
         raise PreconditionError("trader collection must be non-empty")
     n, top = len(population), len(grid)
+    if n * len(mults) > MAX_SCALED_ROWS:
+        raise ConfigError("sweep.cost_multiplier_grid", f"{len(mults)} multipliers times {n} "
+                          f"agents must be at most {MAX_SCALED_ROWS} rows")
     try:
         scaled = population.scaled(mults)
     except ParameterError as error:  # row r * n + k is agent k under multiplier r

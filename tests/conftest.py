@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -69,3 +70,20 @@ def nan_log_marginal_ratio_at(position):
         values[position] = math.nan
         return values
     return nan_at
+
+
+@mpmath.workprec(1200)  # holds W + L exactly when gain and loss lie within 1e±150 of 1
+def exact_h(trader, i):
+    """log(lambda'(i) * (W + L)) - log xi'(i) at level ``i`` (a float or an mpf) in mpmath:
+    a number with the sign of the exact marginal utility g."""
+    x, success, cost = mpmath.mpf(i), trader.success, trader.cost
+    if isinstance(success, ExpSaturating):
+        log_lam_d = mpmath.log(success.rate) - success.rate * x
+    else:
+        log_lam_d = mpmath.log(success.half_saturation) - 2 * mpmath.log(x + success.half_saturation)
+    if isinstance(cost, PowerCost):
+        log_cost_d = mpmath.log(cost.exponent) + (mpmath.mpf(cost.exponent) - 1) * mpmath.log(x)
+    else:
+        log_cost_d = mpmath.log(cost.rate) + cost.rate * x
+    return (log_lam_d + mpmath.log(mpmath.mpf(trader.gain) + trader.loss)
+            - mpmath.log(cost.scale) - log_cost_d)

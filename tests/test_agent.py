@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -32,7 +34,8 @@ from infoload.agent import grid_oracles, information_grid, solve_roots, utility_
 from infoload.errors import NumericRangeError, ParameterError
 from infoload.sweep import critical_imax_quantile, sweep_2d
 
-from conftest import WIDE_TRADERS, log_uniform, nan_log_marginal_ratio_at, random_trader
+from conftest import (WIDE_TRADERS, exact_h, log_uniform, nan_log_marginal_ratio_at,
+                      random_trader)
 
 
 class TestTrader:
@@ -350,6 +353,35 @@ class TestMarginalUtility:
                 assert signs[0] > 0 and signs[first_neg] < 0
 
 
+    # five traders at the edges of the domain, two with numpy scalar gain and loss, and 13
+    # levels from 0 to the largest float; g is +inf - inf = NaN for the third at 0
+    EDGE_TRADERS = [
+        Trader(1e300, 1e300, ExpSaturating(1e-300), PowerCost(1e-300, 1.5)),
+        Trader(8e307, 8e307, Hyperbolic(1e308), PowerCost(5e-324, 1.0000001)),
+        Trader(1.0, 1.0, Hyperbolic(5e-324), ExpGrowthCost(1e308, 1e308)),
+        Trader(np.float64(1.5), np.float64(2.5), ExpSaturating(0.7), PowerCost(0.3, 2.0)),
+        Trader(np.float64(8e307), np.float64(8e307), ExpSaturating(1e308),
+               ExpGrowthCost(1e308, 1e308))]
+    LEVELS = [0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 1.7455, 10.0, 354.9, 1e6, 1e184, 1e300,
+              sys.float_info.max]
+
+    def test_bits_are_pinned(self):
+        # 300 seeded traders and the edge traders at every level: the bits hash to the
+        # digest below
+        rng = np.random.default_rng(33)
+        traders = [random_trader(rng) for _ in range(300)] + self.EDGE_TRADERS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = [marginal_utility(t, i) for t in traders for i in self.LEVELS]
+        digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()
+        assert digest == "73255630b6c5fdd1b1bb4f120f90699d45489ce947e54e26631d20ae3c497b69"
+
+    def test_a_python_float_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [marginal_utility(t, i) for t in self.EDGE_TRADERS for i in self.LEVELS]
+        assert {type(value) for value in values} == {float}
+
     def test_hyperbolic_slope_past_the_square_root_of_the_float_range(self):
         # (i + k) ** 2 overflows for k above about 1.34e154, and its inverse read 0, so
         # g was -xi' here; the exact g is about 5e-209 (its root is 1.12e184)
@@ -386,11 +418,6 @@ class TestUnconstrainedOptimum:
                 trader.gain + trader.loss)
 
 
-def g(trader, i):
-    """The marginal utility: the vectorized kernel at one point."""
-    return float(kernels.marginal_utility_grid(i, *agent._kernel_args(trader)))
-
-
 def h(trader, i):
     """The sign the solver reads, ``kernels.log_marginal_ratio``, at one point, on the
     one-element columns a one-trader solve passes."""
@@ -423,7 +450,7 @@ class TestSolveRoots:
 
     def test_origin_when_marginal_utility_starts_non_positive(self):
         trader = Trader(1.0, 1.0, ExpSaturating(1.0), ExpGrowthCost(10.0, 2.0))
-        assert g(trader, 0.0) <= 0.0
+        assert marginal_utility(trader, 0.0) <= 0.0
         assert solve_roots([trader])[0] == 0.0
 
     def test_zero_cost_is_unbounded(self):
@@ -444,7 +471,7 @@ class TestSolveRoots:
         with mpmath.workdps(40):
             exact = mpmath.log(mpmath.mpf(1e-3) * 2e300 / mpmath.mpf(1e-20)) / (1 + 1e-3)
         assert root_beyond == pytest.approx(float(exact), rel=1e-14)
-        assert 729.0 < root_beyond and g(beyond, root_beyond) == -math.inf
+        assert 729.0 < root_beyond and marginal_utility(beyond, root_beyond) == -math.inf
 
     @pytest.mark.parametrize("scale", [1e-12, 1e12])
     @pytest.mark.parametrize("success", [ExpSaturating(1.0), Hyperbolic(1.0)])
@@ -490,9 +517,10 @@ class TestSolveRoots:
         assert [eff for _, _, eff in series.points] == [c <= quantile for c in grid]
 
     def test_root_at_the_largest_float(self):
-        # g is positive at every finite level and -inf at +inf
+        # g is positive at every finite level, and h, the sign the solver reads, is -inf
+        # at +inf, a level marginal_utility rejects
         trader = Trader(1e308, 1e-300, ExpSaturating(1e-310), PowerCost(1e-300, 1.05))
-        assert g(trader, np.finfo(float).max) > 0.0 > g(trader, math.inf)
+        assert marginal_utility(trader, np.finfo(float).max) > 0.0 > h(trader, math.inf)
         assert solve_roots([trader])[0] == np.finfo(float).max
 
     def test_batching_cannot_couple_agents(self, rng):
@@ -538,23 +566,6 @@ class TestSolveRoots:
 FLOAT_MAX = np.finfo(float).max
 
 
-@mpmath.workprec(1200)  # holds W + L exactly when gain and loss lie within 1e±150 of 1
-def _exact_h(trader, i):
-    """log(lambda'(i) * (W + L)) - log xi'(i) at level ``i`` (a float or an mpf) in mpmath:
-    a number with the sign of the exact marginal utility g."""
-    x, success, cost = mpmath.mpf(i), trader.success, trader.cost
-    if isinstance(success, ExpSaturating):
-        log_lam_d = mpmath.log(success.rate) - success.rate * x
-    else:
-        log_lam_d = mpmath.log(success.half_saturation) - 2 * mpmath.log(x + success.half_saturation)
-    if isinstance(cost, PowerCost):
-        log_cost_d = mpmath.log(cost.exponent) + (mpmath.mpf(cost.exponent) - 1) * mpmath.log(x)
-    else:
-        log_cost_d = mpmath.log(cost.rate) + cost.rate * x
-    return (log_lam_d + mpmath.log(mpmath.mpf(trader.gain) + trader.loss)
-            - mpmath.log(cost.scale) - log_cost_d)
-
-
 def _h_slope(trader, i):
     """-dh/di at level i: ``rate`` or ``2 / (i + half_saturation)``, plus
     ``(exponent - 1) / i`` or ``rate``."""
@@ -597,13 +608,21 @@ class TestRootsOverTheAcceptedDomain:
         # by at most 2e-12 over |dh/di|, which is more where h is flat.  A subnormal root
         # may be two floats off
         root = solve_roots([trader]).item()
-        if _exact_h(trader, 5e-324) <= 0:  # the exact root is 0
+        if exact_h(trader, 5e-324) <= 0:  # the exact root is 0
             assert root == 0.0
             return
         tol = max(1e-12 * root, 2e-12 / _h_slope(trader, root), 2.0 * math.ulp(root))
         lo, hi = mpmath.mpf(root) - tol, mpmath.mpf(root) + tol
-        assert _exact_h(trader, max(lo, 0)) > 0, (trader, root)
-        assert hi >= FLOAT_MAX or _exact_h(trader, hi) <= 0, (trader, root)
+        assert exact_h(trader, max(lo, 0)) > 0, (trader, root)
+        assert hi >= FLOAT_MAX or exact_h(trader, hi) <= 0, (trader, root)
+
+    def test_root_where_the_level_and_half_saturation_overflow(self):
+        # i + k overflows from about 8e307 on, where h read 2 log(i + k) as +inf and the
+        # root was 7.976931348623157e307; the exact g is positive up to the largest float
+        trader = Trader(8e307, 8e307, Hyperbolic(1e308), PowerCost(5e-324, 1.0000001))
+        assert exact_h(trader, 7e307) > 0 and exact_h(trader, FLOAT_MAX) > 0
+        assert solve_roots([trader]).item() == FLOAT_MAX
+        assert h(trader, FLOAT_MAX) > 0.0 > h(trader, math.inf)
 
 
 def _reference_sign_change(h, agents):
@@ -861,6 +880,24 @@ class TestGridOracle:
             grid_oracles([reference_trader], 1e308, 1e-3)
         with pytest.raises(ParameterError, match="step must"):
             grid_oracles(["not a trader"], 1.0, 2.0)
+
+    def test_scan_has_a_point_budget(self, reference_trader):
+        # on a grid of MAX_GRID_POINTS points, 255 traders' scans fit in the budget and 256
+        # do not; the 256 are refused before any trader is read or any scan point built
+        scan = _scan_size(9999.999, 1e-3)
+        assert 255 * scan <= agent.MAX_GRID_POINTS < 256 * scan
+        tracemalloc.start()
+        try:
+            with mock.patch.object(Population, "from_traders") as from_traders:
+                with pytest.raises(ParameterError, match=r"^the oracle's scan of 256 agents at "
+                                   r"39064 points each must have at most 10000000 points, got "
+                                   r"step 0\.001 for i_max 9999\.999$"):
+                    grid_oracles([reference_trader] * 256, 9999.999, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        from_traders.assert_not_called()
 
     def test_grid_has_a_point_budget(self, reference_trader):
         # 9999.999 / 1e-3 steps give MAX_GRID_POINTS points and 1e4 / 1e-3 one more, counted

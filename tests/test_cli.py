@@ -39,6 +39,7 @@ from infoload.cli import (
 from infoload.curves import COST_FAMILIES, SUCCESS_FAMILIES, params_of
 from infoload.errors import ConfigError
 from infoload.market import ConjectureVerdict, sample_population
+from infoload.sweep import MAX_SCALED_ROWS
 
 from conftest import nan_log_marginal_ratio_at
 
@@ -327,6 +328,25 @@ class TestSubcommands:
         assert message.startswith("ParameterError: step must") and f"i_max {i_max!r}" in message
         assert "at most 10000000 grid points" in message
 
+    def test_agent_oracle_scan_past_its_point_budget(self, tmp_path):
+        # 256 agents scanned at 39,064 points each, one agent past MAX_GRID_POINTS, on a grid
+        # of exactly MAX_GRID_POINTS points; nothing of the scan is built
+        path = write_config(tmp_path, {"population": {"n_agents": 256},
+                                       "market": {"i_max": 9999.999}})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["agent", "--config", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NUMERIC and peak < 1e6
+        message = json.loads((out / "error.json").read_text())["error"]
+        assert message == ("ParameterError: the oracle's scan of 256 agents at 39064 points "
+                           "each must have at most 10000000 points, got step 0.001 for i_max "
+                           "9999.999")
+        assert not (out / "agents.csv").exists()
+
     def test_agent_shifted_optimum_is_a_numeric_error(self, tmp_path, monkeypatch, capsys):
         solve = infoload.market.solve_roots
         monkeypatch.setattr(infoload.market, "solve_roots",
@@ -458,6 +478,17 @@ class TestSweepErrors:
          "sweep.cost_multiplier_grid.num"),
         ("sweep", {"sweep": {"cost_multiplier_grid": _geometric(num=10**15)}},
          "sweep.cost_multiplier_grid.num"),
+        ("market", {"population": {"n_agents": MAX_ROWS + 1}}, "population.n_agents"),
+        ("agent", {"population": {"n_agents": 2**32}}, "population.n_agents"),
+        ("sweep", {"sweep": {"i_max_grid": [1.0 + k for k in range(MAX_GRID_NUM + 1)]}},
+         "sweep.i_max_grid"),
+        ("market", {"sweep": {"cost_multiplier_grid": [1.0 + k for k in range(MAX_GRID_NUM + 1)]}},
+         "sweep.cost_multiplier_grid"),
+        # 1001 agents under 1000 multipliers, 999 and 1.0, one past MAX_SCALED_ROWS: rejected
+        # by sweep_2d before it tiles a row
+        ("sweep", {"population": {"n_agents": MAX_SCALED_ROWS // 1000 + 1},
+                   "sweep": {"cost_multiplier_grid": _geometric(start=2.0, num=999)}},
+         "sweep.cost_multiplier_grid"),
     ])
     def test_count_past_its_ceiling_is_a_config_error(self, tmp_path, subcommand, config, field):
         # checked at parse time, before anything of that size is built
@@ -477,6 +508,14 @@ class TestSweepErrors:
                       "cost_multiplier_grid": _geometric(num=MAX_GRID_NUM)}}))
         assert (settings.n_draws, settings.n_points) == (MAX_ROWS, MAX_ROWS)
         assert len(settings.i_max_grid) == len(settings.cost_multiplier_grid) == MAX_GRID_NUM
+
+    def test_agents_and_grid_lists_at_their_ceilings_are_accepted(self, tmp_path):
+        grid = [1.0 + k for k in range(MAX_GRID_NUM)]
+        settings = parse_config(write_config(tmp_path, {
+            "population": {"n_agents": MAX_ROWS},
+            "sweep": {"i_max_grid": grid, "cost_multiplier_grid": grid}}))
+        assert settings.population.n_agents == MAX_ROWS
+        assert settings.i_max_grid == settings.cost_multiplier_grid == grid
 
     def test_deeply_nested_config_is_a_config_error(self, tmp_path):
         path = tmp_path / "deep.json"

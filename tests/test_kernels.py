@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoload import ExpGrowthCost, ExpSaturating, Hyperbolic, PowerCost, Trader, ZeroCost, kernels
-from infoload.agent import utility_on_grid
+from infoload.agent import marginal_utility, utility_on_grid
 
-from conftest import random_trader
+from conftest import exact_h, random_trader
 
 # float64 expm1 overflows above about 709.78, so rate 2.0 is finite up to
 # i = 354.89 and +inf from 354.9; a cubic cost overflows from about i = 5.6e102
@@ -84,9 +84,7 @@ def test_kernel_matches_mpmath_oracle(rng):
     n_overflow = 0
     for trader, grid in cases:
         util = utility_on_grid(trader, grid)
-        marginal = kernels.marginal_utility_grid(grid, *trader.success.kernel_code(),
-                                                 *trader.cost.kernel_code(),
-                                                 trader.gain, trader.loss)
+        marginal = [marginal_utility(trader, i) for i in grid.tolist()]
         for i, u, m in zip(grid, util, marginal):
             ref_u, terms_u, ref_m, terms_m = _reference(trader, i)
             _assert_near(u, ref_u, terms_u, (trader, i, "utility"))
@@ -223,10 +221,48 @@ def test_h_at_the_edges_of_the_levels_and_the_domain(s_code, c_code):
         values = np.array([kernels.log_marginal_ratio(np.full(len(rows), i), *h_args)
                            for i in EDGE_LEVELS])
     assert not np.isnan(values).any()
-    assert np.isfinite(h_args[-1]).all()  # the level-free part
+    assert np.isfinite(h_args[-2]).all()  # the level-free part
     if c_code == kernels.COST_POWER:
         assert (values[0] == math.inf).all()
     assert (values[-1] == -math.inf).all()
+    if s_code == kernels.SUCCESS_HYPERBOLIC:
+        # at the largest level and half-saturation, i + k overflows: h has the exact sign
+        # there, where 2 log(i + k) read +inf and h -inf
+        cost = PowerCost if c_code == kernels.COST_POWER else ExpGrowthCost
+        corner = np.flatnonzero(s_param == HUGE)
+        signs = [mpmath.sign(exact_h(Trader(gain[k], loss[k], Hyperbolic(HUGE),
+                                            cost(c_scale[k], c_param[k])), HUGE))
+                 for k in corner]
+        assert np.sign(values[3, corner]).tolist() == signs
+        assert 1 in signs and -1 in signs
+
+
+@pytest.mark.parametrize("c_code", [kernels.COST_POWER, kernels.COST_EXP_GROWTH])
+def test_h_keeps_its_bits_where_the_hyperbolic_sum_is_finite(c_code):
+    # one row per half-saturation, in one family pair whose largest is past 2**970, so
+    # the halved form is gated on: only the elements whose i + k overflows take it
+    levels = np.array([0.0, 5e-324, 1.0, 1e300, 2.0**969, 1.5e308, HUGE, math.inf])
+    s_param = np.array([[5e-324], [1.0], [1e300], [1e308], [HUGE]])
+    # a finite cost slope at HUGE
+    cost = PowerCost(1.0, 1.5) if c_code == kernels.COST_POWER else ExpGrowthCost(1.0, 0.5)
+    args = (kernels.SUCCESS_HYPERBOLIC, s_param, *cost.kernel_code(), 1.0, 1.0)
+    h_args = kernels.log_marginal_args(*args)
+    value = kernels.log_marginal_ratio(levels, *h_args)
+    with np.errstate(over="ignore"):
+        finite = levels + s_param < math.inf
+    assert h_args[-1] and finite.sum() == 29
+    expected = _h_written_out(levels, *args)
+    assert value[finite].view(np.int64).tolist() == expected[finite].view(np.int64).tolist()
+    # past the sum's overflow h is finite, where the written-out form reads -inf, and
+    # within rounding of the exact h (mpmath)
+    wide = np.argwhere(~finite & (levels < math.inf))
+    assert len(wide) == 6
+    for k, j in wide.tolist():
+        exact = exact_h(Trader(1.0, 1.0, Hyperbolic(s_param[k, 0]), cost), levels[j])
+        assert mpmath.almosteq(value[k, j], exact, rel_eps=1e-12, abs_eps=1e-9), (k, j)
+    assert (value[:, -1] == -math.inf).all()
+    # a pair whose half-saturations all lie below 2**970 is not gated
+    assert not kernels.log_marginal_args(*args[:1], s_param[:2], *args[2:])[-1]
 
 
 @pytest.mark.parametrize("s_code", [kernels.SUCCESS_EXP_SATURATING, kernels.SUCCESS_HYPERBOLIC])

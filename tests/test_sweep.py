@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -28,6 +29,7 @@ from infoload import (
     utility_curve,
 )
 from infoload import kernels
+from infoload.sweep import MAX_SCALED_ROWS
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
@@ -182,6 +184,23 @@ class TestSweep2d:
     def test_empty_population_is_a_precondition_error(self):
         with pytest.raises(PreconditionError, match="^trader collection must be non-empty$"):
             sweep_2d([], [1.0], [1.0], 0.5)
+
+    def test_tiled_rows_have_a_ceiling(self, reference_trader):
+        # 1001 traders under 1000 multipliers are one row past MAX_SCALED_ROWS: refused
+        # before any row is tiled
+        traders = [reference_trader] * (MAX_SCALED_ROWS // 1000 + 1)
+        multipliers = list(np.geomspace(0.5, 4.0, 1000))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(Population, "scaled") as scaled:
+                with pytest.raises(ConfigError, match=r"^sweep\.cost_multiplier_grid: 1000 "
+                                   r"multipliers times 1001 agents must be at most 1000000 rows$"):
+                    sweep_2d(traders, [1.0], multipliers, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        scaled.assert_not_called()
 
     def test_identity_multiplier_matches_1d(self, rng):
         traders = [random_trader(rng, cost_family="power") for _ in range(20)]
