@@ -198,7 +198,6 @@ def expected_utility(trader: Trader, i: float) -> float:
 def marginal_utility(trader: Trader, i: float) -> float:
     """d/di of expected utility from the curves' slopes; strictly decreasing for non-zero
     cost curves.  Like a curve's ``deriv``, it needs a finite, non-negative i."""
-    check_level(i)
     return trader.success.deriv(i) * float(trader.gain + trader.loss) - trader.cost.deriv(i)
 
 
@@ -297,39 +296,37 @@ def _grid_size(i_max: float, step: float) -> int:
                          f"{i_max!r}")
 
 
-def _grid_points(i_max: float, step: float, k: np.ndarray) -> np.ndarray:
-    """``information_grid(i_max, step)[k]`` bit for bit, for an integer-valued index array
-    ``k``, building only those points: point k is ``step * k``, but the last point is i_max."""
-    return np.where(k == _grid_size(i_max, step) - 1, i_max, step * k)
+def _grid_points(i_max: float, step: float, size: int, k: np.ndarray) -> np.ndarray:
+    """``information_grid(i_max, step)[k]`` bit for bit, given its ``size``, for integer-valued
+    indices ``k``, building only those points: point k is ``step * k``, but the last is i_max."""
+    return np.where(k == size - 1, i_max, step * k)
 
 
 def information_grid(i_max: float, step: float) -> np.ndarray:
     """Inclusive grid {0, step, 2*step, ..., i_max}; its last point is always i_max.  It
     needs a finite ``i_max > 0`` and ``0 < step <= i_max`` with ``i_max / step`` finite and
     at most ``MAX_GRID_POINTS`` points, else it raises ``ParameterError``."""
-    return _grid_points(i_max, step, np.arange(_grid_size(i_max, step), dtype=np.float64))
-
-
-@np.errstate(over="ignore", divide="ignore")  # log 0 is -inf, where a power cost is 0
-def _oracle_windows(population: Population, i_max: float,
-                    step: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each trader's window ``grid[start:stop]`` and the utility ``u_s`` that must prove it
-    (``grid_oracles``).
-
-    The scan points are every ``ORACLE_SCAN_STRIDE``-th grid point and the last, i_max;
-    only they and their ``log`` are built, by ``_grid_points`` from the positions that also
-    give the blocks' edges.  One 2-D ``utility_grid`` call per family pair evaluates them
-    for all of its traders, the costs landing in its second array, and ``u_s`` is a
-    trader's best scan utility.  Then the utility array takes the complement
-    ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the
-    bound of each block of grid points between two consecutive scan points (the first
-    block also holds point 0).  The window starts at the first block whose bound is not
-    below ``u_s`` and ends with the last block whose bound is above it, and it holds the
-    block of the first best scan point.
-    """
     size = _grid_size(i_max, step)
-    position = np.append(np.arange(0, size - 1, ORACLE_SCAN_STRIDE), size - 1)
-    log_scan = np.log(scan := _grid_points(i_max, step, position))
+    return _grid_points(i_max, step, size, np.arange(size, dtype=np.float64))
+
+
+def _oracle_windows(population: Population, i_max: float, step: float,
+                    position: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trader's window ``grid[start:stop]`` and the utility ``u_s`` that must prove it
+    (``grid_oracles``, whose error state it runs in).
+
+    The scan points are the grid's points at ``position``, every ``ORACLE_SCAN_STRIDE``-th
+    index and the last, i_max's; only they and their ``log`` are built, by ``_grid_points``,
+    and the positions also give the blocks' edges.  One 2-D ``utility_grid`` call per family
+    pair evaluates them for all of its traders, the costs landing in its second array, and
+    ``u_s`` is a trader's best scan utility.  Then the utility array takes the complement
+    ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the bound
+    of each block of grid points between two consecutive scan points (the first block also
+    holds point 0).  The window starts at the first block whose bound is not below ``u_s``
+    and ends with the last block whose bound is above it, and it holds the block of the
+    first best scan point.
+    """
+    log_scan = np.log(scan := _grid_points(i_max, step, position[-1] + 1, position))
     first_point, end_point = np.append(0, position[1:-1] + 1), position[1:] + 1
     start, stop = np.empty((2, len(population)), dtype=np.intp)
     incumbent = np.empty(len(population))
@@ -412,26 +409,27 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
     - Any other term, zero, subnormal or infinite, counts as 0, the least it can be.  A
       NaN term gives a NaN bound, which keeps its block.
 
-    ``_grid_size`` checks i_max and step before any trader is read and gives the grid's
-    length, whose last index the regime reads; then the scan's points over all traders, in
-    one 2-D array per family pair, are held to ``MAX_GRID_POINTS``.  The scan and the grid
-    take their points from ``_grid_points``.  The grid, its ``log`` and the two kernel work
+    ``_grid_size`` checks i_max and step once, before any trader is read, and gives the
+    grid's length, whose last index the regime reads; the scan's positions are built from it
+    once, and their count over all traders is held to ``MAX_GRID_POINTS``.  ``_grid_points``
+    builds the scan's points and the grid's.  The grid, its ``log`` and the two kernel work
     arrays, which every trader's utilities go into, are built from point 0 up to the largest
     stop, and built whole only at the first trader whose window is not proved.  A trader's
     values keep their bits whichever part of the grid they are evaluated on:
     ``_grid_points`` gives each point the bits of ``information_grid``'s, the kernel's
     per-point operations are the same, and ``np.log`` works elementwise, so a point's
-    ``log`` does not depend on the array that holds it.  ``tests/test_agent.py`` checks
-    this premise against a loop over the whole grid and one ``log`` of it.
+    ``log`` does not depend on the array that holds it.  ``tests/test_agent.py`` checks this
+    premise against a loop over the whole grid and one ``log`` of it.
     """
     size = _grid_size(i_max, step)
-    scan = (size - 2) // ORACLE_SCAN_STRIDE + 2  # every stride-th point of the grid, and i_max
-    if len(traders) * scan > MAX_GRID_POINTS:
-        raise ParameterError(f"the oracle's scan of {len(traders)} agents at {scan} points each "
-                             f"must have at most {MAX_GRID_POINTS} points, got step {step!r} "
-                             f"for i_max {i_max!r}")
+    # the scan's positions: every stride-th index of the grid, and the last, i_max's
+    position = np.append(np.arange(0, size - 1, ORACLE_SCAN_STRIDE), size - 1)
+    if len(traders) * len(position) > MAX_GRID_POINTS:
+        raise ParameterError(f"the oracle's scan of {len(traders)} agents at {len(position)} "
+                             f"points each must have at most {MAX_GRID_POINTS} points, got step "
+                             f"{step!r} for i_max {i_max!r}")
     population = Population.from_traders(traders)
-    start, stop, incumbent = _oracle_windows(population, i_max, step)
+    start, stop, incumbent = _oracle_windows(population, i_max, step, position)
     best, u_star = np.empty(len(population), dtype=np.intp), np.empty(len(population))
     grid = np.empty(0)
     rows = zip(start.tolist(), stop.tolist(), incumbent.tolist(),
@@ -440,7 +438,7 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
         for lo, hi in ((lo, hi), (0, size)):  # a window u_p does not prove: the whole grid
             if hi > len(grid):  # first up to the largest stop, then the whole grid if needed
                 built = np.arange(max(hi, stop.max()), dtype=np.float64)
-                log_grid = np.log(grid := _grid_points(i_max, step, built))
+                log_grid = np.log(grid := _grid_points(i_max, step, size, built))
                 util, scratch = np.empty((2, len(grid)))
             window = kernels.utility_grid(grid[lo:hi], *curves, gain, loss, out=(
                 util[:hi - lo], scratch[:hi - lo]), log_grid=log_grid[lo:hi])

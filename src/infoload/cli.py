@@ -393,6 +393,9 @@ def _cmd_figure3(settings: Settings, out_dir: Path) -> List[Path]:
 
 
 def _cmd_sweep(settings: Settings, out_dir: Path) -> List[Path]:
+    if settings.market.participation_rule:  # sweep_2d counts every agent
+        raise ConfigError("market.participation_rule", "sweep counts every agent, so it must "
+                          "be false")
     population = sample_population(settings.population)
     mults = settings.cost_multiplier_grid
     # one sweep for the requested rows and the unit row, which is the 1-D series

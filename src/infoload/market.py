@@ -366,6 +366,16 @@ def simulate_muthian_returns(model: ReturnModel, n: int, seed: int) -> ReturnSam
                             values=np.full(n, model.r_of))
     rng = np.random.default_rng(seed)
     values = model.r_of + model.noise_sd * rng.standard_normal(n)
-    return ReturnSample(mean=float(values.mean()),
-                       sd=float(values.std(ddof=1)) if n > 1 else 0.0,
-                       n=n, values=values)
+    return ReturnSample(*_mean_and_sd(values), n=n, values=values)
+
+
+def _mean_and_sd(values: np.ndarray) -> Tuple[float, float]:
+    """The mean and the sample sd (0 for one value).  Where every value is finite but a
+    float64 sum overflows, both come from the values scaled exactly by a power of two to
+    below 1 in size, and are scaled back."""
+    with np.errstate(over="ignore"):
+        mean, sd = values.mean(), values.std(ddof=1) if len(values) > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(sd)) and np.isfinite(values).all():
+            shift = np.frexp(np.abs(values).max())[1]
+            mean, sd = (np.ldexp(x, shift) for x in _mean_and_sd(np.ldexp(values, -shift)))
+    return float(mean), float(sd)

@@ -29,7 +29,9 @@ from infoload.errors import ConfigError, ParameterError, PreconditionError
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
 # the most rows sweep_2d tiles (agents times multipliers): a row's columns, their family
-# copies and the sign walk's work arrays take about 200 B, so at most about 200 MB
+# copies and the sign walk's work arrays take about 200 B, so at most about 200 MB.  Its
+# phase cells (multipliers times one more than the ceilings) are held to it too: the
+# counts, their cumsum and the fractions take about 24 B a cell, so at most about 24 MB
 MAX_SCALED_ROWS = 10**6
 
 
@@ -100,12 +102,14 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     """Phase diagram over (information ceiling, cost-scale multiplier).
 
     Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
-    As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts, is
-    ``count(g(c) > 0)``: ``agent.sign_walk`` sets each tiled trader's count of such
-    ceilings in ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount``
-    turns the counts into each row's fractions.  A multiplier that takes a cost scale out
-    of its domain is a ``ConfigError`` naming it and the agent, and so is a tiling of more
-    than ``MAX_SCALED_ROWS`` rows, checked before any is built.
+    As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts without
+    its participation rule, is ``count(g(c) > 0)``: every trader is counted.
+    ``agent.sign_walk`` sets each tiled trader's count of such ceilings in
+    ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount`` turns the
+    counts into each row's fractions.  A multiplier that takes a cost scale out of its
+    domain is a ``ConfigError`` naming it and the agent, and so are a tiling of more than
+    ``MAX_SCALED_ROWS`` rows and more than ``MAX_SCALED_ROWS`` phase cells (multipliers
+    times one more than the ceilings), both checked before any row is built.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -117,6 +121,10 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     if n * len(mults) > MAX_SCALED_ROWS:
         raise ConfigError("sweep.cost_multiplier_grid", f"{len(mults)} multipliers times {n} "
                           f"agents must be at most {MAX_SCALED_ROWS} rows")
+    if len(mults) * (top + 1) > MAX_SCALED_ROWS:
+        raise ConfigError("sweep.cost_multiplier_grid, sweep.i_max_grid",
+                          f"{len(mults)} multipliers times {top} ceilings and one more must "
+                          f"be at most {MAX_SCALED_ROWS} phase cells")
     try:
         scaled = population.scaled(mults)
     except ParameterError as error:  # row r * n + k is agent k under multiplier r

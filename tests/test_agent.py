@@ -954,10 +954,20 @@ class TestGridPoints:
         whole = _reference_information_grid(i_max, step)
         assert agent._grid_size(i_max, step) == len(whole)
         k = np.arange(len(whole))[index]
-        assert agent._grid_points(i_max, step, k).view(np.int64).tolist() == (
+        assert agent._grid_points(i_max, step, len(whole), k).view(np.int64).tolist() == (
             whole[index].view(np.int64).tolist())
         assert information_grid(i_max, step).view(np.int64).tolist() == (
             whole.view(np.int64).tolist())
+
+    @pytest.mark.parametrize("call", [
+        lambda: information_grid(5.0, 1e-3),
+        lambda: grid_oracles(_OPTIMA, 5.0, 1e-3),
+        lambda: grid_oracles(_OPTIMA, 0.5, 2.0**-10)],  # the last point is a stride multiple
+        ids=["information_grid", "grid_oracles", "grid_oracles_no_appended_scan_point"])
+    def test_the_grid_is_sized_once_per_call(self, call):
+        with mock.patch.object(agent, "_grid_size", wraps=agent._grid_size) as grid_size:
+            call()
+        assert grid_size.call_count == 1
 
 
 class TestGridOraclePrefix:
@@ -1010,7 +1020,11 @@ class TestGridOraclePrefix:
         traders = [random_trader(rng, family) for family in ("power", "exp_growth")
                    for _ in range(10)] + _OPTIMA[:3]
         columns, shapes, built = _oracle_calls(traders, 100.0, 1e-3)
-        start, stop, _ = agent._oracle_windows(Population.from_traders(traders), 100.0, 1e-3)
+        size = agent._grid_size(100.0, 1e-3)
+        position = np.append(np.arange(0, size - 1, agent.ORACLE_SCAN_STRIDE), size - 1)
+        with np.errstate(over="ignore", divide="ignore"):  # as grid_oracles sets it
+            start, stop, _ = agent._oracle_windows(Population.from_traders(traders), 100.0,
+                                                   1e-3, position)
         windows = [shape[0] for shape in shapes if len(shape) == 1]
         assert windows == (stop - start).tolist()  # every window is proved
         assert built == [_scan_size(100.0, 1e-3), stop.max()]
@@ -1040,12 +1054,12 @@ class TestGridOraclePrefix:
 
         windows = agent._oracle_windows
 
-        def one_point(population, i_max, step):  # point 0, with an incumbent nothing reaches
+        def one_point(population, i_max, step, position):  # point 0, an incumbent none reaches
             n = len(population)
             return np.zeros(n, dtype=np.intp), np.ones(n, dtype=np.intp), np.full(n, math.inf)
 
-        def raised(population, i_max, step):  # the incumbent 3/4 of the way up to W
-            start, stop, u_s = windows(population, i_max, step)
+        def raised(population, i_max, step, position):  # the incumbent 3/4 of the way up to W
+            start, stop, u_s = windows(population, i_max, step, position)
             return start, stop, np.maximum(u_s, 0.75 * population.gain + 0.25 * u_s)
 
         forced = one_point if cut == "first_point_bound_0" else raised

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -489,6 +490,11 @@ class TestSweepErrors:
         ("sweep", {"population": {"n_agents": MAX_SCALED_ROWS // 1000 + 1},
                    "sweep": {"cost_multiplier_grid": _geometric(start=2.0, num=999)}},
          "sweep.cost_multiplier_grid"),
+        # 100 multipliers and 1.0 times 9900 ceilings and one more, 101 * 9901 phase cells,
+        # one past MAX_SCALED_ROWS: rejected by sweep_2d before it tiles a row
+        ("sweep", {"sweep": {"i_max_grid": _geometric(num=9900),
+                             "cost_multiplier_grid": _geometric(start=2.0, num=100)}},
+         "sweep.cost_multiplier_grid, sweep.i_max_grid"),
     ])
     def test_count_past_its_ceiling_is_a_config_error(self, tmp_path, subcommand, config, field):
         # checked at parse time, before anything of that size is built
@@ -550,6 +556,17 @@ class TestSweepErrors:
         code, message = self._run(tmp_path, {"i_max_grid": _geometric(num=num)})
         assert code == EXIT_CONFIG
         assert message.startswith(f"sweep.i_max_grid.num: must be at most {MAX_GRID_NUM}, got ")
+
+    def test_participation_rule_is_refused(self, tmp_path):
+        # sweep_2d counts every agent, where run_market would drop those with u_star < 0:
+        # the rule is refused before any agent is sampled
+        with mock.patch.object(infoload.cli, "sample_population") as sample:
+            code, message = self._run(tmp_path, None, "sweep",
+                                      {"market": {"participation_rule": True}})
+        assert code == EXIT_CONFIG
+        assert message == ("market.participation_rule: sweep counts every agent, so it must "
+                           "be false")
+        sample.assert_not_called()
 
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
         # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of h's values
@@ -750,6 +767,23 @@ def test_runs_without_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == EXIT_OK, result.stderr
     assert len(read_csv(tmp_path / "out" / "market.csv")) == 20
+
+
+def test_module_entry_point(tmp_path):
+    # python -m infoload.cli exits with main's code through console_entry
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    good = write_config(tmp_path, {"population": {"n_agents": 20}}, "good.json")
+    bad = write_config(tmp_path, {"market": {"theta": 2.0}}, "bad.json")
+    for path, out, code in [(good, "ok", EXIT_OK), (bad, "bad", EXIT_CONFIG)]:
+        result = subprocess.run(
+            [sys.executable, "-m", "infoload.cli", "market", "--config", str(path),
+             "--out", str(tmp_path / out)], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == code, result.stderr
+    assert len(read_csv(tmp_path / "ok" / "market.csv")) == 20
+    assert json.loads((tmp_path / "bad" / "error.json").read_text())["error"].startswith(
+        "market.theta:")
 
 
 NUMPY_RANDOM_PROBE = """

@@ -1,6 +1,8 @@
 import math
 import re
+import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -487,6 +489,23 @@ class TestReturns:
     def test_n_guard(self):
         with pytest.raises(PreconditionError):
             simulate_muthian_returns(ReturnModel(0.0, 1.0), 0, seed=1)
+
+    @pytest.mark.parametrize("r_of, noise_sd, n", [
+        (1.7e308, 1e-300, 3),  # the sum of the draws overflows
+        (1e308, 1e300, 3),  # the squared deviations overflow
+        (-1.7e308, 1e300, 1000)])
+    def test_finite_draws_give_a_finite_summary(self, r_of, noise_sd, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = simulate_muthian_returns(ReturnModel(r_of, noise_sd), n, seed=0)
+        assert np.isfinite(sample.values).all()
+        # within 2**-50 of the largest draw of the exact mean and sd, in rationals
+        exact = [Fraction(v) for v in sample.values.tolist()]
+        mean = sum(exact) / n
+        sd = math.ldexp(math.sqrt(sum((v - mean) ** 2 for v in exact) / (n - 1) / 2**2000), 1000)
+        tolerance = max(map(abs, exact)) / 2**50
+        assert abs(Fraction(sample.mean) - mean) <= tolerance
+        assert abs(Fraction(sample.sd) - Fraction(sd)) <= tolerance
 
     @pytest.mark.parametrize("r_of, noise_sd", [
         (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2),

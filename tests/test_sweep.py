@@ -202,6 +202,25 @@ class TestSweep2d:
         assert peak < 1e6
         scaled.assert_not_called()
 
+    def test_phase_cells_have_a_ceiling(self, reference_trader):
+        # 101 multipliers times 9900 ceilings and one more are one cell past MAX_SCALED_ROWS:
+        # refused before any row is tiled
+        multipliers = list(np.geomspace(0.5, 4.0, 101))
+        grid = list(np.geomspace(0.5, 4.0, MAX_SCALED_ROWS // 101))
+        assert len(multipliers) * (len(grid) + 1) == MAX_SCALED_ROWS + 1
+        tracemalloc.start()
+        try:
+            with mock.patch.object(Population, "scaled") as scaled:
+                with pytest.raises(ConfigError, match=r"^sweep\.cost_multiplier_grid, "
+                                   r"sweep\.i_max_grid: 101 multipliers times 9900 ceilings and "
+                                   r"one more must be at most 1000000 phase cells$"):
+                    sweep_2d([reference_trader], grid, multipliers, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        scaled.assert_not_called()
+
     def test_identity_multiplier_matches_1d(self, rng):
         traders = [random_trader(rng, cost_family="power") for _ in range(20)]
         grid = list(np.geomspace(0.1, 10.0, 12))
