@@ -7,7 +7,7 @@ non-zero cost curve, so the constrained optimum is ``min(i_u, i_max)`` where
 ``i_u`` is the unique root of g (or 0 when g(0) <= 0).  ``solve_roots`` finds
 the roots of a whole population at once, in numpy arrays, by setting each
 root's float64 bit pattern one bit at a time from the top, 63 signs of g per
-family pair read in log space (``kernels.log_marginal_ratio``) by ``sign_walk``;
+family pair read in log space (``kernels.h``) by ``sign_walk``;
 ``unconstrained_optimum`` is one trader's root as a float.  A
 ``Population`` holds many traders as checked columns of kernel codes and
 parameters; the solver, ``constrain`` and ``Population.utility`` read the
@@ -201,15 +201,18 @@ def marginal_utility(trader: Trader, i: float) -> float:
     return trader.success.deriv(i) * float(trader.gain + trader.loss) - trader.cost.deriv(i)
 
 
+@np.errstate(over="ignore", divide="ignore")
 def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarray:
-    """Each trader's largest int64 ``k < 2**bits`` with h (``kernels.log_marginal_ratio``,
-    with g's sign) positive at ``levels(k)``, levels non-decreasing in k; 0 where there is
-    none, and the bits of +inf for zero cost.  The solve and the sweep share it.
+    """Each trader's largest int64 ``k < 2**bits`` with h (``kernels.h``, with g's sign)
+    positive at ``levels(k)``, levels non-decreasing in k; 0 where there is none, and the
+    bits of +inf for zero cost.  The solve and the sweep share it.
 
     Bit b is kept where h is positive at the index found so far with bit b set, from the
-    top: ``bits`` calls of h per costly family pair.  A NaN h raises ``NumericRangeError``
-    after the pair's walk, naming its first such row as agent ``row % n`` (row ``r * n + k``
-    of ``Population.scaled`` is trader k; ``n`` 0 names the row).
+    top: ``bits`` calls of h per costly family pair, all in the one error state that the
+    walk sets, as ``kernels.log_marginal_ratio`` would for each call; ``log_marginal_args``
+    forms h's arguments once per pair.  A NaN h raises ``NumericRangeError`` after the
+    pair's walk, naming its first such row as agent ``row % n`` (row ``r * n + k`` of
+    ``Population.scaled`` is trader k; ``n`` 0 names the row).
     """
     found = np.full(len(population), math.inf).view(np.int64)  # zero cost: g > 0 everywhere
     for agents, args in population.families():
@@ -220,7 +223,7 @@ def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarr
         up, least = np.empty(len(agents), dtype=bool), np.zeros(len(agents))
         for bit in reversed(range(bits)):
             np.bitwise_or(lo, 1 << bit, out=mid)
-            h = kernels.log_marginal_ratio(levels(mid), *h_args)
+            h = kernels.h(levels(mid), *h_args)
             np.minimum(least, h, out=least)  # NaN from h's first NaN on
             lo |= np.left_shift(np.greater(h, 0.0, out=up), bit, out=step)
         nan = np.flatnonzero(np.isnan(least))
@@ -234,9 +237,9 @@ def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarr
 def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
     """Unconstrained optimum ``i_u`` of every trader, as one float64 array.
 
-    ``i_u`` is the largest float at which h (``kernels.log_marginal_ratio``, with the
-    sign of the marginal utility g) is positive; at the next float h <= 0.  Zero cost
-    gives +inf (g never turns negative) and g(0) <= 0 gives 0.  Each trader's root
+    ``i_u`` is the largest float at which h (``kernels.h``, with the sign of the marginal
+    utility g) is positive; at the next float h <= 0.  Zero cost gives +inf (g never
+    turns negative) and g(0) <= 0 gives 0.  Each trader's root
     depends only on that trader.  The non-negative float64s are ordered like their bit
     patterns, all below 2**63, so ``sign_walk`` sets each root's 63 bits; a probe at +inf
     gives h = -inf, and none is a NaN pattern, as its bits below the one it sets are 0.
@@ -317,9 +320,9 @@ def _oracle_windows(population: Population, i_max: float, step: float,
 
     The scan points are the grid's points at ``position``, every ``ORACLE_SCAN_STRIDE``-th
     index and the last, i_max's; only they and their ``log`` are built, by ``_grid_points``,
-    and the positions also give the blocks' edges.  One 2-D ``utility_grid`` call per family
-    pair evaluates them for all of its traders, the costs landing in its second array, and
-    ``u_s`` is a trader's best scan utility.  Then the utility array takes the complement
+    and the positions also give the blocks' edges.  One 2-D ``kernels.utility`` call per
+    family pair evaluates them for all of its traders, the costs landing in its second
+    array, and ``u_s`` is a trader's best scan utility.  Then the utility array takes the complement
     ``1 - lambda`` from one ``success_complement`` call, and the two arrays become the bound
     of each block of grid points between two consecutive scan points (the first block also
     holds point 0).  The window starts at the first block whose bound is not below ``u_s``
@@ -332,9 +335,9 @@ def _oracle_windows(population: Population, i_max: float, step: float,
     incumbent = np.empty(len(population))
     for agents, (s_code, s_param, c_code, c_scale, c_param, gain, loss) in population.families():
         util, cost = np.empty((2, len(agents), len(scan)))
-        kernels.utility_grid(scan, s_code, s_param[:, None], c_code, c_scale[:, None],
-                             c_param[:, None], gain[:, None], loss[:, None], out=(util, cost),
-                             log_grid=log_scan)
+        kernels.utility(scan, s_code, s_param[:, None], c_code, c_scale[:, None],
+                        c_param[:, None], gain[:, None], loss[:, None], out=(util, cost),
+                        log_grid=log_scan)
         rows = np.arange(len(agents))
         b_s = util.argmax(axis=1)  # the first maximizer
         u_s = util[rows, b_s][:, None]
@@ -371,13 +374,14 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
     Each trader's kernel call evaluates one window of the grid, set by ``_oracle_windows``
     from a strided scan that ends at i_max, as in branch and bound, and the window is kept
     only when the utility ``u_p`` of its own first maximizer has ``u_p >= u_s``, the
-    trader's best scan utility; otherwise that trader gets the whole grid.  Every point
+    trader's best scan utility; otherwise that trader gets the whole grid.  The scan and
+    the windows call ``kernels.utility`` in the one error state set here.  Every point
     before the window lies in a block whose bound is below ``u_s``, so below ``u_p``, and
     every point after it in a block whose bound is at most ``u_s``, so it can at most tie
-    the window's maximizer, which comes first: the argmax keeps it.  NaN fails the comparison, so it
-    takes the whole grid.  ``u_s`` serves only as the threshold: no bit of the scan's
-    values enters the proof.  The bound of a block of points ``(a, b]`` between two scan
-    points (the first block also holds point 0, which is a):
+    the window's maximizer, which comes first: the argmax keeps it.  NaN fails the
+    comparison, so it takes the whole grid.  ``u_s`` serves only as the threshold: no bit
+    of the scan's values enters the proof.  The bound of a block of points ``(a, b]``
+    between two scan points (the first block also holds point 0, which is a):
 
     - With ``T = fl(W + L)``, the computed complement ``c = 1 - lambda`` and the computed
       cost ``xi``, all non-negative, the kernel's utility is ``fl(fl(W - fl(T * c)) - xi)``.
@@ -440,11 +444,11 @@ def grid_oracles(traders: Sequence[Trader], i_max: float,
                 built = np.arange(max(hi, stop.max()), dtype=np.float64)
                 log_grid = np.log(grid := _grid_points(i_max, step, size, built))
                 util, scratch = np.empty((2, len(grid)))
-            window = kernels.utility_grid(grid[lo:hi], *curves, gain, loss, out=(
+            window = kernels.utility(grid[lo:hi], *curves, gain, loss, out=(
                 util[:hi - lo], scratch[:hi - lo]), log_grid=log_grid[lo:hi])
             j = window.argmax()  # the first maximizer
-            best[k], u_star[k] = lo + j, window[j]
-            if window[j] >= u_s:
+            best[k], u_star[k] = lo + j, (u_p := window[j])
+            if u_p >= u_s:
                 break
     # the first grid point (of at least 2) is the corner 0, the last (i_max) fully informed
     return grid[best], u_star, _REGIMES[1 + (best == size - 1) - (best == 0)]

@@ -4,12 +4,14 @@ Each formula is a numpy function of an array of levels ``i`` for the family
 coded by a curve's ``kernel_code()``; parameters may be arrays that broadcast
 against ``i``, one per trader.  The scalar curve API evaluates them on
 one-element arrays, so it agrees bit for bit with the oracle's grids
-(``utility_grid``).  A cost or cost slope beyond the float64 range is +inf.  No formula
-sets numpy's error state: ``utility_grid``, ``log_marginal_ratio``, the curve methods and
-``agent``'s oracle, which enter the kernel, each set it once per call to
-``over="ignore", divide="ignore"``.  An ``out=`` argument runs the same ufuncs into
-arrays the caller owns, so the values are bit-identical and a loop over
-traders allocates no grid per trader.
+(``utility_grid``).  A cost or cost slope beyond the float64 range is +inf.
+No formula sets numpy's error state, nor do the bodies ``utility`` and ``h``:
+each entry to the kernel sets it once per call to ``over="ignore", divide="ignore"``.
+The entries are ``utility_grid`` and ``log_marginal_ratio``, for single calls, the curve
+methods, and ``agent.grid_oracles`` and ``agent.sign_walk``, which loop over traders or
+bits and call the bodies.  An ``out=`` argument runs the same ufuncs into arrays the
+caller owns, so the values are bit-identical and a loop over traders allocates no grid
+per trader.
 ``utility_grid`` is the complement form ``W - (W + L) * (1 - lambda) - xi``,
 with ``1 - lambda`` from ``success_complement``, so it does not cancel as
 lambda -> 1.  A power cost's value is ``scale * exp(p * log i)`` everywhere;
@@ -95,14 +97,12 @@ def cost_deriv(i, code, scale, param):
     return scale * param * np.exp(param * i)
 
 
-@np.errstate(over="ignore", divide="ignore")
-def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None,
-                 log_grid=None):
-    """Expected utility ``W - (W + L) * (1 - lambda) - xi`` at every grid point; -inf
-    where the cost is +inf.  ``out``, two float64 arrays shaped like the result, takes
-    the result (first) and the cost ``xi``, which ``cost_value`` gives at every point;
-    ``log_grid``, if given, is ``np.log(grid)``."""
-    i = np.asarray(grid, dtype=np.float64)
+def utility(i, s_code, s_param, c_code, c_scale, c_param, gain, loss, out=None,
+            log_grid=None):
+    """Expected utility ``W - (W + L) * (1 - lambda) - xi`` at every level of the float64
+    array ``i``, in the caller's error state; -inf where the cost is +inf.  ``out``, two
+    float64 arrays shaped like the result, takes the result (first) and the cost ``xi``,
+    which ``cost_value`` gives at every point; ``log_grid``, if given, is ``np.log(i)``."""
     util, cost = (None, None) if out is None else out
     util = success_complement(i, s_code, s_param, out=util)
     util = np.subtract(gain, np.multiply(gain + loss, util, out=util), out=util)
@@ -110,27 +110,35 @@ def utility_grid(grid, s_code, s_param, c_code, c_scale, c_param, gain, loss, ou
     return np.subtract(util, cost, out=util)
 
 
+@np.errstate(over="ignore", divide="ignore")
+def utility_grid(grid, *args, **kwargs):
+    """``utility`` at ``grid`` as a float64 array, in its own error state."""
+    return utility(np.asarray(grid, dtype=np.float64), *args, **kwargs)
+
+
 def log_marginal_args(s_code, s_param, c_code, c_scale, c_param, gain, loss):
-    """``log_marginal_ratio``'s arguments after the levels, from the kernel arguments of a
-    costly family pair: the codes, ``s_param``, ``c_param``, h's part free of i,
+    """``h``'s arguments after the levels, from the kernel arguments of a costly family
+    pair: the codes, ``s_param``, b's ``factor`` (a power cost's ``exponent - 1``, formed
+    here once for all of h's calls, or an exponential cost's rate), h's part free of i,
     ``C = log s_param + log(W + L) - log c_scale - log c_param``, a sum of logs, and
     ``wide``, whether a finite level can overflow ``i + half_saturation``: only where the
     half-saturation is at least 2**970, half an ulp of the largest float."""
     wide = s_code == SUCCESS_HYPERBOLIC and np.maximum.reduce(s_param, axis=None) >= 2.0**970
-    return s_code, s_param, c_code, c_param, (
+    factor = c_param - 1.0 if c_code == COST_POWER else c_param
+    return s_code, s_param, c_code, factor, (
         np.log(s_param) + np.log(gain + loss) - np.log(c_scale) - np.log(c_param)), wide
 
 
-@np.errstate(over="ignore", divide="ignore")
-def log_marginal_ratio(i, s_code, s_param, c_code, c_param, level, wide):
+def h(i, s_code, s_param, c_code, factor, level, wide):
     """h(i) = log lambda'(i) + log(W + L) - log xi'(i), which has g's sign, at every level
-    in ``i``: ``C - a(i) - b(i)``, with ``C`` the ``level`` of ``log_marginal_args``, ``a``
-    ``rate * i`` or ``2 log(i + half_saturation)`` and ``b`` ``(exponent - 1) log i`` or
-    ``rate * i``.  For accepted parameters ``C`` is finite, ``a`` is +inf only above i = 1
-    and ``b`` -inf only below it, so h is never NaN; h(0) is +inf for a power cost and
-    h(+inf) is -inf.  Where ``wide`` and ``i + half_saturation`` overflows at a finite
-    level, both addends are at least 2**970, so their halves are exact, and there
-    ``log(i + half_saturation)`` is ``log(i / 2 + half_saturation / 2) + log 2``."""
+    in ``i``, in the caller's error state: ``C - a(i) - b(i)``, with ``C`` the ``level``
+    of ``log_marginal_args``, ``a`` ``rate * i`` or ``2 log(i + half_saturation)`` and
+    ``b`` ``factor`` times ``log i`` or ``i``.  For accepted parameters ``C`` is finite,
+    ``a`` is +inf only above i = 1 and ``b`` -inf only below it, so h is never NaN; h(0)
+    is +inf for a power cost and h(+inf) is -inf.  Where ``wide`` and
+    ``i + half_saturation`` overflows at a finite level, both addends are at least
+    2**970, so their halves are exact, and there ``log(i + half_saturation)`` is
+    ``log(i / 2 + half_saturation / 2) + log 2``."""
     if s_code == SUCCESS_EXP_SATURATING:
         a = s_param * i
     else:
@@ -138,11 +146,12 @@ def log_marginal_ratio(i, s_code, s_param, c_code, c_param, level, wide):
         if wide:
             halves = 2.0 * (np.log(np.multiply(i, 0.5) + np.multiply(s_param, 0.5)) + np.log(2.0))
             a = np.where(a == np.inf, halves, a)
-    if c_code == COST_POWER:
-        b = (c_param - 1.0) * np.log(i)
-    else:
-        b = c_param * i
+    b = factor * (np.log(i) if c_code == COST_POWER else i)
     return level - a - b
+
+
+# h in its own error state, for a single call
+log_marginal_ratio = np.errstate(over="ignore", divide="ignore")(h)
 
 
 # an alias, kept because perfbench/workloads.py checks utility_grid against it

@@ -358,14 +358,22 @@ def check_conjecture2(efficient_leg: Tuple[MarketConfig, Sequence[Trader]],
 
 
 def simulate_muthian_returns(model: ReturnModel, n: int, seed: int) -> ReturnSample:
-    """Draw n returns r_of + eps with Gaussian white noise; mean recovers r_of."""
+    """Draw n returns r_of + eps with Gaussian white noise; mean recovers r_of.  A draw
+    past the float range is a ``ConfigError`` naming ``returns.noise_sd`` where the noise
+    overflows, else both fields."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if model.noise_sd == 0.0:
         return ReturnSample(mean=model.r_of, sd=0.0, n=n,
                             values=np.full(n, model.r_of))
     rng = np.random.default_rng(seed)
-    values = model.r_of + model.noise_sd * rng.standard_normal(n)
+    with np.errstate(over="ignore"):
+        noise = model.noise_sd * rng.standard_normal(n)
+        values = model.r_of + noise
+    if not (finite := np.isfinite(values)).all():
+        field = "returns.r_of, returns.noise_sd" if np.isfinite(noise).all() else "returns.noise_sd"
+        raise ConfigError(field, f"{n - finite.sum()} of {n} draws r_of + noise_sd * N are not "
+                          f"finite, with r_of {model.r_of!r} and noise_sd {model.noise_sd!r}")
     return ReturnSample(*_mean_and_sd(values), n=n, values=values)
 
 

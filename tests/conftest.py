@@ -61,12 +61,12 @@ WIDE_TRADERS = st.lists(st.builds(
     min_size=1, max_size=30)
 
 
-def nan_log_marginal_ratio_at(position):
-    """A ``kernels.log_marginal_ratio`` whose h is NaN at entry ``position`` of its values."""
-    log_marginal_ratio = kernels.log_marginal_ratio
+def nan_h_at(position):
+    """A ``kernels.h`` whose value is NaN at entry ``position`` of its values."""
+    h = kernels.h
 
     def nan_at(*args):
-        values = log_marginal_ratio(*args)
+        values = h(*args)
         values[position] = math.nan
         return values
     return nan_at

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -34,8 +35,7 @@ from infoload.agent import grid_oracles, information_grid, solve_roots, utility_
 from infoload.errors import NumericRangeError, ParameterError
 from infoload.sweep import critical_imax_quantile, sweep_2d
 
-from conftest import (WIDE_TRADERS, exact_h, log_uniform, nan_log_marginal_ratio_at,
-                      random_trader)
+from conftest import WIDE_TRADERS, exact_h, log_uniform, nan_h_at, random_trader
 
 
 class TestTrader:
@@ -231,7 +231,7 @@ class TestPopulation:
                 return kernel(*args, **kwargs)
             return call
 
-        names = {"log_marginal_args", "log_marginal_ratio", "utility_grid"}
+        names = {"log_marginal_args", "h", "utility"}
         for name in names:
             monkeypatch.setattr(kernels, name, recording(name, getattr(kernels, name)))
         run_market(MarketConfig(i_max=2.0, theta=0.5), population)
@@ -297,6 +297,11 @@ class TestOneLevel:
 
 
 _EDGE_TRADER = Trader(1.0, 1.0, ExpSaturating(1e200), PowerCost(1.0, 2.0))
+# roots at the largest float, near 1e-300 and at 0: the sign walk's probes near the top of
+# the float range overflow W + L, i + half_saturation and both rates times i
+_WALK_TRADERS = [Trader(8e307, 8e307, Hyperbolic(1e308), PowerCost(5e-324, 1.0000001)),
+                 Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e300, 2.0)),
+                 Trader(1.0, 1.0, ExpSaturating(2.0), ExpGrowthCost(10.0, 2.0))]
 
 
 class TestErrorState:
@@ -317,7 +322,12 @@ class TestErrorState:
         (lambda: run_market(MarketConfig(i_max=1.5e308, theta=0.5),
                             [Trader(1.0, 1.0, Hyperbolic(1e308), ZeroCost())]).u_star.tolist(),
          [pytest.approx(0.2, rel=1e-14)]),
-    ], ids=["exp_saturating", "hyperbolic", "utility", "grid_oracles", "run_market"])
+        (lambda: solve_roots(_WALK_TRADERS).tolist(),
+         [sys.float_info.max, pytest.approx(1e-300, rel=1e-12), 0.0]),
+        (lambda: sweep_2d(_WALK_TRADERS, [1e-305, 1.0, 1e308], [1.0, 2.0], 0.5).fractions.tolist(),
+         [[2 / 3, 1 / 3, 1 / 3]] * 2),
+    ], ids=["exp_saturating", "hyperbolic", "utility", "grid_oracles", "run_market",
+            "solve_roots", "sweep_2d"])
     def test_the_kernels_entries_do_not_warn(self, call, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -491,7 +501,7 @@ class TestSolveRoots:
         power = PowerCost(0.1, 2.0)
         traders = [Trader(1.0, 1.0, Hyperbolic(1.0), power) if k in (0, 2, 5)
                    else Trader(1.0, 1.0, ExpSaturating(1.0), power) for k in range(6)]
-        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(2))
+        monkeypatch.setattr(kernels, "h", nan_h_at(2))
         with pytest.raises(NumericRangeError, match="^agent 4: marginal utility is NaN"):
             solve_roots(traders)
 
@@ -650,13 +660,13 @@ def _solve_counting(population):
     """``solve_roots``'s roots of ``population`` as int64 bit patterns, and how often it
     evaluated h."""
     calls = []
-    log_marginal_ratio = kernels.log_marginal_ratio
+    h = kernels.h
 
     def counting(*args):
         calls.append(None)
-        return log_marginal_ratio(*args)
+        return h(*args)
 
-    with mock.patch.object(kernels, "log_marginal_ratio", counting):
+    with mock.patch.object(kernels, "h", counting):
         roots = solve_roots(population)
     assert len(calls) > 0
     return roots.view(np.int64).tolist(), len(calls)
@@ -785,10 +795,10 @@ def _oracle_calls(traders, i_max, step):
     """``grid_oracles``'s columns, the shape of each of its kernel calls' values, and the
     length of each run of grid points that it builds."""
     shapes, built = [], []
-    utility_grid, grid_points = kernels.utility_grid, agent._grid_points
+    utility, grid_points = kernels.utility, agent._grid_points
 
     def recording(grid, *args, **kwargs):
-        util = utility_grid(grid, *args, **kwargs)
+        util = utility(grid, *args, **kwargs)
         shapes.append(util.shape)
         return util
 
@@ -797,7 +807,7 @@ def _oracle_calls(traders, i_max, step):
         built.append(len(points))
         return points
 
-    with (mock.patch.object(kernels, "utility_grid", recording),
+    with (mock.patch.object(kernels, "utility", recording),
           mock.patch.object(agent, "_grid_points", building)):
         columns = grid_oracles(traders, i_max, step)
     return columns, shapes, built
@@ -883,21 +893,26 @@ class TestGridOracle:
 
     def test_scan_has_a_point_budget(self, reference_trader):
         # on a grid of MAX_GRID_POINTS points, 255 traders' scans fit in the budget and 256
-        # do not; the 256 are refused before any trader is read or any scan point built
+        # do not; 1,000 traders at 10,001 scan points each pass it by 1,000 points, where a
+        # count without the last scan point, i_max's, would be exactly 10**7.  Both are
+        # refused before any trader is read or any scan point built
         scan = _scan_size(9999.999, 1e-3)
         assert 255 * scan <= agent.MAX_GRID_POINTS < 256 * scan
-        tracemalloc.start()
-        try:
-            with mock.patch.object(Population, "from_traders") as from_traders:
-                with pytest.raises(ParameterError, match=r"^the oracle's scan of 256 agents at "
-                                   r"39064 points each must have at most 10000000 points, got "
-                                   r"step 0\.001 for i_max 9999\.999$"):
-                    grid_oracles([reference_trader] * 256, 9999.999, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
-        from_traders.assert_not_called()
+        assert 1000 * (_scan_size(2560.0, 1e-3) - 1) == agent.MAX_GRID_POINTS
+        for n, i_max, points in ((256, 9999.999, 39064), (1000, 2560.0, 10001)):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(Population, "from_traders") as from_traders:
+                    with pytest.raises(ParameterError, match=(
+                            rf"^the oracle's scan of {n} agents at {points} points each must "
+                            rf"have at most 10000000 points, got step 0\.001 for i_max "
+                            rf"{re.escape(repr(i_max))}$")):
+                        grid_oracles([reference_trader] * n, i_max, 1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            from_traders.assert_not_called()
 
     def test_grid_has_a_point_budget(self, reference_trader):
         # 9999.999 / 1e-3 steps give MAX_GRID_POINTS points and 1e4 / 1e-3 one more, counted

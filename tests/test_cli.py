@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +43,7 @@ from infoload.errors import ConfigError
 from infoload.market import ConjectureVerdict, sample_population
 from infoload.sweep import MAX_SCALED_ROWS
 
-from conftest import nan_log_marginal_ratio_at
+from conftest import nan_h_at
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -571,7 +572,7 @@ class TestSweepErrors:
     def test_nan_root_is_a_numeric_error(self, tmp_path, monkeypatch):
         # 5 agents of one family pair under multipliers [1.0, 2.0]: entry 8 of h's values
         # is agent 3 of the second row
-        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(5 + 3))
+        monkeypatch.setattr(kernels, "h", nan_h_at(5 + 3))
         code, message = self._run(tmp_path, {"i_max_grid": [0.5, 1.0],
                                               "cost_multiplier_grid": [2.0]})
         assert code == EXIT_NUMERIC
@@ -579,12 +580,27 @@ class TestSweepErrors:
 
     def test_nan_root_in_the_market_is_a_numeric_error(self, tmp_path, monkeypatch):
         # 5 agents of one family pair: entry 3 of h's values is agent 3
-        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(3))
+        monkeypatch.setattr(kernels, "h", nan_h_at(3))
         config = {**REFERENCE_CONFIG, "population": {**REFERENCE_CONFIG["population"],
                                                      "n_agents": 5}}
         code, message = self._run(tmp_path, None, "market", config)
         assert code == EXIT_NUMERIC
         assert message.startswith("NumericRangeError: agent 3: marginal utility is NaN")
+
+    @pytest.mark.parametrize("returns, message", [
+        # noise_sd times a normal draw overflows in 5 of the draws, and the sum in 12 more
+        ({"r_of": 1e308, "noise_sd": 1e308}, "returns.noise_sd: 17 of 100 draws r_of + "
+         "noise_sd * N are not finite, with r_of 1e+308 and noise_sd 1e+308"),
+        # the noise stays finite, the sum does not
+        ({"r_of": 1.7e308, "noise_sd": 1e307}, "returns.r_of, returns.noise_sd: 6 of 100 "
+         "draws r_of + noise_sd * N are not finite, with r_of 1.7e+308 and noise_sd 1e+307"),
+    ], ids=["noise", "sum"])
+    def test_draws_past_the_float_range_are_a_config_error(self, tmp_path, returns, message):
+        config = {"population": {"master_seed": 1}, "returns": {**returns, "n_draws": 100}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(tmp_path, None, "returns", config) == (EXIT_CONFIG, message)
+        assert [path.name for path in (tmp_path / "out").iterdir()] == ["error.json"]
 
 
 class TestDeterminism:

@@ -33,7 +33,7 @@ from infoload.sweep import MAX_SCALED_ROWS
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
-from conftest import WIDE_TRADERS, log_uniform, nan_log_marginal_ratio_at, random_trader
+from conftest import WIDE_TRADERS, log_uniform, nan_h_at, random_trader
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -112,7 +112,7 @@ class TestSweepImax:
         # one family pair, so entry 2 of h's values is agent 2
         traders = [Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(scale, 2.0))
                    for scale in (0.05, 0.1, 0.2, 0.4)]
-        monkeypatch.setattr(kernels, "log_marginal_ratio", nan_log_marginal_ratio_at(2))
+        monkeypatch.setattr(kernels, "h", nan_h_at(2))
         with pytest.raises(NumericRangeError, match="agent 2: marginal utility is NaN"):
             sweep_imax(traders, [0.5, 1.0], theta=0.5)
 
@@ -289,14 +289,14 @@ class TestSweep2d:
         # each read from h, per family pair
         traders = [random_trader(rng) for _ in range(80)]
         calls = {}
-        log_marginal_ratio = kernels.log_marginal_ratio
+        h = kernels.h
 
         def counting(i, s_code, s_param, c_code, *args):
             calls[s_code, c_code] = calls.get((s_code, c_code), 0) + 1
-            return log_marginal_ratio(i, s_code, s_param, c_code, *args)
+            return h(i, s_code, s_param, c_code, *args)
 
         grid = list(np.geomspace(0.05, 30.0, n_grid))
-        with mock.patch.object(kernels, "log_marginal_ratio", counting):
+        with mock.patch.object(kernels, "h", counting):
             sweep_2d(traders, grid, [0.5, 1.0, 2.0], theta=0.5)
         assert len(calls) == 4  # two success families times two costly cost families
         assert all(0 < c <= n_grid.bit_length() for c in calls.values()), calls
