@@ -140,14 +140,6 @@ class Population(Sequence):
                 yield agents, (s_code, self.success_param[agents], c_code, self.cost_scale[agents],
                                self.cost_param[agents], self.gain[agents], self.loss[agents])
 
-    def scaled(self, multipliers) -> Population:
-        """The population once per multiplier: row ``r * len(self) + k`` is trader k with its
-        cost scale times ``multipliers[r]``; a scale of 0 or +inf fails the columns' check."""
-        with np.errstate(over="ignore"):
-            c_scale = np.multiply.outer(multipliers, self.cost_scale)
-        tiled = {f.name: np.tile(getattr(self, f.name), len(c_scale)) for f in fields(self)}
-        return Population(**{**tiled, "cost_scale": c_scale.ravel()})
-
     def utility(self, i) -> np.ndarray:
         """Expected utility of trader k at level ``i[k]`` (or at ``i`` for all), by the kernel."""
         i = np.broadcast_to(np.asarray(i, dtype=np.float64), (len(self),))
@@ -202,35 +194,37 @@ def marginal_utility(trader: Trader, i: float) -> float:
 
 
 @np.errstate(over="ignore", divide="ignore")
-def sign_walk(population: Population, levels, bits: int, n: int = 0) -> np.ndarray:
+def sign_walk(population: Population, levels, bits: int, multipliers=None) -> np.ndarray:
     """Each trader's largest int64 ``k < 2**bits`` with h (``kernels.h``, with g's sign)
     positive at ``levels(k)``, levels non-decreasing in k; 0 where there is none, and the
-    bits of +inf for zero cost.  The solve and the sweep share it.
+    bits of +inf for zero cost.  The solve and the sweep share it.  Given ``multipliers``,
+    entry ``[..., k]`` of the ``(*np.shape(multipliers), len(population))`` result is
+    trader k's with its cost scale times ``multipliers[...]``.
 
     Bit b is kept where h is positive at the index found so far with bit b set, from the
     top: ``bits`` calls of h per costly family pair, all in the one error state that the
     walk sets, as ``kernels.log_marginal_ratio`` would for each call; ``log_marginal_args``
-    forms h's arguments once per pair.  A NaN h raises ``NumericRangeError`` after the
-    pair's walk, naming its first such row as agent ``row % n`` (row ``r * n + k`` of
-    ``Population.scaled`` is trader k; ``n`` 0 names the row).
+    forms h's arguments once per pair, the multipliers reaching only its level ``C``.  A NaN
+    h raises ``NumericRangeError`` after the pair's walk, naming its first such agent.
     """
-    found = np.full(len(population), math.inf).view(np.int64)  # zero cost: g > 0 everywhere
-    for agents, args in population.families():
-        if args[2] == kernels.COST_ZERO:  # the cost code
+    found = np.full((*np.shape(multipliers), len(population)), math.inf).view(np.int64)
+    for agents, (s_code, s_param, c_code, c_scale, *rest) in population.families():
+        if c_code == kernels.COST_ZERO:  # g > 0 everywhere: +inf
             continue
-        h_args = kernels.log_marginal_args(*args)
-        lo, mid, step = np.zeros((3, len(agents)), dtype=np.int64)
-        up, least = np.empty(len(agents), dtype=bool), np.zeros(len(agents))
+        if multipliers is not None:
+            c_scale = np.multiply.outer(multipliers, c_scale)
+        h_args = kernels.log_marginal_args(s_code, s_param, c_code, c_scale, *rest)
+        lo, mid, step = np.zeros((3, *found.shape[:-1], len(agents)), dtype=np.int64)
+        up, least = np.empty(mid.shape, dtype=bool), np.zeros(mid.shape)
         for bit in reversed(range(bits)):
             np.bitwise_or(lo, 1 << bit, out=mid)
             h = kernels.h(levels(mid), *h_args)
             np.minimum(least, h, out=least)  # NaN from h's first NaN on
             lo |= np.left_shift(np.greater(h, 0.0, out=up), bit, out=step)
-        nan = np.flatnonzero(np.isnan(least))
-        if nan.size:
-            raise NumericRangeError(f"agent {agents[nan[0]] % (n or len(found))}: "
-                                    "marginal utility is NaN")
-        found[agents] = lo
+        if np.isnan(np.minimum.reduce(least, axis=None)):
+            k = agents[np.argwhere(np.isnan(least))[0, -1]]  # its first NaN, row by row
+            raise NumericRangeError(f"agent {k}: marginal utility is NaN")
+        found[..., agents] = lo
     return found
 
 
@@ -239,10 +233,10 @@ def solve_roots(traders: Sequence[Trader]) -> np.ndarray:
 
     ``i_u`` is the largest float at which h (``kernels.h``, with the sign of the marginal
     utility g) is positive; at the next float h <= 0.  Zero cost gives +inf (g never
-    turns negative) and g(0) <= 0 gives 0.  Each trader's root
-    depends only on that trader.  The non-negative float64s are ordered like their bit
-    patterns, all below 2**63, so ``sign_walk`` sets each root's 63 bits; a probe at +inf
-    gives h = -inf, and none is a NaN pattern, as its bits below the one it sets are 0.
+    turns negative) and g(0) <= 0 gives 0.  Each trader's root depends only on that trader.
+    The non-negative float64s are ordered like their bit patterns, all below 2**63, so
+    ``sign_walk``, given no multipliers, sets each root's 63 bits on 1-D arrays; a probe at
+    +inf gives h = -inf, and none is a NaN pattern, as its bits below the one it sets are 0.
     """
     return sign_walk(Population.from_traders(traders), lambda k: k.view(np.float64),
                      63).view(np.float64)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from infoload import kernels
+from infoload import curves, kernels
 from infoload.agent import (Population, Trader, check_i_max, sign_walk, solve_roots,
                             utility_on_grid)
 from infoload.market import ConjectureVerdict, check_grid, check_theta
@@ -28,10 +28,10 @@ from infoload.errors import ConfigError, ParameterError, PreconditionError
 
 PhasePoint = Tuple[float, float, bool]  # (i_max, fraction_informed, efficient)
 DIVERGENCE_BOUND = -1e6  # conjecture 3: utility at the last ceiling falls below this
-# the most rows sweep_2d tiles (agents times multipliers): a row's columns, their family
-# copies and the sign walk's work arrays take about 200 B, so at most about 200 MB.  Its
-# phase cells (multipliers times one more than the ceilings) are held to it too: the
-# counts, their cumsum and the fractions take about 24 B a cell, so at most about 24 MB
+# the most rows sweep_2d walks (agents times multipliers): a row's scaled cost and walk
+# arrays take about 100 B, 150 B under one multiplier, so at most about 150 MB.  Its phase
+# cells (multipliers times one more than the ceilings) are held to it too: the counts,
+# their cumsum and the fractions take about 24 B a cell, so at most about 24 MB
 MAX_SCALED_ROWS = 10**6
 
 
@@ -104,12 +104,12 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
     Row r is the phase series of the traders with every cost scale times ``multipliers[r]``.
     As g is strictly decreasing, ``count(i_u >= c)``, what ``run_market`` counts without
     its participation rule, is ``count(g(c) > 0)``: every trader is counted.
-    ``agent.sign_walk`` sets each tiled trader's count of such ceilings in
-    ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount`` turns the
-    counts into each row's fractions.  A multiplier that takes a cost scale out of its
-    domain is a ``ConfigError`` naming it and the agent, and so are a tiling of more than
-    ``MAX_SCALED_ROWS`` rows and more than ``MAX_SCALED_ROWS`` phase cells (multipliers
-    times one more than the ceilings), both checked before any row is built.
+    ``agent.sign_walk`` sets each trader's count of such ceilings under every multiplier at
+    once, in ``len(grid).bit_length()`` signs of h per family pair, and one ``bincount``
+    turns the counts into each row's fractions.  A multiplier that takes a cost scale out
+    of its domain is a ``ConfigError`` naming it and the agent, and so are more than
+    ``MAX_SCALED_ROWS`` rows (agents times multipliers) or phase cells (multipliers times
+    one more than the ceilings), both checked before any row is built.
     """
     mults = check_grid("sweep.cost_multiplier_grid", multipliers)
     grid = np.asarray(check_grid("sweep.i_max_grid", i_max_grid), dtype=np.float64)
@@ -125,16 +125,19 @@ def sweep_2d(traders: Sequence[Trader], i_max_grid: Sequence[float],
         raise ConfigError("sweep.cost_multiplier_grid, sweep.i_max_grid",
                           f"{len(mults)} multipliers times {top} ceilings and one more must "
                           f"be at most {MAX_SCALED_ROWS} phase cells")
+    with np.errstate(over="ignore"):
+        c_scale = np.multiply.outer(mults, population.cost_scale)
     try:
-        scaled = population.scaled(mults)
+        curves.check_columns(cost_code=np.tile(population.cost_code, len(mults)),
+                             cost_scale=c_scale.ravel())
     except ParameterError as error:  # row r * n + k is agent k under multiplier r
         raise ConfigError("sweep.cost_multiplier_grid", f"multiplier {mults[error.agent // n]!r}, "
                           f"agent {error.agent % n}: {error.message}")
     # a count past the grid probes its end, and a zero-cost trader's +inf bits clamp to top
-    counts = sign_walk(scaled, lambda k: grid[np.minimum(k, top) - 1], top.bit_length(), n)
+    counts = sign_walk(population, lambda k: grid[np.minimum(k, top) - 1], top.bit_length(), mults)
     # by_count[r, c]: the traders of row r with g > 0 at c ceilings (top: at every one)
-    by_count = np.bincount(np.arange(len(scaled)) // n * (top + 1) + np.minimum(counts, top),
-                           minlength=len(mults) * (top + 1)).reshape(-1, top + 1)
+    by_count = np.bincount((np.minimum(counts, top) + np.arange(len(mults))[:, None] * (top + 1))
+                           .ravel(), minlength=len(mults) * (top + 1)).reshape(-1, top + 1)
     fractions = np.cumsum(by_count[:, :0:-1], axis=1)[:, ::-1] / n
     efficient = fractions >= theta  # a prefix of each row, as the fractions never rise
     return PhaseDiagram(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -61,13 +62,20 @@ WIDE_TRADERS = st.lists(st.builds(
     min_size=1, max_size=30)
 
 
+def scaled_traders(traders, multipliers):
+    """Every trader with its cost curve's ``scaled(m)`` for each multiplier m, multiplier
+    by multiplier: entry ``r * len(traders) + k`` is trader k under ``multipliers[r]``."""
+    return [replace(t, cost=t.cost.scaled(m)) for m in multipliers for t in traders]
+
+
 def nan_h_at(position):
-    """A ``kernels.h`` whose value is NaN at entry ``position`` of its values."""
+    """A ``kernels.h`` whose value is NaN at flat position ``position`` of its values
+    (row by row where the sweep walks several multipliers at once)."""
     h = kernels.h
 
     def nan_at(*args):
         values = h(*args)
-        values[position] = math.nan
+        values.flat[position] = math.nan
         return values
     return nan_at
 

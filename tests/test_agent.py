@@ -35,7 +35,8 @@ from infoload.agent import grid_oracles, information_grid, solve_roots, utility_
 from infoload.errors import NumericRangeError, ParameterError
 from infoload.sweep import critical_imax_quantile, sweep_2d
 
-from conftest import WIDE_TRADERS, exact_h, log_uniform, nan_h_at, random_trader
+from conftest import (WIDE_TRADERS, exact_h, log_uniform, nan_h_at, random_trader,
+                      scaled_traders)
 
 
 class TestTrader:
@@ -698,7 +699,7 @@ class TestBisectionEquivalence:
              multipliers=(1.0,))
     @example(traders=_MIXED, multipliers=(0.01, 1.0, 100.0))
     def test_roots_equal_the_while_loop_in_63_g_calls(self, traders, multipliers):
-        population = Population.from_traders(traders).scaled(multipliers)
+        population = Population.from_traders(scaled_traders(traders, multipliers))
         roots, calls = _solve_counting(population)
         assert calls == 63 * len(list(population.families()))  # one per bit below the sign
         reference = np.empty(len(population))

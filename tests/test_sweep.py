@@ -33,7 +33,7 @@ from infoload.sweep import MAX_SCALED_ROWS
 from infoload.cli import main as cli_main
 from infoload.errors import ConfigError, NumericRangeError, ParameterError, PreconditionError
 
-from conftest import WIDE_TRADERS, log_uniform, nan_h_at, random_trader
+from conftest import WIDE_TRADERS, log_uniform, nan_h_at, random_trader, scaled_traders
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -187,12 +187,12 @@ class TestSweep2d:
 
     def test_tiled_rows_have_a_ceiling(self, reference_trader):
         # 1001 traders under 1000 multipliers are one row past MAX_SCALED_ROWS: refused
-        # before any row is tiled
+        # before any scaled cost is formed or walked
         traders = [reference_trader] * (MAX_SCALED_ROWS // 1000 + 1)
         multipliers = list(np.geomspace(0.5, 4.0, 1000))
         tracemalloc.start()
         try:
-            with mock.patch.object(Population, "scaled") as scaled:
+            with mock.patch("infoload.sweep.sign_walk") as walk:
                 with pytest.raises(ConfigError, match=r"^sweep\.cost_multiplier_grid: 1000 "
                                    r"multipliers times 1001 agents must be at most 1000000 rows$"):
                     sweep_2d(traders, [1.0], multipliers, 0.5)
@@ -200,17 +200,17 @@ class TestSweep2d:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        scaled.assert_not_called()
+        walk.assert_not_called()
 
     def test_phase_cells_have_a_ceiling(self, reference_trader):
         # 101 multipliers times 9900 ceilings and one more are one cell past MAX_SCALED_ROWS:
-        # refused before any row is tiled
+        # refused before any scaled cost is formed or walked
         multipliers = list(np.geomspace(0.5, 4.0, 101))
         grid = list(np.geomspace(0.5, 4.0, MAX_SCALED_ROWS // 101))
         assert len(multipliers) * (len(grid) + 1) == MAX_SCALED_ROWS + 1
         tracemalloc.start()
         try:
-            with mock.patch.object(Population, "scaled") as scaled:
+            with mock.patch("infoload.sweep.sign_walk") as walk:
                 with pytest.raises(ConfigError, match=r"^sweep\.cost_multiplier_grid, "
                                    r"sweep\.i_max_grid: 101 multipliers times 9900 ceilings and "
                                    r"one more must be at most 1000000 phase cells$"):
@@ -219,7 +219,7 @@ class TestSweep2d:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        scaled.assert_not_called()
+        walk.assert_not_called()
 
     def test_identity_multiplier_matches_1d(self, rng):
         traders = [random_trader(rng, cost_family="power") for _ in range(20)]
@@ -256,8 +256,6 @@ class TestSweep2d:
             sweep_2d([reference_trader, costly], [1.0, 2.0], [1.0, 2.0], theta=0.5)
         assert exc.value.field == "sweep.cost_multiplier_grid"
         assert exc.value.message.startswith("multiplier 2.0, agent 1: cost_scale")
-        with pytest.raises(ParameterError, match="agent 3: cost_scale"):
-            Population.from_traders([reference_trader, costly]).scaled([1.0, 2.0])
 
     def test_first_failing_multiplier_and_its_smallest_agent_are_named(self, reference_trader):
         # 1e-300 takes agents 2 and 3's scales below the smallest float, to 0, and 1e300
@@ -272,8 +270,9 @@ class TestSweep2d:
 
     def test_parameter_error_carries_the_failing_row(self, reference_trader):
         costly = Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(1e308, 2.0))
+        population = Population.from_traders([reference_trader, costly] * 2)
         with pytest.raises(ParameterError) as exc:
-            Population.from_traders([reference_trader, costly]).scaled([1.0, 2.0])
+            replace(population, cost_scale=[0.1, 1e308, 0.2, math.inf])
         assert exc.value.agent == 3
         assert str(exc.value) == "agent 3: " + exc.value.message
         assert exc.value.message == "cost_scale (scale) must be finite and exceed 0, got inf"
@@ -364,13 +363,20 @@ class TestSortedRootsMatchMarket:
     @example(population=([Trader(0.625, 0.625, ExpSaturating(2.00001),
                                  PowerCost(3.6868935384150614, 3.0))],
                          [0.33879828470014006, 1.0]), theta=1.0, mults=set())
+    # half-saturations of 1e300 and 1e308 under the ceiling 1.7e308, where the second's
+    # i + half_saturation overflows and h takes its halved branch, and a zero-cost trader
+    @example(population=([Trader(1.0, 1.0, Hyperbolic(1e300), PowerCost(1e-300, 1.5)),
+                          Trader(8e307, 8e307, Hyperbolic(1e308), PowerCost(1e-300, 1.0000001)),
+                          Trader(1.0, 1.0, Hyperbolic(1.0), ZeroCost()),
+                          Trader(1.0, 1.0, ExpSaturating(1.0), PowerCost(0.1, 2.0))],
+                         [0.25, 0.5, 1.0, 1.5, 2.0, 5.0, 8.0, 1e300, 1.7e308]),
+             theta=0.75, mults={0.5, 2.0})
     def test_sweep_2d(self, population, theta, mults):
         traders, grid = population
         mults = sorted(mults | {1.0})
         diagram = sweep_2d(traders, grid, mults, theta)
         for r, m in enumerate(mults):
-            scaled = [replace(t, cost=t.cost.scaled(m)) for t in traders]
-            expected = _per_ceiling(scaled, grid, theta)
+            expected = _per_ceiling(scaled_traders(traders, [m]), grid, theta)
             assert diagram.fractions[r].tolist() == [frac for _, frac, _ in expected]
             assert diagram.efficient[r].tolist() == [eff for _, _, eff in expected]
             efficient = [i_max for i_max, _, eff in expected if eff]
@@ -382,7 +388,7 @@ class TestSortedRootsMatchMarket:
     def test_sign_count_is_the_root_count_on_wide_populations(self, traders, mults, data):
         # the premise: h(c) > 0 exactly where c <= i_u, at roots and the floats next to them
         mults = sorted(mults | {1.0})
-        roots = solve_roots(Population.from_traders(traders).scaled(mults))
+        roots = solve_roots(scaled_traders(traders, mults))
         on_root = [r for r in roots.tolist() if 0.0 < r < math.inf]
         near = {c for r in on_root
                 for c in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf))}
